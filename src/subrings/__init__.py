@@ -22,14 +22,11 @@ from .bounds import (
 from .closure import ClosureSystem, CongruenceCondition, count_solutions, extract_conditions
 from .counting import (
     InterpolationMismatch,
-    PINNED_CONVENTION,
-    RecurrenceConvention,
     ResourceLimitError,
     count_by_diagonal,
     count_irreducible,
     count_subrings,
     interpolate_count,
-    pin_recurrence_convention,
     recurrence_f,
 )
 from .hnf import (

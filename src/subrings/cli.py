@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every command emits machine-readable output (JSON canonical; CSV as a
-projection for the tabular commands; text for eyeballing).  Exit codes:
-0 success, 1 usage error, 2 a comparator found a mismatch, 3 resource
-limit exceeded.  Output is byte-deterministic for a fixed invocation.
+projection for the tabular commands; text is the same indented JSON).
+Exit codes: 0 success, 1 usage error, 2 a comparator found a mismatch,
+3 resource limit exceeded.  Output is byte-deterministic for a fixed
+invocation.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+
+from mpmath.libmp import isprime
 
 from . import __version__
 from .bounds import bound_report, c7, minorant_divergence
@@ -55,6 +58,22 @@ class UsageError(Exception):
     pass
 
 
+def _prime(text: str) -> int:
+    """argparse type: one prime."""
+    try:
+        p = int(text)
+    except ValueError:
+        p = None
+    if p is None or not isprime(p):
+        raise argparse.ArgumentTypeError(f"not a prime: {text!r}")
+    return p
+
+
+def _primes(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated primes."""
+    return tuple(_prime(x) for x in text.split(","))
+
+
 def _poly_json(poly: PolyP):
     return {"coefficients": list(poly.coeffs), "text": str(poly)}
 
@@ -74,7 +93,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("count", help="f_n / g_n / g_alpha at one prime")
     p.add_argument("--n", type=int)
     p.add_argument("--e", type=int)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--alpha", help="comma-separated diagonal composition")
     p.add_argument("--irreducible", action="store_true")
     common(p)
@@ -82,7 +101,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("interp", help="polynomial fit across primes with held-out check")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
-    p.add_argument("--primes", required=True, help="comma-separated primes")
+    p.add_argument("--primes", type=_primes, required=True, help="comma-separated primes")
     p.add_argument("--degree-cap", type=int, required=True)
     p.add_argument("--irreducible", action="store_true")
     common(p)
@@ -102,7 +121,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("closure", help="closure congruences for a diagonal")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument(
         "--substitute",
         default=None,
@@ -153,13 +172,12 @@ def _cmd_count(args, budget):
 
 
 def _cmd_interp(args, budget):
-    primes = tuple(int(x) for x in args.primes.split(","))
     result = interpolate_count(
-        args.n, args.e, primes, args.degree_cap,
+        args.n, args.e, args.primes, args.degree_cap,
         irreducible=args.irreducible, node_budget=budget,
     )
     base = {
-        "n": args.n, "e": args.e, "primes": list(primes),
+        "n": args.n, "e": args.e, "primes": list(args.primes),
         "degree_cap": args.degree_cap, "irreducible": args.irreducible,
     }
     if isinstance(result, InterpolationMismatch):
@@ -393,55 +411,40 @@ def _cmd_verify(args, budget):
     return payload, EXIT_OK if not failures else EXIT_MISMATCH
 
 
-_TABULAR_CSV = {"bounds", "table1", "audit-sandwich"}
+# command -> CSV columns; the commands listed here are the tabular ones.
+# A payload with "rows" writes one line per row, any other one line.
+_CSV_COLUMNS = {
+    "bounds": ["n", "e", "h", "b", "c", "argmax_t", "argmax_d", "argmax_C", "cap"],
+    "table1": [
+        "n", "e", "h_computed", "b_computed", "h_printed", "b_printed",
+        "h_match", "b_match",
+    ],
+    "audit-sandwich": [
+        "order_exponent", "index_exponent", "sandwich_count",
+        "subgroup_count", "violations", "match",
+    ],
+}
 
 
-def _csv_cell(v):
-    return int(v) if isinstance(v, bool) else v
-
-
-def _to_csv(command: str, payload: dict) -> str:
+def _to_csv(columns: list[str], payload: dict) -> str:
     buf = io.StringIO()
-    if command == "bounds":
-        writer = csv.writer(buf)
-        keys = ["n", "e", "h", "b", "c", "argmax_t", "argmax_d", "argmax_C", "cap"]
-        writer.writerow(keys)
-        writer.writerow([_csv_cell(payload[k]) for k in keys])
-    elif command == "table1":
-        writer = csv.writer(buf)
-        keys = [
-            "n", "e", "h_computed", "b_computed", "h_printed", "b_printed",
-            "h_match", "b_match",
-        ]
-        writer.writerow(keys)
-        for row in payload["rows"]:
-            writer.writerow([_csv_cell(row[k]) for k in keys])
-    elif command == "audit-sandwich":
-        writer = csv.writer(buf)
-        keys = [
-            "order_exponent", "index_exponent", "sandwich_count",
-            "subgroup_count", "violations", "match",
-        ]
-        writer.writerow(keys)
-        for row in payload["rows"]:
-            writer.writerow([_csv_cell(row[k]) for k in keys])
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for row in payload.get("rows", [payload]):
+        cells = (row[k] for k in columns)
+        writer.writerow([int(v) if isinstance(v, bool) else v for v in cells])
     return buf.getvalue()
 
 
-def _to_text(payload) -> str:
-    return json.dumps(payload, indent=2, default=str)
-
-
-def _emit(args, payload, text: str | None = None):
+def _emit(args, payload):
     fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        out = json.dumps(payload, indent=2, default=str) + "\n"
-    elif fmt == "csv":
-        if args.command not in _TABULAR_CSV:
-            raise ValueError(f"csv output is only available for {sorted(_TABULAR_CSV)}")
-        out = _to_csv(args.command, payload)
+    if fmt == "csv":
+        if args.command not in _CSV_COLUMNS:
+            raise ValueError(f"csv output is only available for {sorted(_CSV_COLUMNS)}")
+        out = _to_csv(_CSV_COLUMNS[args.command], payload)
     else:
-        out = (text if text is not None else _to_text(payload)) + "\n"
+        # json and text are the same indented dump
+        out = json.dumps(payload, indent=2, default=str) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(out)

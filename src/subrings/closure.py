@@ -112,21 +112,6 @@ class SymPoly:
             return None
         return min(k for lau in self.terms.values() for k in lau)
 
-    def substitute(self, v: Var, k: int, fresh: Var) -> "SymPoly":
-        """Replace v by p^k * fresh everywhere."""
-        out = SymPoly()
-        for mono, lau in self.terms.items():
-            exp = dict(mono)
-            d = exp.pop(v, 0)
-            if d:
-                exp[fresh] = exp.get(fresh, 0) + d
-                shifted = {kk + k * d: c for kk, c in lau.items()}
-            else:
-                shifted = dict(lau)
-            mono2 = tuple(sorted(exp.items()))
-            out = out + SymPoly({mono2: shifted})
-        return out
-
     def variables(self) -> set[Var]:
         return {v for mono in self.terms for v, _ in mono}
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
+from .hnf import _column_closed, solve_upper_triangular
 from .partitions import Composition, compositions
 from .polyp import PolyP, lagrange_coefficients
 
@@ -51,32 +52,6 @@ class _Budget:
             raise ResourceLimitError(self.context, self.nodes, self.limit, self.count)
 
 
-def _solve_block(rows, rhs, size):
-    """Back substitution on the leading size x size block; None if non-integral."""
-    x = [0] * size
-    for i in range(size - 1, -1, -1):
-        s = rhs[i]
-        row = rows[i]
-        for j in range(i + 1, size):
-            if x[j]:
-                s -= row[j] * x[j]
-        q, r = divmod(s, row[i])
-        if r:
-            return None
-        x[i] = q
-    return x
-
-
-def _pairs_pass(rows, j, upto=None):
-    """Closure tests for all pairs (i, j), i <= j, on the leading blocks."""
-    top = j if upto is None else upto
-    for i in range(top, -1, -1):
-        rhs = [rows[r][i] * rows[r][j] for r in range(i + 1)]
-        if _solve_block(rows, rhs, i + 1) is None:
-            return False
-    return True
-
-
 def _derived_last_column(rows, diag, n):
     """The unique last column making (1,...,1) solvable, or None.
 
@@ -103,21 +78,22 @@ def _derived_last_column(rows, diag, n):
     return col
 
 
-def _scan_interior(rows, diag, n, col_values, budget, pruned, on_complete):
-    """Fill columns 1..n-2 (0-based) left to right and fire on_complete for
-    every survivor; on_complete returns the number of accepted matrices."""
+def _scan_interior(rows, n, col_values, budget, on_complete):
+    """Fill columns 1..n-2 (0-based) left to right, cutting a branch as soon
+    as a completed column fails its closure pairs.  Every survivor counts
+    on_complete() accepted matrices, or one when on_complete is None."""
 
     def fill(j):
         if j == n - 1:
             budget.spend()
-            budget.count += on_complete()
+            budget.count += 1 if on_complete is None else on_complete()
             return
         values = col_values[j]
 
         def entry(i):
             if i == j:
                 budget.spend()
-                if not pruned or _pairs_pass(rows, j):
+                if _column_closed(rows, j):
                     fill(j + 1)
                 return
             for v in values[i]:
@@ -151,13 +127,10 @@ def _count_with_diag(p, diag, budget, pruned, irreducible):
             return 0
         for i in range(n - 1):
             rows[i][n - 1] = col[i]
-        ok = _pairs_pass(rows, n - 1)
+        ok = _column_closed(rows, n - 1)
         for i in range(n - 1):
             rows[i][n - 1] = 0
         return 1 if ok else 0
-
-    def finish_irreducible():
-        return 1
 
     if irreducible:
         # ones column is fixed; closure involving it holds automatically
@@ -168,10 +141,7 @@ def _count_with_diag(p, diag, budget, pruned, irreducible):
         return _count_unpruned(rows, diag, n, col_values, budget, irreducible)
 
     budget.count = 0
-    _scan_interior(
-        rows, diag, n, col_values, budget, pruned,
-        finish_irreducible if irreducible else finish_general,
-    )
+    _scan_interior(rows, n, col_values, budget, None if irreducible else finish_general)
     return budget.count
 
 
@@ -191,9 +161,9 @@ def _count_unpruned(rows, diag, n, col_values, budget, irreducible):
             for (i, j), v in zip(last, lvals):
                 rows[i][j] = v
             if not irreducible:
-                if _solve_block(rows, [1] * n, n) is None:
+                if solve_upper_triangular(rows, [1] * n) is None:
                     continue
-            if all(_pairs_pass(rows, j) for j in range(n)):
+            if all(_column_closed(rows, j) for j in range(n)):
                 total += 1
                 budget.count = total
     return total
@@ -217,11 +187,10 @@ def count_subrings(
         return 1 if e == 0 else 0
     budget = _Budget(f"count_subrings(n={n}, e={e}, p={p})", node_budget)
     total = 0
-    # last diagonal exponent is 0, forced by the identity condition
-    for head in itertools.product(range(e + 1), repeat=n - 1):
-        if sum(head) != e:
-            continue
-        diag = [p**t for t in head] + [1]
+    # last diagonal exponent is 0, forced by the identity condition; the
+    # others run over the weak compositions of e in lexicographic order
+    for shifted in compositions(n, e + n - 1):
+        diag = [p ** (t - 1) for t in shifted] + [1]
         try:
             total += _count_with_diag(p, diag, budget, pruned, irreducible=False)
         except ResourceLimitError as err:
@@ -277,40 +246,17 @@ def count_irreducible(n: int, e: int, p: int, node_budget: int | None = None) ->
     return total
 
 
-@dataclass(frozen=True)
-class RecurrenceConvention:
-    """Index conventions for the f/g counting recurrence.
-
-    g_index_shift shifts which irreducible count g_(j+shift) multiplies the
-    binomial(n-1, j-1) term; g1_all_exponents makes the rank-1 factor count
-    1 at every exponent instead of only at exponent 0; g_zero_exponent_one
-    assigns g_j(p^0) = 1 for j >= 2.  The shipped default is the empirically
-    pinned convention: no shift, rank-1 factor supported at exponent 0 only,
-    and g_j(p^0) = 0 for j >= 2.
-    """
-
-    g_index_shift: int = 0
-    g1_all_exponents: bool = False
-    g_zero_exponent_one: bool = False
-
-
-PINNED_CONVENTION = RecurrenceConvention()
-
-
-def _g_conv(j: int, i: int, p: int, conv: RecurrenceConvention) -> int:
-    jj = j + conv.g_index_shift
-    if jj <= 0:
-        return 1 if (jj == 0 and i == 0) else 0
-    if jj == 1:
-        return 1 if (i == 0 or conv.g1_all_exponents) else 0
+def _g(j: int, i: int, p: int) -> int:
+    """g_j(p^i) in the recurrence: the rank-1 factor counts only at
+    exponent 0, and g_j(p^0) = 0 for j >= 2."""
+    if j == 1:
+        return 1 if i == 0 else 0
     if i == 0:
-        return 1 if conv.g_zero_exponent_one else 0
-    return count_irreducible(jj, i, p)
+        return 0
+    return count_irreducible(j, i, p)
 
 
-def recurrence_f(
-    n: int, e: int, p: int, convention: RecurrenceConvention = PINNED_CONVENTION
-) -> int:
+def recurrence_f(n: int, e: int, p: int) -> int:
     """f_n(p^e) by the double-sum recurrence over irreducible components:
     f_n(p^e) = sum_i sum_j binom(n-1, j-1) f_(n-j)(p^(e-i)) g_j(p^i)."""
     memo: dict[tuple[int, int], int] = {}
@@ -323,34 +269,13 @@ def recurrence_f(
         total = 0
         for i in range(ee + 1):
             for j in range(1, nn + 1):
-                g = _g_conv(j, i, p, convention)
+                g = _g(j, i, p)
                 if g:
                     total += comb(nn - 1, j - 1) * f(nn - j, ee - i) * g
         memo[(nn, ee)] = total
         return total
 
     return f(n, e)
-
-
-def pin_recurrence_convention(
-    max_n: int = 3, max_e: int = 3, primes: Sequence[int] = (2,)
-) -> list[RecurrenceConvention]:
-    """All conventions that reproduce the brute-force counts on the pinning
-    grid.  Used once to fix PINNED_CONVENTION; kept for auditability."""
-    matches = []
-    for shift in (-1, 0, 1):
-        for g1_all in (False, True):
-            for gz1 in (False, True):
-                conv = RecurrenceConvention(shift, g1_all, gz1)
-                ok = all(
-                    recurrence_f(nn, ee, p, conv) == count_subrings(nn, ee, p)
-                    for nn in range(1, max_n + 1)
-                    for ee in range(max_e + 1)
-                    for p in primes
-                )
-                if ok:
-                    matches.append(conv)
-    return matches
 
 
 @dataclass(frozen=True)

@@ -85,21 +85,21 @@ def identity_in_span(A: HNFMatrix) -> bool:
     return solve_upper_triangular(A.rows, [1] * A.n) is not None
 
 
-def _pair_in_span(rows, i: int, j: int) -> bool:
-    """Closure test for columns i <= j (0-based): the componentwise product
-    has zeros below row i, so only the leading (i+1) x (i+1) block matters."""
-    rhs = [rows[r][i] * rows[r][j] for r in range(i + 1)]
-    return solve_upper_triangular(rows, rhs, i + 1) is not None
+def _column_closed(rows, j: int) -> bool:
+    """Closure test for every pair of columns (i, j), i = j..0 (0-based).
+    The componentwise product of columns i <= j has zeros below row i, so
+    only the leading (i+1) x (i+1) block matters: columns past j are never
+    read and may still be unfilled."""
+    for i in range(j, -1, -1):
+        rhs = [rows[r][i] * rows[r][j] for r in range(i + 1)]
+        if solve_upper_triangular(rows, rhs, i + 1) is None:
+            return False
+    return True
 
 
 def is_closed(A: HNFMatrix) -> bool:
     """True iff every componentwise column product lies in the column span."""
-    rows = A.rows
-    for j in range(A.n):
-        for i in range(j, -1, -1):
-            if not _pair_in_span(rows, i, j):
-                return False
-    return True
+    return all(_column_closed(A.rows, j) for j in range(A.n))
 
 
 def is_irreducible(A: HNFMatrix) -> bool:

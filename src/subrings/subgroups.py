@@ -118,10 +118,10 @@ def brute_force_subgroups(
     the bijection with sublattices of Z^(n-1) of index p^(t(n-1)-k)
     containing p^t Z^(n-1)."""
     m = n - 1
-    if p ** (t * m) > 10**6:
+    box = p ** (t * m)
+    if box > 10**6:
         raise ResourceLimitError(
-            f"brute_force_subgroups(n={n}, t={t}, k={k}, p={p})", 0,
-            10**6, 0,
+            f"size cap of brute_force_subgroups(n={n}, t={t}, k={k}, p={p})", box, 10**6, 0
         )
     if not 0 <= k <= t * m:
         raise ValueError(f"order exponent {k} outside [0, {t * m}]")
@@ -201,8 +201,11 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     """
     p, t = _prime_power(m)
     mm = n - 1
-    if m ** (2 * mm) > 10**8:
-        raise ResourceLimitError(f"sandwich_subring_audit(n={n}, m={m})", 0, 10**8, 0)
+    box = m ** (2 * mm)
+    if box > 10**8:
+        raise ResourceLimitError(
+            f"size cap of sandwich_subring_audit(n={n}, m={m})", box, 10**8, 0
+        )
     budget = _Budget(f"sandwich_subring_audit(n={n}, m={m})", node_budget)
     per_kappa_count: dict[int, int] = {}
     per_kappa_violations: dict[int, int] = {}

@@ -116,6 +116,20 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
     code, _, err = run(capsys, "closure", "--alpha", "2,2", "--p", "5", "--substitute", "zz")
     assert code == 1
+    # p must be prime: these gave a traceback or a silent wrong count
+    for argv in (
+        ("count", "--n", "3", "--e", "3", "--p", "0"),
+        ("count", "--n", "3", "--e", "3", "--p", "4"),
+        ("count", "--n", "3", "--e", "3", "--p", "1"),
+        ("count", "--n", "3", "--e", "3", "--p", "-2"),
+        ("count", "--alpha", "2,1", "--p", "9"),
+        ("closure", "--alpha", "2,2", "--p", "0"),
+        ("interp", "--n", "2", "--e", "4", "--primes", "2,4,6", "--degree-cap", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.splitlines()[-1].startswith("error: argument --p"), argv
+        assert "not a prime" in err, argv
 
 
 def test_bad_flag_exits_one(capsys):

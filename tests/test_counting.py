@@ -5,15 +5,12 @@ of (Z/p^e)^n before being committed."""
 import pytest
 
 from subrings.counting import (
-    PINNED_CONVENTION,
     InterpolationMismatch,
-    RecurrenceConvention,
     ResourceLimitError,
     count_by_diagonal,
     count_irreducible,
     count_subrings,
     interpolate_count,
-    pin_recurrence_convention,
     recurrence_f,
 )
 from subrings.partitions import compositions
@@ -67,7 +64,12 @@ def test_pruned_equals_unpruned():
             for e in range(0, 4):
                 assert count_subrings(n, e, p, pruned=False) == count_subrings(n, e, p)
     assert count_subrings(4, 2, 2, pruned=False) == count_subrings(4, 2, 2)
-    for alpha in ((2, 1), (1, 2), (2, 2), (3, 1)):
+    for n, e, p in ((4, 3, 3), (4, 4, 2), (5, 3, 2)):
+        assert count_subrings(n, e, p, pruned=False) == count_subrings(n, e, p)
+    for alpha in (
+        (2, 1), (1, 2), (2, 2), (3, 1),
+        (2, 1, 1), (1, 2, 1), (2, 2, 1), (3, 2, 1), (2, 1, 1, 1),
+    ):
         for p in (2, 3):
             assert count_by_diagonal(alpha, p, pruned=False) == count_by_diagonal(alpha, p)
 
@@ -98,13 +100,6 @@ def test_recurrence_matches_enumeration_rank5():
     # rank 5 is reachable for small exponents only
     for e in range(0, 3):
         assert recurrence_f(5, e, 2) == count_subrings(5, e, 2)
-
-
-def test_convention_pinning_is_unique():
-    assert pin_recurrence_convention() == [PINNED_CONVENTION]
-    # a shifted convention disagrees already at rank 2
-    shifted = RecurrenceConvention(g_index_shift=1)
-    assert recurrence_f(2, 2, 2, shifted) != count_subrings(2, 2, 2)
 
 
 def test_interpolate_quadratic():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +125,50 @@ def test_hnf_from_generators_roundtrip_random(e1, e2, e3, data):
         coeffs = [data.draw(st.integers(-3, 3)) for _ in range(3)]
         extras.append([sum(c * col[r] for c, col in zip(coeffs, cols)) for r in range(3)])
     assert hnf_from_generators(p, cols + extras) == A
+
+
+@st.composite
+def triangular_systems(draw):
+    """An n x n upper-triangular integer matrix with positive diagonal, a
+    block size 1 <= m <= n and an integer right-hand side of length n."""
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-12, 12)
+    rows = [
+        [draw(st.integers(1, 9)) if j == i else draw(entry) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    m = draw(st.integers(1, n))
+    rhs = [draw(st.integers(-200, 200)) for _ in range(n)]
+    return rows, m, rhs
+
+
+def fraction_back_substitution(rows, rhs, m):
+    """Reference: exact rational solution of the leading m x m block."""
+    x = [Fraction(0)] * m
+    for i in range(m - 1, -1, -1):
+        x[i] = (rhs[i] - sum(rows[i][j] * x[j] for j in range(i + 1, m))) / Fraction(rows[i][i])
+    return x
+
+
+@given(triangular_systems(), st.data())
+@settings(max_examples=300)
+def test_solve_upper_triangular_against_fractions(system, data):
+    rows, m, rhs = system
+    n = len(rows)
+    # A x solves back to x
+    x = [data.draw(st.integers(-20, 20)) for _ in range(n)]
+    ax = [sum(rows[i][j] * x[j] for j in range(n)) for i in range(n)]
+    assert solve_upper_triangular(rows, ax) == x
+    # None exactly when the rational solution is non-integral
+    ref = fraction_back_substitution(rows, rhs, m)
+    got = solve_upper_triangular(rows, rhs, m)
+    if all(v.denominator == 1 for v in ref):
+        assert got == [int(v) for v in ref]
+    else:
+        assert got is None
+    # size reads only the leading m x m block and the first m right-hand entries
+    block = [row[:m] for row in rows[:m]]
+    assert solve_upper_triangular(block, rhs[:m]) == got
 
 
 def test_family_example_matrices_are_certified():

@@ -51,8 +51,22 @@ def test_brute_force_examples():
 
 
 def test_brute_force_desk_scale_guard():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as err:
         brute_force_subgroups(12, 2, 1, 5)
+    # the size cap reports the box it compared, not a node count of 0
+    assert err.value.nodes == 5**22
+    assert err.value.budget == 10**6
+    assert err.value.nodes > err.value.budget
+    assert "size cap" in err.value.context
+
+
+def test_sandwich_desk_scale_guard():
+    with pytest.raises(ResourceLimitError) as err:
+        sandwich_subring_audit(6, 49)
+    assert err.value.nodes == 49**10
+    assert err.value.budget == 10**8
+    assert err.value.nodes > err.value.budget
+    assert "size cap" in err.value.context
 
 
 def test_formula_matches_brute_force_grid():
