@@ -1,8 +1,9 @@
 """Exact counting of finite-index subrings of Z^n.
 
 Core entry points: count_subrings / count_irreducible / count_by_diagonal
-(the enumeration oracles), extract_conditions / count_solutions (symbolic
-closure congruences), stehling_count and the sandwich audit (subgroup
+(exact counts by the congruence solve and the recurrence), scan_subrings /
+scan_by_diagonal (the HNF scan oracles), extract_conditions /
+count_solutions (symbolic closure congruences), stehling_count and the sandwich audit (subgroup
 side), family counts over lattice paths, the closed-form bound exponents,
 and the n <= 4 local zeta factors.
 """
@@ -28,6 +29,8 @@ from .counting import (
     count_subrings,
     interpolate_count,
     recurrence_f,
+    scan_by_diagonal,
+    scan_subrings,
 )
 from .hnf import (
     HNFMatrix,

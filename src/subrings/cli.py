@@ -30,6 +30,8 @@ from .counting import (
     count_subrings,
     interpolate_count,
     recurrence_f,
+    scan_by_diagonal,
+    scan_subrings,
 )
 from .hnf import certify
 from .partitions import compositions
@@ -234,7 +236,7 @@ def _cmd_closure(args, budget):
             substitutions[(i, j)] = k
     system = extract_conditions(alpha, substitutions or None)
     solved = count_solutions(system, args.p, budget)
-    oracle = count_by_diagonal(alpha, args.p, budget)
+    oracle = scan_by_diagonal(alpha, args.p, budget)
     payload = {
         "alpha": list(alpha),
         "p": args.p,
@@ -296,14 +298,14 @@ def _verify_checks(budget):
             record(
                 "cubic_factor_vs_enumerator", "zeta", "local_coefficients",
                 {"n": 3, "e": e, "p": p},
-                count_subrings(3, e, p, budget), coeffs[e](p),
+                scan_subrings(3, e, p, budget), coeffs[e](p),
             )
     coeffs4 = local_coefficients(4, 3)
     for e in range(0, 4):
         record(
             "quartic_factor_vs_enumerator", "zeta", "local_coefficients",
             {"n": 4, "e": e, "p": 2},
-            count_subrings(4, e, 2, budget), coeffs4[e](2),
+            scan_subrings(4, e, 2, budget), coeffs4[e](2),
         )
     for n in (3, 4):
         for p in (2, 3):
@@ -323,7 +325,7 @@ def _verify_checks(budget):
                 record(
                     "closure_vs_enumeration", "closure", "count_solutions",
                     {"alpha": list(alpha.parts), "p": p},
-                    count_by_diagonal(alpha, p, budget),
+                    scan_by_diagonal(alpha, p, budget),
                     count_solutions(system, p, budget),
                 )
     for n in range(2, 5):
@@ -332,7 +334,7 @@ def _verify_checks(budget):
                 record(
                     "recurrence_vs_enumeration", "counting", "recurrence_f",
                     {"n": n, "e": e, "p": p},
-                    count_subrings(n, e, p, budget), recurrence_f(n, e, p),
+                    scan_subrings(n, e, p, budget), recurrence_f(n, e, p, budget),
                 )
     for n in (3, 4):
         for t in (1, 2):

@@ -9,14 +9,17 @@ solution vector into one congruence condition
     numerator(a_..) == 0  (mod p^r)
 
 with r minimal.  The prime stays symbolic, so one extraction serves every
-p; solutions are then counted by exhaustion at a concrete prime.
+p; solutions are then counted by exhaustion at a concrete prime.  That
+count is g_alpha(p): counting.count_by_diagonal is extract_conditions
+followed by count_solutions, and the HNF scan in counting is the oracle
+it is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import _Budget
+from .limits import ResourceLimitError, _Budget, require_prime
 from .partitions import Composition
 
 # a variable is (row, col, ticks): the HNF entry slot plus the number of
@@ -300,27 +303,35 @@ def count_solutions(
 ) -> int:
     """Joint solutions of the congruence system at a concrete prime.
 
-    Each variable is scanned over its residue box modulo p^(max r over the
-    conditions involving it); variables whose full range exceeds that box
-    contribute a free multiplicative factor p^(E - box exponent).
+    Each variable that a condition involves is scanned over its residue
+    box modulo p^(max r over those conditions), column by column and top
+    to bottom within a column, the order in which the HNF scan fills the
+    entries.  The rest of every variable's range, and every variable no
+    condition involves, contributes a free multiplicative factor.
     Conditions are tested as soon as their last variable is assigned.
     """
+    require_prime(p)
     budget = _Budget(f"count_solutions(alpha={system.alpha}, p={p})", node_budget)
-    order = sorted(system.variable_ranges, key=var_name)
-    idx = {v: i for i, v in enumerate(order)}
+    return _count_solutions(system, p, budget)
 
-    rmax = [0] * len(order)
+
+def _count_solutions(system: ClosureSystem, p: int, budget: _Budget) -> int:
+    """count_solutions spending from the caller's budget.  On an overrun
+    the partial count is the solutions found so far."""
+    rmax: dict[Var, int] = {}
     for cond in system.conditions:
         for v in cond.numerator.variables():
-            rmax[idx[v]] = max(rmax[idx[v]], cond.modulus_exponent)
+            rmax[v] = max(rmax.get(v, 0), cond.modulus_exponent)
+    order = sorted(rmax, key=lambda v: (v[1], v[0], v[2]))
+    idx = {v: i for i, v in enumerate(order)}
 
-    free_factor = 1
+    free_exponent = sum(system.variable_ranges.values())
     box: list[int] = []
     for v in order:
-        full = system.variable_ranges[v]
-        scan = min(full, rmax[idx[v]])
+        scan = min(system.variable_ranges[v], rmax[v])
         box.append(p**scan)
-        free_factor *= p ** (full - scan)
+        free_exponent -= scan
+    free_factor = p**free_exponent
 
     # compile each condition once for this prime
     compiled: list[tuple[int, list[tuple[int, list[tuple[int, int]]]], int]] = []
@@ -350,10 +361,10 @@ def count_solutions(
     nvars = len(order)
     vals = [0] * nvars
 
-    def scan(depth: int) -> int:
+    def scan(depth: int) -> None:
         if depth == nvars:
-            return 1
-        total = 0
+            budget.count += 1
+            return
         checks = by_depth.get(depth, ())
         for v in range(box[depth]):
             budget.spend()
@@ -370,7 +381,11 @@ def count_solutions(
                     ok = False
                     break
             if ok:
-                total += scan(depth + 1)
-        return total
+                scan(depth + 1)
 
-    return scan(0) * free_factor
+    budget.count = 0
+    try:
+        scan(0)
+    except ResourceLimitError as err:
+        raise err.with_partial(err.partial_count * free_factor) from None
+    return budget.count * free_factor

@@ -1,11 +1,25 @@
-"""Exact enumeration of subring matrices at a concrete prime.
+"""Exact counts of subrings of Z^n at a concrete prime.
 
-count_subrings walks Hermite-normal-form candidates column by column.
-Closure pairs (i, j) are tested the moment column j completes, using only
-the leading i x i block, so dead branches are cut as early as possible.
-The (1,...,1)-in-span condition forces the last diagonal entry to be 1
-and, once the interior columns are fixed, determines the last column
-uniquely, so it is solved for rather than scanned.
+Production counts solve rather than scan.  g_alpha(p), the number of
+irreducible subring matrices with diagonal alpha, is the number of
+solutions at p of alpha's closure congruences (closure.extract_conditions
+and closure.count_solutions).  g_n(p^e) sums g_alpha over the
+compositions of e, and f_n(p^e) comes from the recurrence over
+irreducible components (Liu, "Counting subrings of Z^n of index k",
+JCTA 2007):
+
+    f_n(p^e) = sum_i sum_j binom(n-1, j-1) f_(n-j)(p^(e-i)) g_j(p^i).
+
+The Hermite-normal-form scan is the independent oracle (scan_by_diagonal,
+scan_subrings).  It walks the candidates column by column and tests the
+closure pairs (i, j) the moment column j completes, using only the
+leading i x i block, so dead branches are cut as early as possible.  The
+(1,...,1)-in-span condition forces the last diagonal entry to be 1 and,
+once the interior columns are fixed, determines the last column uniquely,
+so it is solved for rather than scanned.  With pruned=False it scans the
+full box instead and tests every condition at the end.
+
+A node budget covers the whole public call that takes it.
 """
 
 from __future__ import annotations
@@ -15,41 +29,11 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
+from .closure import _count_solutions, extract_conditions
 from .hnf import _column_closed, solve_upper_triangular
+from .limits import ResourceLimitError, _Budget, require_prime
 from .partitions import Composition, compositions
 from .polyp import PolyP, lagrange_coefficients
-
-DEFAULT_NODE_BUDGET = 10**9
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when an enumeration exceeds its node budget; carries the
-    partial progress instead of silently truncating."""
-
-    def __init__(self, context: str, nodes: int, budget: int, partial_count: int):
-        super().__init__(
-            f"node budget exceeded in {context}: {nodes} nodes > budget {budget} "
-            f"(partial count {partial_count})"
-        )
-        self.context = context
-        self.nodes = nodes
-        self.budget = budget
-        self.partial_count = partial_count
-
-
-class _Budget:
-    __slots__ = ("context", "limit", "nodes", "count")
-
-    def __init__(self, context: str, limit: int | None):
-        self.context = context
-        self.limit = DEFAULT_NODE_BUDGET if limit is None else limit
-        self.nodes = 0
-        self.count = 0
-
-    def spend(self, k: int = 1):
-        self.nodes += k
-        if self.nodes > self.limit:
-            raise ResourceLimitError(self.context, self.nodes, self.limit, self.count)
 
 
 def _derived_last_column(rows, diag, n):
@@ -137,10 +121,10 @@ def _count_with_diag(p, diag, budget, pruned, irreducible):
         for i in range(n - 1):
             rows[i][n - 1] = 1
 
+    budget.count = 0
     if not pruned:
         return _count_unpruned(rows, diag, n, col_values, budget, irreducible)
 
-    budget.count = 0
     _scan_interior(rows, n, col_values, budget, None if irreducible else finish_general)
     return budget.count
 
@@ -169,23 +153,38 @@ def _count_unpruned(rows, diag, n, col_values, budget, irreducible):
     return total
 
 
-_F_CACHE: dict[tuple[int, int, int], int] = {}
-_G_CACHE: dict[tuple[int, int, int], int] = {}
-_GA_CACHE: dict[tuple[tuple[int, ...], int], int] = {}
+def _parts(alpha) -> tuple[int, ...]:
+    parts = tuple(alpha.parts if isinstance(alpha, Composition) else alpha)
+    if any(x < 1 for x in parts):
+        raise ValueError("diagonal composition parts must be >= 1")
+    return parts
 
 
-def count_subrings(
+def scan_by_diagonal(
+    alpha, p: int, node_budget: int | None = None, pruned: bool = True
+) -> int:
+    """Oracle for g_alpha(p): scan the irreducible HNF matrices with
+    diagonal alpha.  Uncached."""
+    parts = _parts(alpha)
+    require_prime(p)
+    if not parts:
+        return 1
+    budget = _Budget(f"scan_by_diagonal(alpha={parts}, p={p})", node_budget)
+    diag = [p**t for t in parts] + [1]
+    return _count_with_diag(p, diag, budget, pruned, irreducible=True)
+
+
+def scan_subrings(
     n: int, e: int, p: int, node_budget: int | None = None, pruned: bool = True
 ) -> int:
-    """f_n(p^e): subrings of Z^n of index p^e, by exhaustive HNF enumeration."""
+    """Oracle for f_n(p^e): scan every HNF subring matrix of index p^e.
+    Uncached."""
     if n < 1 or e < 0:
-        raise ValueError("count_subrings requires n >= 1, e >= 0")
-    key = (n, e, p)
-    if pruned and node_budget is None and key in _F_CACHE:
-        return _F_CACHE[key]
+        raise ValueError("scan_subrings requires n >= 1, e >= 0")
+    require_prime(p)
     if n == 1:
         return 1 if e == 0 else 0
-    budget = _Budget(f"count_subrings(n={n}, e={e}, p={p})", node_budget)
+    budget = _Budget(f"scan_subrings(n={n}, e={e}, p={p})", node_budget)
     total = 0
     # last diagonal exponent is 0, forced by the identity condition; the
     # others run over the weak compositions of e in lexicographic order
@@ -194,88 +193,110 @@ def count_subrings(
         try:
             total += _count_with_diag(p, diag, budget, pruned, irreducible=False)
         except ResourceLimitError as err:
-            raise ResourceLimitError(
-                budget.context, err.nodes, err.budget, total + err.partial_count
-            ) from None
-    if pruned and node_budget is None:
-        # plain dict insert: atomic under the GIL, idempotent values
-        _F_CACHE.setdefault(key, total)
+            raise err.with_partial(total + err.partial_count) from None
     return total
 
 
-def count_by_diagonal(
-    alpha, p: int, node_budget: int | None = None, pruned: bool = True
-) -> int:
-    """g_alpha(p): irreducible subring matrices with diagonal alpha."""
-    parts = tuple(alpha.parts if isinstance(alpha, Composition) else alpha)
-    if any(x < 1 for x in parts):
-        raise ValueError("diagonal composition parts must be >= 1")
-    if not parts:
-        return 1
+# Memo tables of exact counts: f_n(p^e) and g_n(p^e) keyed by (n, e, p),
+# g_alpha(p) by (alpha, p).  Only unbudgeted calls read and fill them.
+_F_CACHE: dict[tuple[int, int, int], int] = {}
+_G_CACHE: dict[tuple[int, int, int], int] = {}
+_GA_CACHE: dict[tuple[tuple[int, ...], int], int] = {}
+
+
+class _Call:
+    """The node budget and memo tables of one public call.  An unbudgeted
+    call shares the module tables; a budgeted one keeps its own, so the
+    nodes it spends do not depend on what ran before it."""
+
+    __slots__ = ("budget", "f", "g", "ga")
+
+    def __init__(self, context: str, node_budget: int | None):
+        self.budget = _Budget(context, node_budget)
+        if node_budget is None:
+            self.f, self.g, self.ga = _F_CACHE, _G_CACHE, _GA_CACHE
+        else:
+            self.f, self.g, self.ga = {}, {}, {}
+
+
+def _g_alpha(parts: tuple[int, ...], p: int, call: _Call) -> int:
     key = (parts, p)
-    if pruned and node_budget is None and key in _GA_CACHE:
-        return _GA_CACHE[key]
-    budget = _Budget(f"count_by_diagonal(alpha={parts}, p={p})", node_budget)
-    diag = [p**t for t in parts] + [1]
-    total = _count_with_diag(p, diag, budget, pruned, irreducible=True)
-    if pruned and node_budget is None:
-        _GA_CACHE.setdefault(key, total)
+    if key not in call.ga:
+        call.ga[key] = _count_solutions(extract_conditions(parts), p, call.budget)
+    return call.ga[key]
+
+
+def _g_n(n: int, e: int, p: int, call: _Call) -> int:
+    if e < n - 1:
+        return 0
+    key = (n, e, p)
+    if key not in call.g:
+        total = 0
+        for alpha in compositions(n, e):
+            try:
+                total += _g_alpha(alpha.parts, p, call)
+            except ResourceLimitError as err:
+                raise err.with_partial(total + err.partial_count) from None
+        call.g[key] = total
+    return call.g[key]
+
+
+def _f_n(n: int, e: int, p: int, call: _Call) -> int:
+    """The recurrence.  Its j = 1 term is f_(n-1)(p^e), as g_1(p^i) = [i = 0];
+    for j >= 2, g_j(p^i) = 0 when i < j - 1.  g_j(p^i) is computed only
+    when its cofactor f_(n-j)(p^(e-i)) is not zero."""
+    if n <= 1:
+        return 1 if e == 0 else 0
+    key = (n, e, p)
+    if key in call.f:
+        return call.f[key]
+    # weight: what the partial count of the running inner call is worth
+    total, weight = 0, 1
+    try:
+        total = _f_n(n - 1, e, p, call)
+        for j in range(2, n + 1):
+            for i in range(j - 1, e + 1):
+                weight = 0
+                rest = _f_n(n - j, e - i, p, call)
+                if rest:
+                    weight = comb(n - 1, j - 1) * rest
+                    total += weight * _g_n(j, i, p, call)
+    except ResourceLimitError as err:
+        raise err.with_partial(total + weight * err.partial_count) from None
+    call.f[key] = total
     return total
+
+
+def count_subrings(n: int, e: int, p: int, node_budget: int | None = None) -> int:
+    """f_n(p^e): subrings of Z^n of index p^e, by the recurrence over the
+    irreducible counts."""
+    if n < 1 or e < 0:
+        raise ValueError("count_subrings requires n >= 1, e >= 0")
+    require_prime(p)
+    return _f_n(n, e, p, _Call(f"count_subrings(n={n}, e={e}, p={p})", node_budget))
+
+
+def recurrence_f(n: int, e: int, p: int, node_budget: int | None = None) -> int:
+    """f_n(p^e) by the recurrence: count_subrings under the recurrence's
+    name."""
+    return count_subrings(n, e, p, node_budget)
+
+
+def count_by_diagonal(alpha, p: int, node_budget: int | None = None) -> int:
+    """g_alpha(p): irreducible subring matrices with diagonal alpha, as
+    the solutions of alpha's closure congruences at p."""
+    parts = _parts(alpha)
+    require_prime(p)
+    call = _Call(f"count_by_diagonal(alpha={parts}, p={p})", node_budget)
+    return _g_alpha(parts, p, call)
 
 
 def count_irreducible(n: int, e: int, p: int, node_budget: int | None = None) -> int:
     """g_n(p^e): irreducible subrings, summed over diagonal compositions."""
     if n < 2:
         raise ValueError("count_irreducible requires n >= 2")
-    if e < n - 1:
-        return 0
-    key = (n, e, p)
-    if node_budget is None and key in _G_CACHE:
-        return _G_CACHE[key]
-    total = 0
-    for alpha in compositions(n, e):
-        try:
-            total += count_by_diagonal(alpha, p, node_budget)
-        except ResourceLimitError as err:
-            raise ResourceLimitError(
-                f"count_irreducible(n={n}, e={e}, p={p})",
-                err.nodes, err.budget, total + err.partial_count,
-            ) from None
-    if node_budget is None:
-        _G_CACHE.setdefault(key, total)
-    return total
-
-
-def _g(j: int, i: int, p: int) -> int:
-    """g_j(p^i) in the recurrence: the rank-1 factor counts only at
-    exponent 0, and g_j(p^0) = 0 for j >= 2."""
-    if j == 1:
-        return 1 if i == 0 else 0
-    if i == 0:
-        return 0
-    return count_irreducible(j, i, p)
-
-
-def recurrence_f(n: int, e: int, p: int) -> int:
-    """f_n(p^e) by the double-sum recurrence over irreducible components:
-    f_n(p^e) = sum_i sum_j binom(n-1, j-1) f_(n-j)(p^(e-i)) g_j(p^i)."""
-    memo: dict[tuple[int, int], int] = {}
-
-    def f(nn: int, ee: int) -> int:
-        if nn <= 1:
-            return 1 if ee == 0 else 0
-        if (nn, ee) in memo:
-            return memo[(nn, ee)]
-        total = 0
-        for i in range(ee + 1):
-            for j in range(1, nn + 1):
-                g = _g(j, i, p)
-                if g:
-                    total += comb(nn - 1, j - 1) * f(nn - j, ee - i) * g
-        memo[(nn, ee)] = total
-        return total
-
-    return f(n, e)
+    require_prime(p)
+    return _g_n(n, e, p, _Call(f"count_irreducible(n={n}, e={e}, p={p})", node_budget))
 
 
 @dataclass(frozen=True)
@@ -305,6 +326,8 @@ def interpolate_count(
     a held-out disagreement).
     """
     primes = tuple(primes)
+    for q in primes:
+        require_prime(q)
     if len(primes) < degree_cap + 2:
         raise ValueError(
             f"need at least degree_cap + 2 = {degree_cap + 2} primes, got {len(primes)}"

@@ -89,8 +89,10 @@ def _column_closed(rows, j: int) -> bool:
     """Closure test for every pair of columns (i, j), i = j..0 (0-based).
     The componentwise product of columns i <= j has zeros below row i, so
     only the leading (i+1) x (i+1) block matters: columns past j are never
-    read and may still be unfilled."""
-    for i in range(j, -1, -1):
+    read and may still be unfilled.  Pair (0, j) always holds and is not
+    solved: column 0 is a_00 e_0, so its product with column j is a_0j
+    times column 0."""
+    for i in range(j, 0, -1):
         rhs = [rows[r][i] * rows[r][j] for r in range(i + 1)]
         if solve_upper_triangular(rows, rhs, i + 1) is None:
             return False

@@ -1,0 +1,62 @@
+"""Node budgets and the prime check shared by the counting modules.
+
+A leaf module: counting, closure and subgroups all import it, and it
+imports none of them.
+"""
+
+from __future__ import annotations
+
+DEFAULT_NODE_BUDGET = 10**9
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when an enumeration exceeds its node budget; carries the
+    partial progress instead of silently truncating.
+
+    partial_count is a lower bound on the exact answer: it adds up only
+    what was counted before the budget ran out.
+    """
+
+    def __init__(self, context: str, nodes: int, budget: int, partial_count: int):
+        super().__init__(
+            f"node budget exceeded in {context}: {nodes} nodes > budget {budget} "
+            f"(partial count {partial_count})"
+        )
+        self.context = context
+        self.nodes = nodes
+        self.budget = budget
+        self.partial_count = partial_count
+
+    def with_partial(self, partial_count: int) -> "ResourceLimitError":
+        """The same overrun, reported with an enclosing count's partial."""
+        return ResourceLimitError(self.context, self.nodes, self.budget, partial_count)
+
+
+class _Budget:
+    """Nodes spent by one public call, however many enumerations it runs.
+    count is the innermost enumeration's running total, reported as the
+    partial count when the limit is crossed."""
+
+    __slots__ = ("context", "limit", "nodes", "count")
+
+    def __init__(self, context: str, limit: int | None):
+        self.context = context
+        self.limit = DEFAULT_NODE_BUDGET if limit is None else limit
+        self.nodes = 0
+        self.count = 0
+
+    def spend(self, k: int = 1):
+        self.nodes += k
+        if self.nodes > self.limit:
+            raise ResourceLimitError(self.context, self.nodes, self.limit, self.count)
+
+
+def require_prime(p: int) -> None:
+    """ValueError unless p is a prime."""
+    # imported on first use: importing mpmath here, in the middle of the
+    # package's own imports rather than with zeta, raises the process's
+    # peak RSS by about 1 MiB
+    from mpmath.libmp import isprime
+
+    if not isprime(p):
+        raise ValueError(f"p must be a prime, got {p!r}")

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .counting import _Budget, ResourceLimitError
+from .limits import ResourceLimitError, _Budget, require_prime
 from .hnf import hnf_from_generators, identity_in_span, is_closed
 from .partitions import Partition, partitions_of
 from .polyp import ONE, PolyP, gaussian_binomial
@@ -117,6 +117,7 @@ def brute_force_subgroups(
     """Oracle: subgroups of order p^k in (Z/p^t Z)^(n-1), counted through
     the bijection with sublattices of Z^(n-1) of index p^(t(n-1)-k)
     containing p^t Z^(n-1)."""
+    require_prime(p)
     m = n - 1
     box = p ** (t * m)
     if box > 10**6:

@@ -26,11 +26,12 @@ from subrings.bounds import (
 )
 from subrings.closure import count_solutions, extract_conditions
 from subrings.counting import (
-    count_by_diagonal,
     count_irreducible,
     count_subrings,
     interpolate_count,
     recurrence_f,
+    scan_by_diagonal,
+    scan_subrings,
 )
 from subrings.hnf import certify
 from subrings.partitions import compositions
@@ -252,13 +253,13 @@ def test_criterion_12_closure_extraction():
         start = time.time()
         for p in (2, 3, 5):
             sys1 = extract_conditions((3, 2, 1, 1))
-            assert count_solutions(sys1, p) == count_by_diagonal((3, 2, 1, 1), p), p
+            assert count_solutions(sys1, p) == scan_by_diagonal((3, 2, 1, 1), p), p
         for n in (2, 3, 4):
             for e in range(n - 1, 7):
                 for alpha in compositions(n, e):
                     system = extract_conditions(alpha)
                     for p in (2, 3, 5):
-                        assert count_solutions(system, p) == count_by_diagonal(
+                        assert count_solutions(system, p) == scan_by_diagonal(
                             alpha, p
                         ), (alpha.parts, p)
         assert time.time() - start < 300.0
@@ -269,7 +270,7 @@ def test_criterion_13_recurrence():
         for n in range(1, 5):
             for e in range(0, 5):
                 for p in (2, 3):
-                    assert recurrence_f(n, e, p) == count_subrings(n, e, p), (n, e, p)
+                    assert recurrence_f(n, e, p) == scan_subrings(n, e, p), (n, e, p)
 
 
 def test_criterion_14_divergence_boundary():

@@ -139,7 +139,7 @@ def test_bad_flag_exits_one(capsys):
 
 def test_resource_limit_exit_three(capsys):
     code, _, err = run(
-        capsys, "count", "--n", "4", "--e", "4", "--p", "3", "--node-budget", "10"
+        capsys, "count", "--n", "4", "--e", "6", "--p", "3", "--node-budget", "10"
     )
     assert code == 3
     assert "node budget" in err
@@ -147,15 +147,15 @@ def test_resource_limit_exit_three(capsys):
 
 def test_node_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("SUBRINGS_NODE_BUDGET", "10")
-    code, _, err = run(capsys, "count", "--n", "4", "--e", "4", "--p", "3")
+    code, _, err = run(capsys, "count", "--n", "4", "--e", "6", "--p", "3")
     assert code == 3
     # explicit flag wins over the environment
     code, out, _ = run(
-        capsys, "count", "--n", "4", "--e", "4", "--p", "3",
+        capsys, "count", "--n", "4", "--e", "6", "--p", "3",
         "--node-budget", "1000000",
     )
     assert code == 0
-    assert json.loads(out)["f"] == 68
+    assert json.loads(out)["f"] == 266
     monkeypatch.setenv("SUBRINGS_NODE_BUDGET", "banana")
     code, _, err = run(capsys, "count", "--n", "2", "--e", "1", "--p", "2")
     assert code == 1 and "SUBRINGS_NODE_BUDGET" in err

@@ -32,10 +32,13 @@ CASES = {
     "count_g": ["count", "--n", "4", "--e", "4", "--p", "3", "--irreducible"],
     "count_alpha": ["count", "--alpha", "2,1,1", "--p", "3"],
     "count_text": ["count", "--n", "3", "--e", "1", "--p", "5", "--format", "text"],
+    # f_4(3^4) takes 3 nodes, so neither of these two budgets trips
     "count_budget_exit3": ["count", "--n", "4", "--e", "4", "--p", "3", "--node-budget", "10"],
-    # the partial count here depends on the order of the diagonals
     "count_budget_partial": [
         "count", "--n", "4", "--e", "4", "--p", "3", "--node-budget", "300",
+    ],
+    "count_f_budget_exit3": [
+        "count", "--n", "4", "--e", "6", "--p", "3", "--node-budget", "100",
     ],
     "count_g_budget_exit3": [
         "count", "--n", "4", "--e", "5", "--p", "2", "--irreducible", "--node-budget", "20",

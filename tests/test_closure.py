@@ -7,7 +7,7 @@ from subrings.closure import (
     count_solutions,
     extract_conditions,
 )
-from subrings.counting import ResourceLimitError, count_by_diagonal
+from subrings.counting import ResourceLimitError, scan_by_diagonal
 from subrings.hnf import HNFMatrix, is_closed
 from subrings.partitions import compositions
 
@@ -28,7 +28,7 @@ def test_unconstrained_box():
 def test_two_two_matches_enumeration():
     system = extract_conditions((2, 2))
     for p in (2, 3, 5):
-        assert count_solutions(system, p) == count_by_diagonal((2, 2), p)
+        assert count_solutions(system, p) == scan_by_diagonal((2, 2), p)
 
 
 def test_depth_3211_after_substitution():
@@ -42,7 +42,7 @@ def test_depth_3211_after_substitution():
     ]
     # numerically equivalent to the full enumeration at several primes
     for p in (2, 3, 5):
-        assert count_solutions(system, p) == count_by_diagonal((3, 2, 1, 1), p)
+        assert count_solutions(system, p) == scan_by_diagonal((3, 2, 1, 1), p)
 
 
 def test_depth_3211_raw():
@@ -56,7 +56,7 @@ def test_depth_3211_raw():
         "a12*a24 - a12*a24^2 - p*a14 + p*a14^2 ≡ 0 mod p^2",
     ]
     for p in (2, 3, 5):
-        assert count_solutions(system, p) == count_by_diagonal((3, 2, 1, 1), p)
+        assert count_solutions(system, p) == scan_by_diagonal((3, 2, 1, 1), p)
 
 
 def test_minimal_modulus_structure():
@@ -142,7 +142,7 @@ def test_closure_grid_matches_enumeration():
             for alpha in compositions(n, e):
                 system = extract_conditions(alpha)
                 for p in (2, 3):
-                    assert count_solutions(system, p) == count_by_diagonal(alpha, p), (
+                    assert count_solutions(system, p) == scan_by_diagonal(alpha, p), (
                         alpha.parts,
                         p,
                     )

@@ -1,9 +1,13 @@
 """Frozen expected values here were computed with the unpruned exhaustive
 enumerator and cross-checked against an independent subgroup-closure scan
-of (Z/p^e)^n before being committed."""
+of (Z/p^e)^n before being committed.
+
+The production counters (congruence solve and recurrence) are checked
+against the HNF scan oracles, never against themselves."""
 
 import pytest
 
+from subrings.closure import count_solutions, extract_conditions
 from subrings.counting import (
     InterpolationMismatch,
     ResourceLimitError,
@@ -12,9 +16,12 @@ from subrings.counting import (
     count_subrings,
     interpolate_count,
     recurrence_f,
+    scan_by_diagonal,
+    scan_subrings,
 )
 from subrings.partitions import compositions
 from subrings.polyp import PolyP
+from subrings.subgroups import brute_force_subgroups
 
 
 def test_rank_one_and_two():
@@ -62,44 +69,168 @@ def test_pruned_equals_unpruned():
     for p in (2, 3):
         for n in (2, 3):
             for e in range(0, 4):
-                assert count_subrings(n, e, p, pruned=False) == count_subrings(n, e, p)
-    assert count_subrings(4, 2, 2, pruned=False) == count_subrings(4, 2, 2)
-    for n, e, p in ((4, 3, 3), (4, 4, 2), (5, 3, 2)):
-        assert count_subrings(n, e, p, pruned=False) == count_subrings(n, e, p)
+                assert scan_subrings(n, e, p, pruned=False) == scan_subrings(n, e, p)
+    for n, e, p in ((4, 2, 2), (4, 3, 3), (4, 4, 2), (5, 3, 2)):
+        unpruned = scan_subrings(n, e, p, pruned=False)
+        assert unpruned == scan_subrings(n, e, p) == count_subrings(n, e, p)
     for alpha in (
         (2, 1), (1, 2), (2, 2), (3, 1),
         (2, 1, 1), (1, 2, 1), (2, 2, 1), (3, 2, 1), (2, 1, 1, 1),
     ):
         for p in (2, 3):
-            assert count_by_diagonal(alpha, p, pruned=False) == count_by_diagonal(alpha, p)
+            unpruned = scan_by_diagonal(alpha, p, pruned=False)
+            assert unpruned == scan_by_diagonal(alpha, p) == count_by_diagonal(alpha, p)
+
+
+def irreducible_box(parts, p):
+    """Size of the box the unpruned irreducible scan runs over: entry
+    (i, j), i < j, of columns 1..n-2 (0-based) takes p^(alpha_i - 1)
+    values."""
+    m = len(parts)
+    return p ** sum((a - 1) * (m - 1 - i) for i, a in enumerate(parts))
+
+
+def test_solve_matches_scan_on_every_small_diagonal():
+    """Differential grid: the congruence solve against the pruned scan on
+    every diagonal with n <= 6, e <= 8 and p in {2, 3, 5} whose box is at
+    most 3 * 10^5, and against the unpruned scan where the box is at most
+    2000."""
+    checked = unpruned = 0
+    for n in range(2, 7):
+        for e in range(n - 1, 9):
+            for alpha in compositions(n, e):
+                for p in (2, 3, 5):
+                    box = irreducible_box(alpha.parts, p)
+                    if box > 3 * 10**5:
+                        continue
+                    solved = count_by_diagonal(alpha, p)
+                    assert solved == scan_by_diagonal(alpha, p), (alpha.parts, p)
+                    checked += 1
+                    if box <= 2000:
+                        assert solved == scan_by_diagonal(alpha, p, pruned=False)
+                        unpruned += 1
+    assert (checked, unpruned) == (622, 517)
 
 
 def test_node_budget():
     with pytest.raises(ResourceLimitError) as err:
-        count_subrings(4, 4, 3, node_budget=50)
+        count_subrings(4, 6, 3, node_budget=50)
     assert err.value.budget == 50
     assert err.value.nodes > 50
     assert err.value.partial_count >= 0
     assert "count_subrings" in str(err.value)
 
 
+def smallest_budget(count, *args):
+    """The least node budget under which count(*args) succeeds."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            count(*args, node_budget=hi)
+            break
+        except ResourceLimitError:
+            lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            count(*args, node_budget=mid)
+            hi = mid
+        except ResourceLimitError:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("n,e,p", [(4, 5, 2), (4, 4, 3), (4, 6, 3)])
+def test_budget_covers_the_whole_call(n, e, p):
+    """One budget spans every diagonal of a call, so the call needs at
+    least the budgets of its diagonals added up, not their maximum."""
+    per_diagonal = [smallest_budget(count_by_diagonal, a.parts, p) for a in compositions(n, e)]
+    whole = smallest_budget(count_irreducible, n, e, p)
+    assert whole >= sum(per_diagonal)
+    assert smallest_budget(count_subrings, n, e, p) >= whole
+
+
+def test_budget_ignores_the_memo_tables():
+    """A budgeted call spends the same nodes whether or not an unbudgeted
+    call has filled the module memo tables, and agrees with it."""
+    before = smallest_budget(count_subrings, 4, 6, 2)
+    exact = count_subrings(4, 6, 2)
+    assert smallest_budget(count_subrings, 4, 6, 2) == before
+    assert count_subrings(4, 6, 2, node_budget=before) == exact
+    with pytest.raises(ResourceLimitError):
+        count_subrings(4, 6, 2, node_budget=before - 1)
+
+
+def test_partial_count_is_a_lower_bound():
+    system = extract_conditions((3, 2, 1, 1))
+    calls = [
+        (count_subrings, (4, 6, 3)),
+        (count_subrings, (5, 5, 2)),
+        (recurrence_f, (4, 5, 2)),
+        (count_irreducible, (4, 6, 3)),
+        (count_by_diagonal, ((3, 2, 1, 1), 3)),
+        (count_solutions, (system, 3)),
+        (scan_subrings, (4, 4, 3)),
+        (scan_by_diagonal, ((3, 2, 1), 3)),
+    ]
+    for count, args in calls:
+        exact = count(*args)
+        raised = 0
+        for budget in range(0, 400, 7):
+            try:
+                count(*args, node_budget=budget)
+            except ResourceLimitError as err:
+                raised += 1
+                assert err.nodes == budget + 1
+                assert 0 <= err.partial_count <= exact, (count.__name__, args, budget)
+        assert raised, (count.__name__, args)
+    # the unpruned scan reports its partial count the same way
+    exact = scan_subrings(3, 3, 3)
+    for budget in range(0, 60, 3):
+        try:
+            scan_subrings(3, 3, 3, node_budget=budget, pruned=False)
+        except ResourceLimitError as err:
+            assert 0 <= err.partial_count <= exact
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, -2])
+def test_non_prime_rejected(p):
+    system = extract_conditions((2, 1))
+    calls = [
+        lambda: count_subrings(3, 3, p),
+        lambda: count_irreducible(3, 3, p),
+        lambda: count_by_diagonal((2, 1), p),
+        lambda: recurrence_f(3, 3, p),
+        lambda: scan_subrings(3, 3, p),
+        lambda: scan_by_diagonal((2, 1), p),
+        lambda: count_solutions(system, p),
+        lambda: brute_force_subgroups(3, 1, 1, p),
+        lambda: interpolate_count(2, 4, (2, 3, p), 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="prime"):
+            call()
+
+
 def test_recurrence_examples():
     assert recurrence_f(2, 3, 2) == 1
     assert recurrence_f(3, 0, 5) == 1
-    assert recurrence_f(3, 2, 2) == count_subrings(3, 2, 2)
+    assert recurrence_f(3, 2, 2) == scan_subrings(3, 2, 2)
 
 
 def test_recurrence_matches_enumeration():
-    for n in range(1, 5):
+    # recurrence_f and count_subrings run the same code
+    for n in range(1, 6):
         for e in range(0, 5):
             for p in (2, 3):
-                assert recurrence_f(n, e, p) == count_subrings(n, e, p)
+                expected = scan_subrings(n, e, p)
+                assert recurrence_f(n, e, p) == count_subrings(n, e, p) == expected, (n, e, p)
 
 
 def test_recurrence_matches_enumeration_rank5():
     # rank 5 is reachable for small exponents only
     for e in range(0, 3):
-        assert recurrence_f(5, e, 2) == count_subrings(5, e, 2)
+        assert recurrence_f(5, e, 2) == scan_subrings(5, e, 2)
 
 
 def test_interpolate_quadratic():

@@ -190,3 +190,34 @@ def test_family_example_matrices_are_certified():
                 )
                 assert certify(A).irreducible
     assert count_by_diagonal((2, 1, 2, 1, 2), 2) >= 8
+
+
+@st.composite
+def hnf_matrices(draw):
+    """A random HNF matrix: n <= 4, prime-power diagonal, reduced entries."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 4))
+    d = [p ** draw(st.integers(0, 3)) for _ in range(n)]
+    rows = [
+        [d[i] if j == i else draw(st.integers(0, d[i] - 1)) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return HNFMatrix.from_rows(p, rows)
+
+
+def closed_by_fractions(A):
+    """Reference: every product of two columns, (0, j) pairs included,
+    solved exactly over the rationals."""
+    rows, n = A.rows, A.n
+    for i in range(n):
+        for j in range(n):
+            rhs = [rows[r][i] * rows[r][j] for r in range(n)]
+            if any(x.denominator != 1 for x in fraction_back_substitution(rows, rhs, n)):
+                return False
+    return True
+
+
+@given(hnf_matrices())
+@settings(max_examples=400)
+def test_is_closed_against_all_pairs(A):
+    assert is_closed(A) == closed_by_fractions(A)
