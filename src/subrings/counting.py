@@ -267,11 +267,17 @@ def _f_n(n: int, e: int, p: int, call: _Call) -> int:
     return total
 
 
+def _require_rank(n: int, e: int, irreducible: bool) -> None:
+    if irreducible and n < 2:
+        raise ValueError("count_irreducible requires n >= 2")
+    if not irreducible and (n < 1 or e < 0):
+        raise ValueError("count_subrings requires n >= 1, e >= 0")
+
+
 def count_subrings(n: int, e: int, p: int, node_budget: int | None = None) -> int:
     """f_n(p^e): subrings of Z^n of index p^e, by the recurrence over the
     irreducible counts."""
-    if n < 1 or e < 0:
-        raise ValueError("count_subrings requires n >= 1, e >= 0")
+    _require_rank(n, e, irreducible=False)
     require_prime(p)
     return _f_n(n, e, p, _Call(f"count_subrings(n={n}, e={e}, p={p})", node_budget))
 
@@ -293,8 +299,7 @@ def count_by_diagonal(alpha, p: int, node_budget: int | None = None) -> int:
 
 def count_irreducible(n: int, e: int, p: int, node_budget: int | None = None) -> int:
     """g_n(p^e): irreducible subrings, summed over diagonal compositions."""
-    if n < 2:
-        raise ValueError("count_irreducible requires n >= 2")
+    _require_rank(n, e, irreducible=True)
     require_prime(p)
     return _g_n(n, e, p, _Call(f"count_irreducible(n={n}, e={e}, p={p})", node_budget))
 
@@ -323,7 +328,8 @@ def interpolate_count(
 
     Returns the PolyP on success, or an InterpolationMismatch describing
     which check failed (non-integer coefficients, degree above the cap, or
-    a held-out disagreement).
+    a held-out disagreement).  node_budget covers all the primes together;
+    an overrun reports the partial count of the prime it stopped in.
     """
     primes = tuple(primes)
     for q in primes:
@@ -332,8 +338,11 @@ def interpolate_count(
         raise ValueError(
             f"need at least degree_cap + 2 = {degree_cap + 2} primes, got {len(primes)}"
         )
-    counter = count_irreducible if irreducible else count_subrings
-    counts = tuple(counter(n, e, q, node_budget) for q in primes)
+    _require_rank(n, e, irreducible)
+    # one budget for every prime; the memo tables are keyed by p
+    call = _Call(f"interpolate_count(n={n}, e={e}, primes={primes})", node_budget)
+    counter = _g_n if irreducible else _f_n
+    counts = tuple(counter(n, e, q, call) for q in primes)
     fit_pts = list(zip(primes[:-1], counts[:-1]))
     coeffs = lagrange_coefficients(fit_pts)
     if any(c.denominator != 1 for c in coeffs):

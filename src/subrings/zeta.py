@@ -17,6 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from .bounds import bound_b_exponent, c7
+from .limits import require_prime
 from .polyp import ONE, PolyP, PowerSeriesX, series_expand_rational
 from .subgroups import bound_h_exponent
 
@@ -96,6 +97,7 @@ def partial_sum(
     exact=True and integer s, n <= 4 sums are returned as exact rationals
     converted at the end.
     """
+    require_prime(p)
     if E < 0:
         raise ValueError("E must be nonnegative")
     if n <= 4:

@@ -1,13 +1,20 @@
+import io
 import itertools
+import re
+import tokenize
 
 import pytest
 
+from subrings import closure
 from subrings.closure import (
+    ClosureSystem,
+    CongruenceCondition,
     SymPoly,
+    _counter_sources,
     count_solutions,
     extract_conditions,
 )
-from subrings.counting import ResourceLimitError, scan_by_diagonal
+from subrings.counting import ResourceLimitError, count_by_diagonal, scan_by_diagonal
 from subrings.hnf import HNFMatrix, is_closed
 from subrings.partitions import compositions
 
@@ -152,9 +159,72 @@ def test_count_solutions_budget():
     system = extract_conditions((4, 2, 1))
     with pytest.raises(ResourceLimitError):
         count_solutions(system, 5, node_budget=3)
+    # one scanned variable: a negative budget overruns at the first value
+    for budget in (-3, 0):
+        with pytest.raises(ResourceLimitError) as err:
+            count_solutions(extract_conditions((3, 1)), 3, node_budget=budget)
+        assert (err.value.nodes, err.value.partial_count) == (1, 0)
 
 
 def test_sympoly_evaluate_int():
     x = SymPoly.variable((1, 2, 0))
     poly = x * x - SymPoly.const(1, 1) * x  # a^2 - p*a
     assert poly.evaluate_int(5, {(1, 2, 0): 7}) == 49 - 35
+
+
+def chain_system(length: int) -> ClosureSystem:
+    """x_k - x_(k-1) == 0 mod p for k = 1..length-1, each x_k in [0, p)."""
+    xs = [(1, k + 2, 0) for k in range(length)]
+    conditions = [
+        CongruenceCondition(SymPoly.variable(b) - SymPoly.variable(a), 1, (k, k), 1)
+        for k, (a, b) in enumerate(zip(xs, xs[1:]))
+    ]
+    return ClosureSystem((1,) * length, conditions, {x: 1 for x in xs})
+
+
+@pytest.mark.parametrize("p,nodes", [(2, 98), (3, 219)])
+def test_deep_system_counts_every_value_tried(p, nodes):
+    """25 scanned variables, more loops than one Python function may nest.
+    The first takes p values, each later one p for each of the p survivors:
+    p + 24 p^2 nodes, and p solutions."""
+    system = chain_system(25)
+    assert nodes == p + 24 * p * p
+    assert count_solutions(system, p) == p
+    assert count_solutions(system, p, node_budget=nodes) == p
+    with pytest.raises(ResourceLimitError) as err:
+        count_solutions(system, p, node_budget=nodes - 1)
+    assert err.value.nodes == nodes
+    assert err.value.budget == nodes - 1
+    assert err.value.partial_count == p - 1
+    assert err.value.context == f"count_solutions(alpha={system.alpha}, p={p})"
+
+
+def test_twenty_one_scanned_variables():
+    # 263552 is also scan_by_diagonal's value (about 14 s, so not rerun here)
+    assert len(extract_conditions((2, 2, 2, 1, 2, 1, 1, 1)).variable_ranges) == 21
+    assert count_by_diagonal((2, 2, 2, 1, 2, 1, 1, 1), 2) == 263552
+
+
+def test_counter_source_holds_only_literals_and_fixed_names(monkeypatch):
+    sources = []
+
+    def recording(*args):
+        made = _counter_sources(*args)
+        sources.extend(made)
+        return made
+
+    monkeypatch.setattr(closure, "_counter_sources", recording)
+    count_solutions(extract_conditions((3, 2, 1, 1)), 3)
+    count_solutions(chain_system(25), 2)
+    assert len(sources) > 2
+    allowed = re.compile(
+        r"(x|c|count)\d*|nodes|width|overrun|range|def|for|in|if|else|continue|return"
+    )
+    for source in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                assert allowed.fullmatch(tok.string), tok.string
+            elif tok.type == tokenize.NUMBER:
+                assert tok.string.isdigit(), tok.string
+            elif tok.type in (tokenize.STRING, tokenize.COMMENT):
+                raise AssertionError(tok.string)

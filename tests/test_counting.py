@@ -251,6 +251,18 @@ def test_interpolate_mismatch_report():
     assert out.counts == (31, 67, 181, 351)
 
 
+def test_interpolate_budget_covers_every_prime():
+    """The primes need 88 + 297 + 1705 + 5873 nodes; one budget pays for
+    all of them, not for each in turn."""
+    args = (4, 6, (2, 3, 5, 7), 2)
+    with pytest.raises(ResourceLimitError) as err:
+        interpolate_count(*args, irreducible=True, node_budget=7962)
+    assert err.value.nodes == 7963
+    out = interpolate_count(*args, irreducible=True, node_budget=7963)
+    assert out == interpolate_count(*args, irreducible=True)
+    assert out.counts == (67, 157, 481, 1037)
+
+
 def test_interpolate_needs_enough_primes():
     with pytest.raises(ValueError):
         interpolate_count(4, 5, (2, 3, 5), 2, irreducible=True)

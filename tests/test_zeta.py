@@ -72,6 +72,12 @@ def test_partial_sum_exact_mode():
     assert ps.value == pytest.approx(float(expected))
 
 
+@pytest.mark.parametrize("p", [4, 1, 0, -2])
+def test_partial_sum_rejects_non_prime(p):
+    with pytest.raises(ValueError, match="prime"):
+        partial_sum(3, p, 2, 5)
+
+
 def test_minorant_boundary_ratios():
     for n in (6, 10):
         rho, d = c7(n, with_argmax=True)
