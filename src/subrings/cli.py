@@ -4,7 +4,8 @@ Every command emits machine-readable output (JSON canonical; CSV as a
 projection for the tabular commands; text is the same indented JSON).
 Exit codes: 0 success, 1 usage error, 2 a comparator found a mismatch,
 3 resource limit exceeded.  Output is byte-deterministic for a fixed
-invocation.
+invocation.  `verify` runs one table of oracle checks; the test suite
+runs the same table, one test per row.
 """
 
 from __future__ import annotations
@@ -76,6 +77,17 @@ def _primes(text: str) -> tuple[int, ...]:
     return tuple(_prime(x) for x in text.split(","))
 
 
+def _node_budget(text: str) -> int:
+    """argparse type: a node budget, an integer >= 0."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return budget
+
+
 def _poly_json(poly: PolyP):
     return {"coefficients": list(poly.coeffs), "text": str(poly)}
 
@@ -85,11 +97,10 @@ def _build_parser() -> _Parser:
     ap.add_argument("--version", action="version", version=f"subrings {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=True, fmt=True):
+    def common(p, budget=True):
         if budget:
-            p.add_argument("--node-budget", type=int, default=None)
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+            p.add_argument("--node-budget", type=_node_budget, default=None)
+        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
 
     p = sub.add_parser("count", help="f_n / g_n / g_alpha at one prime")
@@ -269,140 +280,24 @@ def _cmd_audit(args, budget):
     )
 
 
-def _verify_checks(budget):
-    """Desk-scale oracle equivalences; every failure names the two sides."""
-    checks = []
-
-    def record(name, module, operation, inputs, expected, actual):
-        checks.append(
-            {
-                "name": name,
-                "module": module,
-                "operation": operation,
-                "inputs": inputs,
-                "expected": str(expected),
-                "actual": str(actual),
-                "ok": expected == actual,
-            }
-        )
-
-    for p in (2, 3, 5):
-        for e in range(0, 7):
-            record(
-                "rank2_unique_subring", "counting", "count_subrings",
-                {"n": 2, "e": e, "p": p}, 1, count_subrings(2, e, p, budget),
-            )
-    for p in (2, 3):
-        coeffs = local_coefficients(3, 4)
-        for e in range(0, 5):
-            record(
-                "cubic_factor_vs_enumerator", "zeta", "local_coefficients",
-                {"n": 3, "e": e, "p": p},
-                scan_subrings(3, e, p, budget), coeffs[e](p),
-            )
-    coeffs4 = local_coefficients(4, 3)
-    for e in range(0, 4):
-        record(
-            "quartic_factor_vs_enumerator", "zeta", "local_coefficients",
-            {"n": 4, "e": e, "p": 2},
-            scan_subrings(4, e, 2, budget), coeffs4[e](2),
-        )
-    for n in (3, 4):
-        for p in (2, 3):
-            record(
-                "irreducible_minimal_index", "counting", "count_irreducible",
-                {"n": n, "e": n - 1, "p": p}, 1, count_irreducible(n, n - 1, p, budget),
-            )
-            record(
-                "irreducible_next_index", "counting", "count_irreducible",
-                {"n": n, "e": n, "p": p},
-                (p ** (n - 1) - 1) // (p - 1), count_irreducible(n, n, p, budget),
-            )
-    for p in (2, 3):
-        for e in range(2, 5):
-            for alpha in compositions(3, e):
-                system = extract_conditions(alpha)
-                record(
-                    "closure_vs_enumeration", "closure", "count_solutions",
-                    {"alpha": list(alpha.parts), "p": p},
-                    scan_by_diagonal(alpha, p, budget),
-                    count_solutions(system, p, budget),
-                )
-    for n in range(2, 5):
-        for e in range(0, 4):
-            for p in (2, 3):
-                record(
-                    "recurrence_vs_enumeration", "counting", "recurrence_f",
-                    {"n": n, "e": e, "p": p},
-                    scan_subrings(n, e, p, budget), recurrence_f(n, e, p, budget),
-                )
-    for n in (3, 4):
-        for t in (1, 2):
-            for k in range(0, t * (n - 1) + 1):
-                for p in (2, 3):
-                    record(
-                        "subgroup_formula_vs_bruteforce", "subgroups",
-                        "count_subgroups_of_order",
-                        {"n": n, "t": t, "k": k, "p": p},
-                        brute_force_subgroups(n, t, k, p, budget),
-                        count_subgroups_of_order(n, t, k)(p),
-                    )
-    for n in (3, 4):
-        for m in (2, 3):
-            audit = sandwich_subring_audit(n, m, budget)
-            record(
-                "sandwich_all_subrings", "subgroups", "sandwich_subring_audit",
-                {"n": n, "m": m}, 0, audit.total_violations,
-            )
-            record(
-                "sandwich_counts_match", "subgroups", "sandwich_subring_audit",
-                {"n": n, "m": m}, True, audit.all_counts_match,
-            )
-    for p in (2, 3):
-        for n in range(3, 5):
-            for (k, l) in ((2, 1), (3, 2), (2, 3)):
-                for d in range(0, n):
-                    for alpha in two_value_compositions(n, d, k, l):
-                        mats = list(family_matrices(alpha, k, l, p))
-                        all_ok = all(
-                            certify(A).irreducible for A in mats
-                        )
-                        record(
-                            "family_size", "paths", "family_matrices",
-                            {"alpha": list(alpha.parts), "k": k, "l": l, "p": p},
-                            family_count(alpha, k, l)(p), len(mats),
-                        )
-                        record(
-                            "family_members_are_subrings", "paths", "family_matrices",
-                            {"alpha": list(alpha.parts), "k": k, "l": l, "p": p},
-                            True, all_ok,
-                        )
-    for u in range(0, 5):
-        for v in range(0, 5):
-            for q in (2, 3):
-                record(
-                    "path_area_identity", "paths", "path_area_identity_check",
-                    {"u": u, "v": v, "q": q}, True, path_area_identity_check(u, v, q),
-                )
-    rows = table1()
-    bad = [(r.n, r.e) for r in rows if not (r.h_match and r.b_match)]
-    record(
-        "table1_single_known_mismatch", "zeta", "table1", {}, [(6, 30)], bad,
-    )
-    for n in (6, 10):
-        rho, dstar = c7(n, with_argmax=True)
-        for delta_num in (-1, 0, 1):
-            s = rho + Fraction(delta_num, 1000)
-            record(
-                "minorant_boundary", "bounds", "minorant_divergence",
-                {"n": n, "d": dstar, "s": str(s)},
-                s <= rho, minorant_divergence(dstar, n, s),
-            )
-    return checks
+def _verify_records(row, budget):
+    """Run one row of _CHECKS: one record per check, naming the
+    inputs and both sides."""
+    module, operation, checks = row
+    for name, inputs, expected, actual in checks(budget):
+        yield {
+            "name": name,
+            "module": module,
+            "operation": operation,
+            "inputs": inputs,
+            "expected": str(expected),
+            "actual": str(actual),
+            "ok": expected == actual,
+        }
 
 
 def _cmd_verify(args, budget):
-    checks = _verify_checks(budget)
+    checks = [r for row in _CHECKS for r in _verify_records(row, budget)]
     failures = [c for c in checks if not c["ok"]]
     payload = {
         "checks": len(checks),
@@ -411,6 +306,84 @@ def _cmd_verify(args, budget):
         "ok": not failures,
     }
     return payload, EXIT_OK if not failures else EXIT_MISMATCH
+
+
+# The checks of `subrings verify`, also run one row at a time by
+# tests/test_cli.py.  Row: (module, operation, checks); checks(budget)
+# yields (name, inputs, expected, actual), and a check holds when
+# expected == actual.  Rows call the library through this module's
+# globals when they run, so a wrapper bound over those names sees every
+# call.
+_CHECKS = (
+    ("counting", "count_subrings", lambda budget: (
+        ("rank2_unique_subring", {"n": 2, "e": e, "p": p}, 1, count_subrings(2, e, p, budget))
+        for p in (2, 3, 5) for e in range(7)
+    )),
+    ("zeta", "local_coefficients", lambda budget: (
+        (name, {"n": n, "e": e, "p": p}, scan_subrings(n, e, p, budget), coeffs[e](p))
+        for n, name, primes, top in (
+            (3, "cubic_factor_vs_enumerator", (2, 3), 4),
+            (4, "quartic_factor_vs_enumerator", (2,), 3),
+        )
+        for p in primes for coeffs in (local_coefficients(n, top),) for e in range(top + 1)
+    )),
+    ("counting", "count_irreducible", lambda budget: (
+        (name, {"n": n, "e": e, "p": p}, expected, count_irreducible(n, e, p, budget))
+        for n in (3, 4) for p in (2, 3)
+        for name, e, expected in (
+            ("irreducible_minimal_index", n - 1, 1),
+            ("irreducible_next_index", n, (p ** (n - 1) - 1) // (p - 1)),
+        )
+    )),
+    ("closure", "count_solutions", lambda budget: (
+        ("closure_vs_enumeration", {"alpha": list(alpha.parts), "p": p},
+         scan_by_diagonal(alpha, p, budget), count_solutions(extract_conditions(alpha), p, budget))
+        for p in (2, 3) for e in range(2, 5) for alpha in compositions(3, e)
+    )),
+    ("counting", "recurrence_f", lambda budget: (
+        ("recurrence_vs_enumeration", {"n": n, "e": e, "p": p},
+         scan_subrings(n, e, p, budget), recurrence_f(n, e, p, budget))
+        for n in range(2, 5) for e in range(4) for p in (2, 3)
+    )),
+    ("subgroups", "count_subgroups_of_order", lambda budget: (
+        ("subgroup_formula_vs_bruteforce", {"n": n, "t": t, "k": k, "p": p},
+         brute_force_subgroups(n, t, k, p, budget), count_subgroups_of_order(n, t, k)(p))
+        for n in (3, 4) for t in (1, 2) for k in range(t * (n - 1) + 1) for p in (2, 3)
+    )),
+    ("subgroups", "sandwich_subring_audit", lambda budget: (
+        (name, {"n": n, "m": m}, expected, actual)
+        for n in (3, 4) for m in (2, 3)
+        for audit in (sandwich_subring_audit(n, m, budget),)
+        for name, expected, actual in (
+            ("sandwich_all_subrings", 0, audit.total_violations),
+            ("sandwich_counts_match", True, audit.all_counts_match),
+        )
+    )),
+    ("paths", "family_matrices", lambda budget: (
+        (name, {"alpha": list(alpha.parts), "k": k, "l": l, "p": p}, expected, actual)
+        for p in (2, 3) for n in (3, 4) for k, l in ((2, 1), (3, 2), (2, 3))
+        for d in range(n) for alpha in two_value_compositions(n, d, k, l)
+        for mats in (list(family_matrices(alpha, k, l, p)),)
+        for name, expected, actual in (
+            ("family_size", family_count(alpha, k, l)(p), len(mats)),
+            ("family_members_are_subrings", True, all(certify(A).irreducible for A in mats)),
+        )
+    )),
+    ("paths", "path_area_identity_check", lambda budget: (
+        ("path_area_identity", {"u": u, "v": v, "q": q}, True, path_area_identity_check(u, v, q))
+        for u in range(5) for v in range(5) for q in (2, 3)
+    )),
+    ("zeta", "table1", lambda budget: [(
+        "table1_single_known_mismatch", {}, [(6, 30)],
+        [(r.n, r.e) for r in table1() if not (r.h_match and r.b_match)],
+    )]),
+    ("bounds", "minorant_divergence", lambda budget: (
+        ("minorant_boundary", {"n": n, "d": dstar, "s": str(s)}, s <= rho,
+         minorant_divergence(dstar, n, s))
+        for n in (6, 10) for rho, dstar in (c7(n, with_argmax=True),)
+        for s in (rho + Fraction(delta, 1000) for delta in (-1, 0, 1))
+    )),
+)
 
 
 # command -> CSV columns; the commands listed here are the tabular ones.
@@ -439,8 +412,7 @@ def _to_csv(columns: list[str], payload: dict) -> str:
 
 
 def _emit(args, payload):
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv":
+    if args.format == "csv":
         if args.command not in _CSV_COLUMNS:
             raise ValueError(f"csv output is only available for {sorted(_CSV_COLUMNS)}")
         out = _to_csv(_CSV_COLUMNS[args.command], payload)
@@ -476,9 +448,9 @@ def main(argv=None) -> int:
     budget = getattr(args, "node_budget", None)
     if budget is None and NODE_BUDGET_ENV in os.environ:
         try:
-            budget = int(os.environ[NODE_BUDGET_ENV])
-        except ValueError:
-            print(f"error: malformed {NODE_BUDGET_ENV}", file=sys.stderr)
+            budget = _node_budget(os.environ[NODE_BUDGET_ENV])
+        except argparse.ArgumentTypeError as err:
+            print(f"error: {NODE_BUDGET_ENV}: {err}", file=sys.stderr)
             return EXIT_USAGE
     try:
         payload, code = _COMMANDS[args.command](args, budget)

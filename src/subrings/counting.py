@@ -268,10 +268,10 @@ def _f_n(n: int, e: int, p: int, call: _Call) -> int:
 
 
 def _require_rank(n: int, e: int, irreducible: bool) -> None:
-    if irreducible and n < 2:
-        raise ValueError("count_irreducible requires n >= 2")
-    if not irreducible and (n < 1 or e < 0):
-        raise ValueError("count_subrings requires n >= 1, e >= 0")
+    least = 2 if irreducible else 1
+    if n < least or e < 0:
+        name = "count_irreducible" if irreducible else "count_subrings"
+        raise ValueError(f"{name} requires n >= {least}, e >= 0")
 
 
 def count_subrings(n: int, e: int, p: int, node_budget: int | None = None) -> int:
@@ -334,6 +334,8 @@ def interpolate_count(
     primes = tuple(primes)
     for q in primes:
         require_prime(q)
+    if degree_cap < 0:
+        raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
     if len(primes) < degree_cap + 2:
         raise ValueError(
             f"need at least degree_cap + 2 = {degree_cap + 2} primes, got {len(primes)}"

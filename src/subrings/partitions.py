@@ -20,10 +20,6 @@ class Partition:
             raise ValueError(f"partition parts must be weakly decreasing: {parts}")
         self.parts = parts
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
     def __len__(self) -> int:
         return len(self.parts)
 
@@ -103,10 +99,6 @@ class Composition:
         if any(x < 1 for x in parts):
             raise ValueError(f"composition parts must be >= 1: {parts}")
         self.parts = parts
-
-    @property
-    def n_minus_1(self) -> int:
-        return len(self.parts)
 
     @property
     def e(self) -> int:

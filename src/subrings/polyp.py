@@ -234,7 +234,7 @@ class PowerSeriesX:
     """Truncated power series in x with PolyP coefficients.
 
     ``coeffs[e]`` is the coefficient of x^e; the length is always
-    truncation_order + 1 and arithmetic is exact below the truncation.
+    truncation_order + 1.
     """
 
     __slots__ = ("coeffs", "truncation_order")
@@ -248,57 +248,12 @@ class PowerSeriesX:
         self.coeffs = tuple(c)
         self.truncation_order = truncation_order
 
-    @classmethod
-    def one(cls, order: int) -> "PowerSeriesX":
-        return cls([ONE], order)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PowerSeriesX)
             and self.truncation_order == other.truncation_order
             and self.coeffs == other.coeffs
         )
-
-    def __add__(self, other: "PowerSeriesX") -> "PowerSeriesX":
-        order = min(self.truncation_order, other.truncation_order)
-        return PowerSeriesX(
-            [self.coeffs[e] + other.coeffs[e] for e in range(order + 1)], order
-        )
-
-    def __mul__(self, other: "PowerSeriesX") -> "PowerSeriesX":
-        order = min(self.truncation_order, other.truncation_order)
-        out = [ZERO] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if a.is_zero():
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return PowerSeriesX(out, order)
-
-    def times_one_minus(self, c: PolyP, k: int) -> "PowerSeriesX":
-        """Multiply by the polynomial (1 - c*x^k)."""
-        order = self.truncation_order
-        out = list(self.coeffs)
-        for e in range(order, k - 1, -1):
-            out[e] = out[e] - c * self.coeffs[e - k]
-        return PowerSeriesX(out, order)
-
-    def reciprocal(self) -> "PowerSeriesX":
-        """Reciprocal of a series whose constant coefficient is a unit (+-1)."""
-        c0 = self.coeffs[0]
-        if c0 not in (ONE, PolyP(-1)):
-            raise ValueError("reciprocal exists only for unit constant coefficient")
-        order = self.truncation_order
-        inv0 = ONE if c0 == ONE else PolyP(-1)
-        out = [inv0] + [ZERO] * order
-        for e in range(1, order + 1):
-            acc = ZERO
-            for j in range(1, e + 1):
-                acc = acc + self.coeffs[j] * out[e - j]
-            out[e] = (-acc) * inv0
-        return PowerSeriesX(out, order)
 
     def __repr__(self) -> str:
         inner = ", ".join(str(c) for c in self.coeffs)

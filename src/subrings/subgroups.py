@@ -200,6 +200,8 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     to a subgroup of index p^kappa in (Z/mZ)^(n-1); counts per index are
     compared against the order-count oracle via subgroup self-duality.
     """
+    if n < 1:
+        raise ValueError("sandwich_subring_audit requires n >= 1")
     p, t = _prime_power(m)
     mm = n - 1
     box = m ** (2 * mm)

@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
 
+import jsonschema
 import pytest
 
+from subrings import cli
 from subrings.cli import main
+
+SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
 
 def run(capsys, *argv):
@@ -130,6 +135,22 @@ def test_usage_errors_exit_one(capsys):
         assert code == 1 and out == "", argv
         assert err.splitlines()[-1].startswith("error: argument --p"), argv
         assert "not a prime" in err, argv
+    # negative exponents, degree caps and budgets, and a zero rank: these
+    # exited 0, 2 or 0, or leaked an itertools message
+    for argv, message in (
+        (("count", "--n", "2", "--e", "-3", "--p", "2", "--irreducible"), "e >= 0"),
+        (("interp", "--n", "3", "--e", "-2", "--primes", "2,3,5", "--degree-cap", "0",
+          "--irreducible"), "e >= 0"),
+        (("interp", "--n", "3", "--e", "2", "--primes", "2,3,5", "--degree-cap", "-1"),
+         "degree_cap must be >= 0"),
+        (("count", "--n", "3", "--e", "3", "--p", "2", "--node-budget", "-5"),
+         "argument --node-budget: not a nonnegative integer: '-5'"),
+        (("audit-sandwich", "--n", "0", "--m", "2"), "requires n >= 1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.splitlines()[-1].startswith("error: "), argv
+        assert message in err, argv
 
 
 def test_bad_flag_exits_one(capsys):
@@ -156,9 +177,15 @@ def test_node_budget_env_var(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["f"] == 266
-    monkeypatch.setenv("SUBRINGS_NODE_BUDGET", "banana")
-    code, _, err = run(capsys, "count", "--n", "2", "--e", "1", "--p", "2")
-    assert code == 1 and "SUBRINGS_NODE_BUDGET" in err
+    for bad in ("banana", "-5"):
+        monkeypatch.setenv("SUBRINGS_NODE_BUDGET", bad)
+        code, out, err = run(capsys, "count", "--n", "2", "--e", "1", "--p", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: SUBRINGS_NODE_BUDGET")
+    # a zero budget is valid: it stops at the first node
+    monkeypatch.setenv("SUBRINGS_NODE_BUDGET", "0")
+    code, _, err = run(capsys, "count", "--n", "4", "--e", "6", "--p", "3")
+    assert code == 3 and "1 nodes > budget 0" in err
 
 
 def test_csv_rejected_for_nontabular(capsys):
@@ -190,26 +217,43 @@ def test_byte_determinism(capsys):
     assert t1 == t2
 
 
-def test_verify_passes(capsys):
+@pytest.mark.parametrize(
+    "row", cli._CHECKS, ids=[f"{module}.{operation}" for module, operation, _ in cli._CHECKS]
+)
+def test_verify_row(row):
+    failing = [r for r in cli._verify_records(row, None) if not r["ok"]]
+    assert not failing, "\n".join(
+        f"{r['name']} {r['inputs']}: expected {r['expected']}, actual {r['actual']}"
+        for r in failing
+    )
+
+
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    false_row = ("counting", "count_subrings", lambda budget: [
+        ("deliberately_false", {"n": 2, "e": 1, "p": 2}, 2, cli.count_subrings(2, 1, 2, budget)),
+    ])
+    monkeypatch.setattr(cli, "_CHECKS", cli._CHECKS + (false_row,))
     code, out, _ = run(capsys, "verify")
-    assert code == 0
+    assert code == 2
     payload = json.loads(out)
-    assert payload["ok"] is True
-    assert payload["failures"] == 0
-    assert payload["checks"] > 100
+    assert (payload["checks"], payload["failures"], payload["ok"]) == (327, 1, False)
+    assert payload["failing"] == [{
+        "name": "deliberately_false",
+        "module": "counting",
+        "operation": "count_subrings",
+        "inputs": {"n": 2, "e": 1, "p": 2},
+        "expected": "2",
+        "actual": "1",
+        "ok": False,
+    }]
+    jsonschema.validate(payload, json.loads((SCHEMAS / "verify.json").read_text()))
 
 
 def test_outputs_validate_against_schemas(capsys):
-    import pathlib
-
-    import jsonschema
-
-    schemas = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
-
     def check(schema_name, *argv):
         _, out, _ = run(capsys, *argv)
-        schema = json.loads((schemas / schema_name).read_text())
-        poly_schema = json.loads((schemas / "polynomial.json").read_text())
+        schema = json.loads((SCHEMAS / schema_name).read_text())
+        poly_schema = json.loads((SCHEMAS / "polynomial.json").read_text())
         if schema.get("properties", {}).get("polynomial", {}).get("$ref"):
             schema["properties"]["polynomial"] = poly_schema
         jsonschema.validate(json.loads(out), schema)

@@ -268,6 +268,25 @@ def test_interpolate_needs_enough_primes():
         interpolate_count(4, 5, (2, 3, 5), 2, irreducible=True)
 
 
+def test_negative_exponent_rejected():
+    calls = [
+        lambda: count_subrings(2, -1, 2),
+        lambda: count_irreducible(2, -3, 2),
+        lambda: interpolate_count(3, -2, (2, 3, 5), 0, irreducible=True),
+        lambda: interpolate_count(3, -2, (2, 3, 5), 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="e >= 0"):
+            call()
+
+
+def test_interpolate_rejects_negative_degree_cap():
+    # was a degree_exceeds_cap mismatch: no fit has degree below zero
+    for irreducible in (False, True):
+        with pytest.raises(ValueError, match="degree_cap"):
+            interpolate_count(3, 2, (2, 3, 5), -1, irreducible=irreducible)
+
+
 def test_compositions_drive_irreducible_sum():
     p, n, e = 3, 4, 5
     total = sum(count_by_diagonal(a, p) for a in compositions(n, e))

@@ -70,7 +70,7 @@ def test_composition_counts_match_binomial():
 
 def test_composition_fields():
     c = Composition((3, 2, 1, 1))
-    assert c.n_minus_1 == 4
+    assert len(c) == 4
     assert c.e == 7
     with pytest.raises(ValueError):
         Composition((1, 0))

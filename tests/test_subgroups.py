@@ -147,3 +147,9 @@ def test_sandwich_audit_rank2_divisor_chain():
 def test_sandwich_audit_rejects_non_prime_power():
     with pytest.raises(ValueError):
         sandwich_subring_audit(3, 6)
+
+
+def test_sandwich_audit_rejects_rank_zero():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="requires n >= 1"):
+            sandwich_subring_audit(n, 2)
