@@ -164,6 +164,8 @@ def _parse_alpha(text: str) -> tuple[int, ...]:
 
 def _cmd_count(args, budget):
     if args.alpha:
+        if args.n is not None or args.e is not None or args.irreducible:
+            raise ValueError("count --alpha takes no --n, --e or --irreducible")
         alpha = _parse_alpha(args.alpha)
         value = count_by_diagonal(alpha, args.p, budget)
         payload = {"alpha": list(alpha), "p": args.p, "g_alpha": value}

@@ -69,9 +69,6 @@ class SymPoly:
     def variable(cls, v: Var) -> "SymPoly":
         return cls({((v, 1),): {0: 1}})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "SymPoly") -> "SymPoly":
         out = dict(self.terms)
         for mono, lau in other.terms.items():

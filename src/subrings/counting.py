@@ -37,14 +37,12 @@ from .polyp import PolyP, lagrange_coefficients
 
 
 def _derived_last_column(rows, diag, n):
-    """The unique last column making (1,...,1) solvable, or None.
+    """The unique last column making (1,...,1) solvable.
 
-    Solving A x = (1,...,1) bottom-up: row n-1 forces a_(n-1,n-1) = 1;
-    at row i the entry a_in is the unique representative mod p^(e_i)
-    making the division exact.
+    Solving A x = (1,...,1) bottom-up: row n-1 forces a_(n-1,n-1) = 1,
+    which the callers' diagonal always ends with; at row i the entry a_in
+    is the unique representative mod p^(e_i) making the division exact.
     """
-    if diag[n - 1] != 1:
-        return None
     col = [0] * n
     x = [0] * n
     col[n - 1] = 1
@@ -107,8 +105,6 @@ def _count_with_diag(p, diag, budget, pruned, irreducible):
 
     def finish_general():
         col = _derived_last_column(rows, diag, n)
-        if col is None:
-            return 0
         for i in range(n - 1):
             rows[i][n - 1] = col[i]
         ok = _column_closed(rows, n - 1)

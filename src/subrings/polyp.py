@@ -99,18 +99,6 @@ class PolyP:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "PolyP":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = PolyP(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def exact_div(self, other: "PolyP") -> "PolyP":
         """Exact quotient self/other; raises ArithmeticError on any remainder.
 

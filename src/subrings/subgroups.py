@@ -52,63 +52,67 @@ def count_subgroups_of_order(n: int, t: int, k: int) -> PolyP:
     return total
 
 
-def iter_sublattices_containing(
-    m: int, p: int, t: int, index_exponent: int | None = None,
-    budget: _Budget | None = None,
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
-    """HNF bases of sublattices L of Z^m with p^t Z^m <= L, yielding
-    (rows, index_exponent).  Restricted to one index when requested.
+def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
+    """Call visit(rows) on the HNF basis rows of every sublattice L of Z^m
+    with p^t Z^m <= L and diagonal p^diag[0], ..., p^diag[m-1].
 
     Output-sensitive: instead of scanning entry boxes and filtering,
     column j is built from the containment solve of p^t e_j.  With
     x_j = p^(t - f_j), row i of that solve forces
     a_ij * x_j == -S (mod p^(f_i)), whose solutions form an arithmetic
-    progression that is enumerated directly.
+    progression that is enumerated directly.  One node is spent per entry
+    chosen and one per column completed.  rows is reused: visit must copy
+    what it keeps.
     """
-    exps = (
-        range(0, min(t, index_exponent) + 1)
-        if index_exponent is not None
-        else range(0, t + 1)
-    )
-    for diag in itertools.product(exps, repeat=m):
-        if index_exponent is not None and sum(diag) != index_exponent:
-            continue
-        d = [p**f for f in diag]
-        rows = [[d[i] if i == j else 0 for j in range(m)] for i in range(m)]
+    m = len(diag)
+    d = [p**f for f in diag]
+    rows = [[d[i] if i == j else 0 for j in range(m)] for i in range(m)]
+
+    def column(j):
+        if j == m:
+            visit(rows)
+            return
+        # x solves the leading block of A x = p^t e_j as column j is chosen
+        x = [0] * (j + 1)
+        x[j] = p ** (t - diag[j])
+        entry(j, j - 1, x)
+
+    def entry(j, i, x):
+        budget.spend()
+        if i < 0:
+            column(j + 1)
+            return
+        row = rows[i]
+        s = sum(row[k] * x[k] for k in range(i + 1, j))
+        lam, di = x[j], d[i]
+        g = min(lam, di)  # gcd of two powers of p
+        if s % g:
+            return
+        step = di // g
+        a0 = (-(s // g) * pow(lam // g, -1, step)) % step if step > 1 else 0
+        for w in range(g):
+            a = a0 + step * w
+            row[j] = a
+            x[i] = -(s + a * lam) // di
+            entry(j, i - 1, x)
+        row[j] = 0
+
+    column(0)
+
+
+def iter_sublattices_containing(
+    m: int, p: int, t: int, budget: _Budget | None = None,
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
+    """HNF bases of sublattices L of Z^m with p^t Z^m <= L, yielding
+    (rows, index_exponent), one diagonal at a time."""
+    if budget is None:
+        budget = _Budget(f"iter_sublattices_containing(m={m}, p={p}, t={t})", None)
+    for diag in itertools.product(range(t + 1), repeat=m):
+        found = []
+        _walk_sublattices(p, t, diag, budget, lambda rows: found.append(tuple(map(tuple, rows))))
         idx = sum(diag)
-
-        def fill(j: int):
-            if j == m:
-                yield tuple(tuple(r) for r in rows)
-                return
-            # x solves the leading block of A x = p^t e_j as column j is chosen
-            x = [0] * (j + 1)
-            x[j] = p ** (t - diag[j])
-
-            def choose(i: int):
-                if budget is not None:
-                    budget.spend()
-                if i < 0:
-                    yield from fill(j + 1)
-                    return
-                s = sum(rows[i][k] * x[k] for k in range(i + 1, j))
-                lam, di = x[j], d[i]
-                g = min(lam, di)  # gcd of two powers of p
-                if s % g:
-                    return
-                step = di // g
-                a0 = (-(s // g) * pow(lam // g, -1, step)) % step if step > 1 else 0
-                for w in range(g):
-                    a = a0 + step * w
-                    rows[i][j] = a
-                    x[i] = -(s + a * lam) // di
-                    yield from choose(i - 1)
-                rows[i][j] = 0
-
-            yield from choose(j - 1)
-
-        for rows_out in fill(0):
-            yield rows_out, idx
+        for rows in found:
+            yield rows, idx
 
 
 def brute_force_subgroups(
@@ -116,7 +120,8 @@ def brute_force_subgroups(
 ) -> int:
     """Oracle: subgroups of order p^k in (Z/p^t Z)^(n-1), counted through
     the bijection with sublattices of Z^(n-1) of index p^(t(n-1)-k)
-    containing p^t Z^(n-1)."""
+    containing p^t Z^(n-1).  An overrun's partial count is the number of
+    sublattices counted before it."""
     require_prime(p)
     m = n - 1
     box = p ** (t * m)
@@ -127,8 +132,15 @@ def brute_force_subgroups(
     if not 0 <= k <= t * m:
         raise ValueError(f"order exponent {k} outside [0, {t * m}]")
     budget = _Budget(f"brute_force_subgroups(n={n}, t={t}, k={k}, p={p})", node_budget)
+
+    def tally(rows):
+        budget.count += 1
+
     want = t * m - k
-    return sum(1 for _ in iter_sublattices_containing(m, p, t, want, budget))
+    for diag in itertools.product(range(min(t, want) + 1), repeat=m):
+        if sum(diag) == want:
+            _walk_sublattices(p, t, diag, budget, tally)
+    return budget.count
 
 
 def max_degree_order_count(n: int, t: int, k: int) -> int:
@@ -197,8 +209,10 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     convert it to an HNF matrix, and check the subring conditions.
 
     m must be a prime power p^t.  G at index m^(n-1) * p^kappa corresponds
-    to a subgroup of index p^kappa in (Z/mZ)^(n-1); counts per index are
-    compared against the order-count oracle via subgroup self-duality.
+    to a subgroup of index p^kappa in (Z/mZ)^(n-1).  The lattices are
+    walked once, under one budget, and the count at each index is compared
+    with the product formula's count of order p^kappa, equal to it by
+    subgroup self-duality.
     """
     if n < 1:
         raise ValueError("sandwich_subring_audit requires n >= 1")
@@ -212,7 +226,7 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     budget = _Budget(f"sandwich_subring_audit(n={n}, m={m})", node_budget)
     per_kappa_count: dict[int, int] = {}
     per_kappa_violations: dict[int, int] = {}
-    for rows, idx_exp in iter_sublattices_containing(mm, p, t, None, budget):
+    for rows, idx_exp in iter_sublattices_containing(mm, p, t, budget):
         kappa = idx_exp  # index of L in Z^(n-1) = index of the subgroup image
         # G = Z*(1,...,1) + m * (L embedded in the first n-1 coordinates)
         gens = [[1] * n]
@@ -234,7 +248,7 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     out = []
     for kappa in range(0, t * mm + 1):
         # index-p^kappa subgroups are equinumerous with order-p^kappa ones
-        oracle = brute_force_subgroups(n, t, kappa, p, node_budget)
+        oracle = int(count_subgroups_of_order(n, t, kappa)(p))
         out.append(
             SandwichRow(
                 order_exponent=kappa,

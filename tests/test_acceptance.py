@@ -186,6 +186,7 @@ INFEASIBLE_SHAPES = {
 ENUMERATION_CAP = 2_500_000
 
 
+@pytest.mark.slow
 def test_criterion_08_subgroup_formula_vs_brute_force():
     with criterion("08 subgroup counts vs brute force"):
         verified = 0

@@ -146,6 +146,13 @@ def test_usage_errors_exit_one(capsys):
         (("count", "--n", "3", "--e", "3", "--p", "2", "--node-budget", "-5"),
          "argument --node-budget: not a nonnegative integer: '-5'"),
         (("audit-sandwich", "--n", "0", "--m", "2"), "requires n >= 1"),
+        # --alpha counts one diagonal, which these flags cannot describe
+        (("count", "--alpha", "2,1", "--n", "5", "--e", "9", "--p", "2"),
+         "--alpha takes no --n, --e or --irreducible"),
+        (("count", "--alpha", "2,1", "--irreducible", "--p", "2"),
+         "--alpha takes no --n, --e or --irreducible"),
+        (("count", "--alpha", "2,1", "--e", "3", "--p", "2"),
+         "--alpha takes no --n, --e or --irreducible"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv

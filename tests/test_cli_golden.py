@@ -47,6 +47,7 @@ CASES = {
     "count_missing_n": ["count", "--p", "2"],
     "count_bad_int": ["count", "--n", "notanumber", "--e", "1", "--p", "2"],
     "count_bad_alpha": ["count", "--alpha", "0,1", "--p", "2"],
+    "count_alpha_conflict": ["count", "--alpha", "2,1", "--n", "5", "--e", "9", "--p", "2"],
     "interp_ok": [
         "interp", "--n", "4", "--e", "5", "--primes", "2,3,5,7", "--degree-cap", "2",
         "--irreducible",

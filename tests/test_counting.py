@@ -90,6 +90,7 @@ def irreducible_box(parts, p):
     return p ** sum((a - 1) * (m - 1 - i) for i, a in enumerate(parts))
 
 
+@pytest.mark.slow
 def test_solve_matches_scan_on_every_small_diagonal():
     """Differential grid: the congruence solve against the pruned scan on
     every diagonal with n <= 6, e <= 8 and p in {2, 3, 5} whose box is at
@@ -172,18 +173,20 @@ def test_partial_count_is_a_lower_bound():
         (count_solutions, (system, 3)),
         (scan_subrings, (4, 4, 3)),
         (scan_by_diagonal, ((3, 2, 1), 3)),
+        (brute_force_subgroups, (4, 2, 3, 2)),
     ]
     for count, args in calls:
         exact = count(*args)
-        raised = 0
+        partials = []
         for budget in range(0, 400, 7):
             try:
                 count(*args, node_budget=budget)
             except ResourceLimitError as err:
-                raised += 1
+                partials.append(err.partial_count)
                 assert err.nodes == budget + 1
                 assert 0 <= err.partial_count <= exact, (count.__name__, args, budget)
-        assert raised, (count.__name__, args)
+        # an overrun reports what it counted so far
+        assert max(partials, default=0) > 0, (count.__name__, args)
     # the unpruned scan reports its partial count the same way
     exact = scan_subrings(3, 3, 3)
     for budget in range(0, 60, 3):

@@ -1,5 +1,6 @@
 import pytest
 
+from subrings import limits
 from subrings.counting import ResourceLimitError
 from subrings.partitions import Partition, partitions_of
 from subrings.polyp import ONE, PolyP, gaussian_binomial
@@ -153,3 +154,22 @@ def test_sandwich_audit_rejects_rank_zero():
     for n in (0, -1):
         with pytest.raises(ValueError, match="requires n >= 1"):
             sandwich_subring_audit(n, 2)
+
+
+def test_sandwich_audit_spends_one_budget(monkeypatch):
+    # the audit walks its lattices once, under the one budget it is given
+    spent = []
+    spend = limits._Budget.spend
+
+    def counted(self, k=1):
+        spent.append(k)
+        spend(self, k)
+
+    monkeypatch.setattr(limits._Budget, "spend", counted)
+    # the walk at (4, 4) takes 340 nodes
+    sandwich_subring_audit(4, 4, node_budget=340)
+    assert sum(spent) == 340
+    spent.clear()
+    with pytest.raises(ResourceLimitError) as err:
+        sandwich_subring_audit(4, 4, node_budget=339)
+    assert err.value.nodes == sum(spent) == 340
