@@ -34,8 +34,6 @@ from .counting import (
 )
 from .hnf import (
     HNFMatrix,
-    SubringCertificate,
-    certify,
     hnf_from_generators,
     identity_in_span,
     is_closed,
@@ -52,7 +50,7 @@ from .paths import (
     path_from_composition,
     two_value_compositions,
 )
-from .polyp import PolyP, PowerSeriesX, gaussian_binomial, series_expand_rational
+from .polyp import PolyP, gaussian_binomial, series_expand_rational
 from .subgroups import (
     SandwichAudit,
     bound_h_exponent,

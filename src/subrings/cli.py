@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from mpmath.libmp import isprime
@@ -34,7 +35,7 @@ from .counting import (
     scan_by_diagonal,
     scan_subrings,
 )
-from .hnf import certify
+from .hnf import identity_in_span, is_closed, is_irreducible
 from .partitions import compositions
 from .paths import family_count, family_matrices, path_area_identity_check, two_value_compositions
 from .polyp import PolyP
@@ -263,17 +264,7 @@ def _cmd_closure(args, budget):
 
 def _cmd_audit(args, budget):
     audit = sandwich_subring_audit(args.n, args.m, budget)
-    rows = [
-        {
-            "order_exponent": r.order_exponent,
-            "index_exponent": r.index_exponent,
-            "sandwich_count": r.sandwich_count,
-            "subgroup_count": r.subgroup_count,
-            "violations": r.violations,
-            "match": r.match,
-        }
-        for r in audit.rows
-    ]
+    rows = [{**asdict(r), "match": r.match} for r in audit.rows]
     ok = audit.total_violations == 0 and audit.all_counts_match
     return (
         {"n": audit.n, "m": audit.m, "rows": rows,
@@ -368,7 +359,9 @@ _CHECKS = (
         for mats in (list(family_matrices(alpha, k, l, p)),)
         for name, expected, actual in (
             ("family_size", family_count(alpha, k, l)(p), len(mats)),
-            ("family_members_are_subrings", True, all(certify(A).irreducible for A in mats)),
+            ("family_members_are_subrings", True, all(
+                identity_in_span(A) and is_closed(A) and is_irreducible(A) for A in mats
+            )),
         )
     )),
     ("paths", "path_area_identity_check", lambda budget: (

@@ -207,13 +207,10 @@ def _laurent_text(lau: dict) -> str:
 
 @dataclass(frozen=True)
 class CongruenceCondition:
-    """numerator == 0 (mod p^modulus_exponent), from entry `row` of the
-    solve for the column pair `source_pair` (1-based)."""
+    """numerator == 0 (mod p^modulus_exponent)."""
 
     numerator: SymPoly
     modulus_exponent: int
-    source_pair: tuple[int, int]
-    row: int
 
     def text(self) -> str:
         return f"{self.numerator.text()} ≡ 0 mod p^{self.modulus_exponent}"
@@ -246,9 +243,7 @@ def extract_conditions(
     forms arise).
     Conditions with denominator exponent 0 are omitted.
     """
-    parts = tuple(alpha.parts if isinstance(alpha, Composition) else alpha)
-    if any(x < 1 for x in parts):
-        raise ValueError("diagonal composition parts must be >= 1")
+    parts = Composition(alpha).parts
     subs = dict(substitutions or {})
     m = len(parts)
 
@@ -298,7 +293,7 @@ def extract_conditions(
                 if key in seen:
                     continue
                 seen.add(key)
-                conditions.append(CongruenceCondition(numerator, r, (i, j), c))
+                conditions.append(CongruenceCondition(numerator, r))
     return ClosureSystem(parts, conditions, ranges)
 
 

@@ -149,19 +149,12 @@ def _count_unpruned(rows, diag, n, col_values, budget, irreducible):
     return total
 
 
-def _parts(alpha) -> tuple[int, ...]:
-    parts = tuple(alpha.parts if isinstance(alpha, Composition) else alpha)
-    if any(x < 1 for x in parts):
-        raise ValueError("diagonal composition parts must be >= 1")
-    return parts
-
-
 def scan_by_diagonal(
     alpha, p: int, node_budget: int | None = None, pruned: bool = True
 ) -> int:
     """Oracle for g_alpha(p): scan the irreducible HNF matrices with
     diagonal alpha.  Uncached."""
-    parts = _parts(alpha)
+    parts = Composition(alpha).parts
     require_prime(p)
     if not parts:
         return 1
@@ -287,7 +280,7 @@ def recurrence_f(n: int, e: int, p: int, node_budget: int | None = None) -> int:
 def count_by_diagonal(alpha, p: int, node_budget: int | None = None) -> int:
     """g_alpha(p): irreducible subring matrices with diagonal alpha, as
     the solutions of alpha's closure congruences at p."""
-    parts = _parts(alpha)
+    parts = Composition(alpha).parts
     require_prime(p)
     call = _Call(f"count_by_diagonal(alpha={parts}, p={p})", node_budget)
     return _g_alpha(parts, p, call)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .limits import require_prime
+
 
 @dataclass(frozen=True)
 class HNFMatrix:
@@ -39,6 +41,7 @@ class HNFMatrix:
 
     @classmethod
     def from_rows(cls, prime: int, rows: Sequence[Sequence[int]]) -> "HNFMatrix":
+        require_prime(prime)
         n = len(rows)
         exps = []
         for i in range(n):
@@ -115,25 +118,6 @@ def is_irreducible(A: HNFMatrix) -> bool:
             if A.rows[i][j] % p != 0:
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class SubringCertificate:
-    matrix: HNFMatrix
-    identity_in_span: bool
-    closed: bool
-    irreducible: bool
-
-    def __post_init__(self):
-        if self.irreducible and not (self.closed and self.identity_in_span):
-            raise ValueError("irreducible certificate requires closed + identity")
-
-
-def certify(A: HNFMatrix) -> SubringCertificate:
-    ident = identity_in_span(A)
-    closed = is_closed(A)
-    irr = ident and closed and is_irreducible(A)
-    return SubringCertificate(A, ident, closed, irr)
 
 
 def hnf_from_generators(prime: int, vectors: Sequence[Sequence[int]]) -> HNFMatrix:

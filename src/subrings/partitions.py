@@ -95,9 +95,9 @@ class Composition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Sequence[int]):
-        parts = tuple(int(x) for x in parts)
-        if any(x < 1 for x in parts):
-            raise ValueError(f"composition parts must be >= 1: {parts}")
+        parts = tuple(parts)
+        if any(not isinstance(x, int) or x < 1 for x in parts):
+            raise ValueError(f"composition parts must be integers >= 1: {parts}")
         self.parts = parts
 
     @property

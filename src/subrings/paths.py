@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .hnf import HNFMatrix
+from .limits import require_prime
 from .partitions import Composition
 from .polyp import PolyP, gaussian_binomial
 
@@ -58,7 +59,7 @@ def iter_paths(u: int, v: int) -> Iterator[LatticePath]:
 
 def path_from_composition(alpha, k: int, l: int) -> LatticePath:
     """Path with step i north when alpha_i = k and east when alpha_i = l."""
-    parts = tuple(alpha.parts if isinstance(alpha, Composition) else alpha)
+    parts = tuple(alpha)
     if k == l:
         raise ValueError("the two part values must differ")
     steps = []
@@ -99,8 +100,9 @@ def family_matrices(alpha, k: int, l: int, p: int) -> Iterator[HNFMatrix]:
     multiples of p^ceil(k/2) in [0, p^k) when (alpha_i, alpha_j) = (k, l)
     with i < j, every other off-diagonal entry is 0, and the last column is
     all ones.  Every yielded matrix is an irreducible subring matrix."""
-    parts = tuple(alpha.parts if isinstance(alpha, Composition) else alpha)
+    parts = tuple(alpha)
     _family_check(parts, k, l)
+    require_prime(p)
     half = -(-k // 2)
     m = len(parts)
     n = m + 1
@@ -125,7 +127,7 @@ def family_matrices(alpha, k: int, l: int, p: int) -> Iterator[HNFMatrix]:
 
 def family_count(alpha, k: int, l: int) -> PolyP:
     """p^((k - ceil(k/2)) * Area(P_alpha)) as a PolyP monomial."""
-    parts = tuple(alpha.parts if isinstance(alpha, Composition) else alpha)
+    parts = tuple(alpha)
     _family_check(parts, k, l)
     a = area(path_from_composition(parts, k, l))
     return PolyP.monomial((k - (-(-k // 2))) * a)

@@ -1,5 +1,6 @@
-"""Exact arithmetic in Z[p]: polynomials in a formal prime p, and truncated
-power series in x = p^(-s) whose coefficients are such polynomials.
+"""Exact arithmetic in Z[p]: polynomials in a formal prime p, and the
+expansion of rational series in x = p^(-s), truncated at a fixed order,
+whose coefficients come back as a list of such polynomials.
 
 Everything here is arbitrary-precision integer arithmetic.  Counts of
 subrings and subgroups overflow 64 bits quickly as p and e grow, so no
@@ -218,50 +219,22 @@ def lagrange_coefficients(points: Sequence[tuple[int, int]]) -> list[Fraction]:
     return coeffs
 
 
-class PowerSeriesX:
-    """Truncated power series in x with PolyP coefficients.
-
-    ``coeffs[e]`` is the coefficient of x^e; the length is always
-    truncation_order + 1.
-    """
-
-    __slots__ = ("coeffs", "truncation_order")
-
-    def __init__(self, coeffs: Iterable, truncation_order: int):
-        if truncation_order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        c = [ch if isinstance(ch, PolyP) else PolyP(ch) for ch in coeffs]
-        c = c[: truncation_order + 1]
-        c += [ZERO] * (truncation_order + 1 - len(c))
-        self.coeffs = tuple(c)
-        self.truncation_order = truncation_order
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PowerSeriesX)
-            and self.truncation_order == other.truncation_order
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        inner = ", ".join(str(c) for c in self.coeffs)
-        return f"PowerSeriesX([{inner}], order={self.truncation_order})"
-
-
 def series_expand_rational(
-    numerator: PowerSeriesX | Sequence,
+    numerator: Sequence[PolyP | int],
     denominator_factors: Sequence[tuple[PolyP | int, int]],
     order: int,
-) -> PowerSeriesX:
-    """Exact expansion of numerator / prod (1 - c*x^k) through x^order.
+) -> list[PolyP]:
+    """Exact expansion of numerator / prod (1 - c*x^k) through x^order, as
+    the list of the order + 1 coefficients of x^0, ..., x^order.
 
     Each denominator factor (c, k) with k >= 1 is a unit in the truncated
     series ring; its reciprocal is the geometric series sum_j c^j x^(jk),
     folded in by one convolution pass per factor.
     """
-    if not isinstance(numerator, PowerSeriesX):
-        numerator = PowerSeriesX(numerator, order)
-    out = list(PowerSeriesX(numerator.coeffs, order).coeffs)
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
+    out = [c if isinstance(c, PolyP) else PolyP(c) for c in list(numerator)[: order + 1]]
+    out += [ZERO] * (order + 1 - len(out))
     for c, k in denominator_factors:
         if k < 1:
             raise ValueError("denominator factor exponent k must be >= 1")
@@ -269,4 +242,4 @@ def series_expand_rational(
         # in-place forward pass: out[e] += c * out[e-k] realizes the geometric factor
         for e in range(k, order + 1):
             out[e] = out[e] + c * out[e - k]
-    return PowerSeriesX(out, order)
+    return out

@@ -212,7 +212,8 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     to a subgroup of index p^kappa in (Z/mZ)^(n-1).  The lattices are
     walked once, under one budget, and the count at each index is compared
     with the product formula's count of order p^kappa, equal to it by
-    subgroup self-duality.
+    subgroup self-duality.  An overrun's partial count is the number of
+    lattices audited before it.
     """
     if n < 1:
         raise ValueError("sandwich_subring_audit requires n >= 1")
@@ -245,6 +246,7 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
         ok = identity_in_span(A) and is_closed(A)
         per_kappa_count[kappa] = per_kappa_count.get(kappa, 0) + 1
         per_kappa_violations[kappa] = per_kappa_violations.get(kappa, 0) + (0 if ok else 1)
+        budget.count += 1
     out = []
     for kappa in range(0, t * mm + 1):
         # index-p^kappa subgroups are equinumerous with order-p^kappa ones

@@ -11,14 +11,14 @@ enumerator reproduces its coefficients at small primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import mpmath
 
 from .bounds import bound_b_exponent, c7
 from .limits import require_prime
-from .polyp import ONE, PolyP, PowerSeriesX, series_expand_rational
+from .polyp import ONE, PolyP, series_expand_rational
 from .subgroups import bound_h_exponent
 
 P = PolyP.monomial  # P(k, c) = c * p^k
@@ -66,10 +66,7 @@ def local_coefficients(n: int, order: int) -> list[PolyP]:
     if order < 0:
         raise ValueError("order must be nonnegative")
     lf = LOCAL_FACTORS[n]
-    series = series_expand_rational(
-        PowerSeriesX(lf.numerator, order), lf.denominator_factors, order
-    )
-    return list(series.coeffs)
+    return series_expand_rational(lf.numerator, lf.denominator_factors, order)
 
 
 @dataclass(frozen=True)
@@ -85,37 +82,19 @@ class PartialSum:
 _RATIO_TOL = 1e-12
 
 
-def partial_sum(
-    n: int, p: int, s, E: int, d: int | None = None, exact: bool = False
-) -> PartialSum:
+def partial_sum(n: int, p: int, s, E: int, d: int | None = None) -> PartialSum:
     """Sum the first E+1 terms of the local factor at real s.
 
     For n <= 4 the exact coefficients are used.  For larger n the
     geometric minorant with parameter d (default: the c7 argmax) supplies
     lower-bound terms p^(e * rho - d(n-1-d)) with rho = d(n-1-d)/(n-1+d),
-    supported on e >= n-1.  Evaluation runs at 100-bit precision; with
-    exact=True and integer s, n <= 4 sums are returned as exact rationals
-    converted at the end.
+    supported on e >= n-1.  Evaluation runs at 100-bit precision.
     """
     require_prime(p)
     if E < 0:
         raise ValueError("E must be nonnegative")
     if n <= 4:
         coeffs = local_coefficients(n, E)
-        if exact:
-            s_int = int(s)
-            if s_int != s:
-                raise ValueError("exact evaluation needs an integer s")
-            terms = [
-                Fraction(c(p), p ** (e * s_int)) if e * s_int >= 0
-                else Fraction(c(p) * p ** (-e * s_int))
-                for e, c in enumerate(coeffs)
-            ]
-            total = sum(terms)
-            ratio = (
-                float(terms[E] / terms[E - 1]) if E >= 1 and terms[E - 1] else float("inf")
-            )
-            return PartialSum(float(total), ratio, ratio >= 1.0 - _RATIO_TOL)
         with mpmath.workprec(100):
             terms = [
                 mpmath.mpf(c(p)) * mpmath.power(p, -mpmath.mpf(e) * s)
@@ -183,16 +162,7 @@ class Table1Row:
         return self.b_computed == self.b_printed
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "e": self.e,
-            "h_computed": self.h_computed,
-            "b_computed": self.b_computed,
-            "h_printed": self.h_printed,
-            "b_printed": self.b_printed,
-            "h_match": self.h_match,
-            "b_match": self.b_match,
-        }
+        return {**asdict(self), "h_match": self.h_match, "b_match": self.b_match}
 
 
 def table1() -> list[Table1Row]:

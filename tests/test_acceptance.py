@@ -33,7 +33,7 @@ from subrings.counting import (
     scan_by_diagonal,
     scan_subrings,
 )
-from subrings.hnf import certify
+from subrings.hnf import identity_in_span, is_closed, is_irreducible
 from subrings.partitions import compositions
 from subrings.paths import (
     area,
@@ -105,7 +105,7 @@ def test_criterion_02b_cubic_coefficients_as_transcribed():
         single_factor = series_expand_rational(
             [ONE, PolyP(), PolyP(-1)], LOCAL_FACTORS[3].denominator_factors, 5
         )
-        assert list(single_factor.coeffs) == transcribed
+        assert single_factor == transcribed
         differ = [e for e in range(6) if computed[e] != transcribed[e]]
         assert differ == [2, 3, 4, 5]
         for p in (2, 3):
@@ -163,7 +163,10 @@ def test_criterion_06_two_exponent_families():
                         for p in (2, 3):
                             mats = list(family_matrices(alpha, k, l, p))
                             assert len(mats) == expected(p), (alpha.parts, k, l, p)
-                            assert all(certify(A).irreducible for A in mats)
+                            assert all(
+                                identity_in_span(A) and is_closed(A) and is_irreducible(A)
+                                for A in mats
+                            )
 
 
 def test_criterion_07_path_area_generating_function():

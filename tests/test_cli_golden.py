@@ -77,6 +77,29 @@ CASES = {
     "audit_sandwich_csv": ["audit-sandwich", "--n", "3", "--m", "3", "--format", "csv"],
     "verify": ["verify"],
     "verify_csv_rejected": ["verify", "--format", "csv"],
+    # one case for each (command, exit code) pair the cases above miss
+    "interp_bad_primes_exit1": [
+        "interp", "--n", "4", "--e", "5", "--primes", "2,4", "--degree-cap", "0",
+    ],
+    "interp_budget_exit3": [
+        "interp", "--n", "4", "--e", "6", "--primes", "2,3,5,7", "--degree-cap", "2",
+        "--irreducible", "--node-budget", "100",
+    ],
+    "bounds_small_e_exit1": ["bounds", "--n", "4", "--e", "1"],
+    "table1_bad_format_exit1": ["table1", "--format", "xml"],
+    "zeta_coeff_no_factor_exit1": ["zeta-coeff", "--n", "5", "--e", "3"],
+    # the rescaling a12 = p*a12' is unsound for (2, 2): 1 solution, 3 matrices
+    "closure_mismatch_exit2": [
+        "closure", "--alpha", "2,2", "--p", "3", "--substitute", "1.2.1",
+    ],
+    "closure_budget_exit3": [
+        "closure", "--alpha", "3,2,1,1", "--p", "3", "--node-budget", "5",
+    ],
+    "audit_sandwich_bad_modulus_exit1": ["audit-sandwich", "--n", "3", "--m", "6"],
+    "audit_sandwich_budget_exit3": [
+        "audit-sandwich", "--n", "4", "--m", "4", "--node-budget", "200",
+    ],
+    "verify_budget_exit3": ["verify", "--node-budget", "0"],
 }
 
 

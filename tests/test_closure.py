@@ -176,8 +176,8 @@ def chain_system(length: int) -> ClosureSystem:
     """x_k - x_(k-1) == 0 mod p for k = 1..length-1, each x_k in [0, p)."""
     xs = [(1, k + 2, 0) for k in range(length)]
     conditions = [
-        CongruenceCondition(SymPoly.variable(b) - SymPoly.variable(a), 1, (k, k), 1)
-        for k, (a, b) in enumerate(zip(xs, xs[1:]))
+        CongruenceCondition(SymPoly.variable(b) - SymPoly.variable(a), 1)
+        for a, b in zip(xs, xs[1:])
     ]
     return ClosureSystem((1,) * length, conditions, {x: 1 for x in xs})
 

@@ -19,7 +19,9 @@ from subrings.counting import (
     scan_by_diagonal,
     scan_subrings,
 )
+from subrings.hnf import HNFMatrix, hnf_from_generators
 from subrings.partitions import compositions
+from subrings.paths import family_matrices
 from subrings.polyp import PolyP
 from subrings.subgroups import brute_force_subgroups
 
@@ -209,6 +211,9 @@ def test_non_prime_rejected(p):
         lambda: count_solutions(system, p),
         lambda: brute_force_subgroups(3, 1, 1, p),
         lambda: interpolate_count(2, 4, (2, 3, p), 0),
+        lambda: HNFMatrix.from_rows(p, [[1]]),
+        lambda: hnf_from_generators(p, [(1, 0), (0, 1)]),
+        lambda: list(family_matrices((2, 1), 2, 1, p)),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="prime"):

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from subrings.counting import count_by_diagonal
 from subrings.hnf import (
     HNFMatrix,
-    SubringCertificate,
-    certify,
     hnf_from_generators,
     identity_in_span,
     is_closed,
@@ -70,14 +68,6 @@ def test_is_irreducible():
     A = mat(2, [[2, 1], [0, 1]])
     assert is_irreducible(A) and is_closed(A) and identity_in_span(A)
     assert not is_irreducible(mat(2, [[1, 0], [0, 1]]))
-
-
-def test_certificate_invariant():
-    A = mat(2, [[2, 1], [0, 1]])
-    cert = certify(A)
-    assert cert.irreducible and cert.closed and cert.identity_in_span
-    with pytest.raises(ValueError):
-        SubringCertificate(A, identity_in_span=False, closed=False, irreducible=True)
 
 
 def test_idempotent_recheck():
@@ -188,7 +178,7 @@ def test_family_example_matrices_are_certified():
                         [0, 0, 0, 0, 0, 1],
                     ],
                 )
-                assert certify(A).irreducible
+                assert identity_in_span(A) and is_closed(A) and is_irreducible(A)
     assert count_by_diagonal((2, 1, 2, 1, 2), 2) >= 8
 
 

@@ -74,3 +74,7 @@ def test_composition_fields():
     assert c.e == 7
     with pytest.raises(ValueError):
         Composition((1, 0))
+    # a non-integral part is refused, not truncated to an integer
+    for parts in ((2.5, 1), (1.9, 1), ("2", 1)):
+        with pytest.raises(ValueError):
+            Composition(parts)

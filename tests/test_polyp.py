@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from subrings.polyp import (
     ONE,
     PolyP,
-    PowerSeriesX,
     gaussian_binomial,
     lagrange_coefficients,
     series_expand_rational,
@@ -79,18 +78,18 @@ def test_gaussian_binomial_pascal(m, r):
 
 def test_series_geometric():
     out = series_expand_rational([1], [(1, 1)], 3)
-    assert [c for c in out.coeffs] == [ONE, ONE, ONE, ONE]
+    assert out == [ONE, ONE, ONE, ONE]
 
 
 def test_series_squares_example():
     # (1 - x^2) / (1 - x)^3 has coefficients 2e + 1
     out = series_expand_rational([1, 0, -1], [(1, 1)] * 3, 4)
-    assert [c(0) for c in out.coeffs] == [1, 3, 5, 7, 9]
+    assert [c(0) for c in out] == [1, 3, 5, 7, 9]
 
 
 def test_series_geometric_in_p_x_cubed():
     out = series_expand_rational([1], [(PolyP.monomial(1), 3)], 6)
-    assert list(out.coeffs) == [
+    assert out == [
         ONE, PolyP(), PolyP(), PolyP.monomial(1), PolyP(), PolyP(), PolyP.monomial(2),
     ]
 
@@ -106,11 +105,11 @@ def test_series_roundtrip(num_coeffs, factors):
     # multiply back by each (1 - c*x^k), highest power first so that
     # back[e - k] is still the old coefficient
     order = 8
-    back = list(series_expand_rational(num_coeffs, factors, order).coeffs)
+    back = series_expand_rational(num_coeffs, factors, order)
     for c, k in factors:
         for e in range(order, k - 1, -1):
             back[e] = back[e] - PolyP(c) * back[e - k]
-    assert PowerSeriesX(back, order) == PowerSeriesX(num_coeffs, order)
+    assert back == [PolyP(c) for c in num_coeffs] + [PolyP()] * (order + 1 - len(num_coeffs))
 
 
 def test_lagrange_exact():

@@ -173,3 +173,17 @@ def test_sandwich_audit_spends_one_budget(monkeypatch):
     with pytest.raises(ResourceLimitError) as err:
         sandwich_subring_audit(4, 4, node_budget=339)
     assert err.value.nodes == sum(spent) == 340
+
+
+def test_sandwich_audit_partial_count():
+    # an overrun reports the lattices audited before it, never more than
+    # the audit counts in all
+    total = sum(r.sandwich_count for r in sandwich_subring_audit(4, 4).rows)
+    partials = []
+    for budget in range(340):
+        with pytest.raises(ResourceLimitError) as err:
+            sandwich_subring_audit(4, 4, node_budget=budget)
+        assert err.value.nodes == budget + 1
+        assert 0 <= err.value.partial_count <= total, budget
+        partials.append(err.value.partial_count)
+    assert max(partials) > 0

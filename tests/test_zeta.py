@@ -67,7 +67,7 @@ def test_partial_sum_monotone_in_cutoff():
 
 
 def test_partial_sum_exact_mode():
-    ps = partial_sum(3, 2, 1, 4, exact=True)
+    ps = partial_sum(3, 2, 1, 4)
     expected = Fraction(1) + Fraction(3, 2) + Fraction(4, 4) + Fraction(6, 8) + Fraction(10, 16)
     assert ps.value == pytest.approx(float(expected))
 
