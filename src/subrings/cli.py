@@ -39,7 +39,12 @@ from .hnf import identity_in_span, is_closed, is_irreducible
 from .partitions import compositions
 from .paths import family_count, family_matrices, path_area_identity_check, two_value_compositions
 from .polyp import PolyP
-from .subgroups import brute_force_subgroups, count_subgroups_of_order, sandwich_subring_audit
+from .subgroups import (
+    _sandwich_hnf_agreement,
+    brute_force_subgroups,
+    count_subgroups_of_order,
+    sandwich_subring_audit,
+)
 from .zeta import local_coefficients, table1
 
 NODE_BUDGET_ENV = "SUBRINGS_NODE_BUDGET"
@@ -351,6 +356,12 @@ _CHECKS = (
             ("sandwich_all_subrings", 0, audit.total_violations),
             ("sandwich_counts_match", True, audit.all_counts_match),
         )
+    )),
+    # the audit's closed-form HNF against generic elimination
+    ("hnf", "hnf_from_generators", lambda budget: (
+        ("sandwich_closed_form_vs_elimination", {"n": n, "m": m}, walked, agreeing)
+        for n, m in ((3, 4), (4, 3))
+        for walked, agreeing in (_sandwich_hnf_agreement(n, m, budget),)
     )),
     ("paths", "family_matrices", lambda budget: (
         (name, {"alpha": list(alpha.parts), "k": k, "l": l, "p": p}, expected, actual)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .closure import _count_solutions, extract_conditions
+from .closure import ClosureSystem, _count_solutions, extract_conditions
 from .hnf import _column_closed, solve_upper_triangular
 from .limits import ResourceLimitError, _Budget, require_prime
 from .partitions import Composition, compositions
@@ -196,12 +196,15 @@ _GA_CACHE: dict[tuple[tuple[int, ...], int], int] = {}
 class _Call:
     """The node budget and memo tables of one public call.  An unbudgeted
     call shares the module tables; a budgeted one keeps its own, so the
-    nodes it spends do not depend on what ran before it."""
+    nodes it spends do not depend on what ran before it.  systems keeps
+    each diagonal's closure congruences, which do not depend on p, until
+    the call ends, so a call at several primes extracts each once."""
 
-    __slots__ = ("budget", "f", "g", "ga")
+    __slots__ = ("budget", "f", "g", "ga", "systems")
 
     def __init__(self, context: str, node_budget: int | None):
         self.budget = _Budget(context, node_budget)
+        self.systems: dict[tuple[int, ...], ClosureSystem] = {}
         if node_budget is None:
             self.f, self.g, self.ga = _F_CACHE, _G_CACHE, _GA_CACHE
         else:
@@ -211,7 +214,9 @@ class _Call:
 def _g_alpha(parts: tuple[int, ...], p: int, call: _Call) -> int:
     key = (parts, p)
     if key not in call.ga:
-        call.ga[key] = _count_solutions(extract_conditions(parts), p, call.budget)
+        if parts not in call.systems:
+            call.systems[parts] = extract_conditions(parts)
+        call.ga[key] = _count_solutions(call.systems[parts], p, call.budget)
     return call.ga[key]
 
 
@@ -330,7 +335,8 @@ def interpolate_count(
             f"need at least degree_cap + 2 = {degree_cap + 2} primes, got {len(primes)}"
         )
     _require_rank(n, e, irreducible)
-    # one budget for every prime; the memo tables are keyed by p
+    # one budget for every prime; the memo tables are keyed by p, and the
+    # primes share each diagonal's closure system
     call = _Call(f"interpolate_count(n={n}, e={e}, primes={primes})", node_budget)
     counter = _g_n if irreducible else _f_n
     counts = tuple(counter(n, e, q, call) for q in primes)

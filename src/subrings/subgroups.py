@@ -5,7 +5,9 @@ The closed-form side is the classical product formula over conjugate
 partitions; the oracle side enumerates HNF bases of sublattices of
 Z^(n-1) containing p^t Z^(n-1).  A subgroup G with
 Z + m^2 Z^n <= G <= Z + m Z^n is automatically a subring, which the audit
-checks matrix by matrix.
+checks matrix by matrix.  Each G is m L + Z(1,...,1) + m^2 Z^n for such
+an L with m = p^t, and its HNF is written down from L's basis B in closed
+form: [[m B, 1], [0, 1]].
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .limits import ResourceLimitError, _Budget, require_prime
-from .hnf import hnf_from_generators, identity_in_span, is_closed
+from .hnf import HNFMatrix, hnf_from_generators, identity_in_span, is_closed
 from .partitions import Partition, partitions_of
 from .polyp import ONE, PolyP, gaussian_binomial
 
@@ -124,23 +126,35 @@ def brute_force_subgroups(
     sublattices counted before it."""
     require_prime(p)
     m = n - 1
-    box = p ** (t * m)
-    if box > 10**6:
-        raise ResourceLimitError(
-            f"size cap of brute_force_subgroups(n={n}, t={t}, k={k}, p={p})", box, 10**6, 0
-        )
     if not 0 <= k <= t * m:
         raise ValueError(f"order exponent {k} outside [0, {t * m}]")
+    # the walk yields exactly the answer's number of lattices
+    size = int(count_subgroups_of_order(n, t, k)(p))
+    if size > 10**6:
+        raise ResourceLimitError(
+            f"size cap of brute_force_subgroups(n={n}, t={t}, k={k}, p={p})", size, 10**6, 0
+        )
     budget = _Budget(f"brute_force_subgroups(n={n}, t={t}, k={k}, p={p})", node_budget)
 
     def tally(rows):
         budget.count += 1
 
-    want = t * m - k
-    for diag in itertools.product(range(min(t, want) + 1), repeat=m):
-        if sum(diag) == want:
-            _walk_sublattices(p, t, diag, budget, tally)
+    for diag in _bounded_compositions(t * m - k, m, t):
+        _walk_sublattices(p, t, diag, budget, tally)
     return budget.count
+
+
+def _bounded_compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of parts integers in [0, cap] summing to total, in
+    lexicographic order.  Every branch taken ends in a tuple, so the work
+    is bounded by the number of tuples times parts."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(max(0, total - cap * (parts - 1)), min(cap, total) + 1):
+        for rest in _bounded_compositions(total - first, parts - 1, cap):
+            yield (first,) + rest
 
 
 def max_degree_order_count(n: int, t: int, k: int) -> int:
@@ -204,40 +218,67 @@ class SandwichAudit:
         return all(r.match for r in self.rows)
 
 
+def _sandwich_matrix(p: int, t: int, rows) -> HNFMatrix:
+    """HNF of G = Z(1,...,1) + m (L x 0) + m^2 Z^n, m = p^t, for L with HNF
+    basis rows, p^t Z^(n-1) <= L <= Z^(n-1).
+
+    The columns m B_j and (1,...,1) span G, since m^2 Z^(n-1) <= m L and
+    m^2 e_n is then m^2 (1,...,1) minus a vector of m L.  Every entry is
+    already reduced: m a_ij < m a_ii, and 1 < m a_ii as m >= 2.
+    """
+    m = p**t
+    top = tuple(tuple(m * a for a in row) + (1,) for row in rows)
+    return HNFMatrix.from_rows(p, top + ((0,) * len(rows) + (1,),))
+
+
+def _sandwich_hnf_agreement(n: int, m: int, node_budget: int | None = None) -> tuple[int, int]:
+    """Oracle for _sandwich_matrix: (lattices G the audit at (n, m) walks,
+    those whose closed-form HNF equals generic elimination of G's defining
+    generators (1,...,1), m times each column of L, and m^2 e_j)."""
+    p, t = _prime_power(m)
+    budget = _Budget(f"_sandwich_hnf_agreement(n={n}, m={m})", node_budget)
+    walked = agreeing = 0
+    for rows, _ in iter_sublattices_containing(n - 1, p, t, budget):
+        gens = [[1] * n]
+        gens += [[m * row[j] for row in rows] + [0] for j in range(n - 1)]
+        gens += [[m * m if i == j else 0 for i in range(n)] for j in range(n)]
+        walked += 1
+        agreeing += _sandwich_matrix(p, t, rows) == hnf_from_generators(p, gens)
+    return walked, agreeing
+
+
 def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> SandwichAudit:
     """Enumerate every subgroup G of Z^n with Z + m^2 Z^n <= G <= Z + m Z^n,
-    convert it to an HNF matrix, and check the subring conditions.
+    write its HNF matrix in closed form (_sandwich_matrix), and check the
+    subring conditions.
 
     m must be a prime power p^t.  G at index m^(n-1) * p^kappa corresponds
     to a subgroup of index p^kappa in (Z/mZ)^(n-1).  The lattices are
     walked once, under one budget, and the count at each index is compared
     with the product formula's count of order p^kappa, equal to it by
-    subgroup self-duality.  An overrun's partial count is the number of
-    lattices audited before it.
+    subgroup self-duality.  The size cap compares the number of lattices
+    the walk will produce, the sum of those counts, with 10^8.  An
+    overrun's partial count is the number of lattices audited before it.
     """
     if n < 1:
         raise ValueError("sandwich_subring_audit requires n >= 1")
     p, t = _prime_power(m)
     mm = n - 1
-    box = m ** (2 * mm)
-    if box > 10**8:
+    # index-p^kappa subgroups are equinumerous with order-p^kappa ones
+    oracle = [int(count_subgroups_of_order(n, t, kappa)(p)) for kappa in range(t * mm + 1)]
+    size = sum(oracle)
+    if size > 10**8:
         raise ResourceLimitError(
-            f"size cap of sandwich_subring_audit(n={n}, m={m})", box, 10**8, 0
+            f"size cap of sandwich_subring_audit(n={n}, m={m})", size, 10**8, 0
         )
     budget = _Budget(f"sandwich_subring_audit(n={n}, m={m})", node_budget)
     per_kappa_count: dict[int, int] = {}
     per_kappa_violations: dict[int, int] = {}
     for rows, idx_exp in iter_sublattices_containing(mm, p, t, budget):
         kappa = idx_exp  # index of L in Z^(n-1) = index of the subgroup image
-        # G = Z*(1,...,1) + m * (L embedded in the first n-1 coordinates)
-        gens = [[1] * n]
-        for j in range(mm):
-            gens.append([m * rows[i][j] if i < mm else 0 for i in range(n)])
-        for j in range(n):
-            vec = [0] * n
-            vec[j] = m * m
-            gens.append(vec)
-        A = hnf_from_generators(p, gens)
+        A = _sandwich_matrix(p, t, rows)
+        # holds by construction once the walk's index matches its diagonal;
+        # _sandwich_hnf_agreement is the closed form's real check
         expected_det = m ** (n - 1) * p**kappa
         if A.det != expected_det:
             raise AssertionError(
@@ -249,14 +290,12 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
         budget.count += 1
     out = []
     for kappa in range(0, t * mm + 1):
-        # index-p^kappa subgroups are equinumerous with order-p^kappa ones
-        oracle = int(count_subgroups_of_order(n, t, kappa)(p))
         out.append(
             SandwichRow(
                 order_exponent=kappa,
                 index_exponent=t * mm + kappa,
                 sandwich_count=per_kappa_count.get(kappa, 0),
-                subgroup_count=oracle,
+                subgroup_count=oracle[kappa],
                 violations=per_kappa_violations.get(kappa, 0),
             )
         )

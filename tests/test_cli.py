@@ -243,7 +243,7 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify")
     assert code == 2
     payload = json.loads(out)
-    assert (payload["checks"], payload["failures"], payload["ok"]) == (327, 1, False)
+    assert (payload["checks"], payload["failures"], payload["ok"]) == (329, 1, False)
     assert payload["failing"] == [{
         "name": "deliberately_false",
         "module": "counting",

@@ -7,6 +7,7 @@ against the HNF scan oracles, never against themselves."""
 
 import pytest
 
+from subrings import counting
 from subrings.closure import count_solutions, extract_conditions
 from subrings.counting import (
     InterpolationMismatch,
@@ -315,8 +316,20 @@ def test_interpolate_rank5_degree_four():
 
 
 @pytest.mark.slow
-def test_interpolate_rank5_exponent_seven_degree_four():
+def test_interpolate_rank5_exponent_seven_degree_four(monkeypatch):
     # the degree stays 4 one exponent further up
+    extracted = []
+
+    def counted(parts):
+        extracted.append(parts)
+        return extract_conditions(parts)
+
+    monkeypatch.setattr(counting, "extract_conditions", counted)
+    for table in ("_F_CACHE", "_G_CACHE", "_GA_CACHE"):
+        monkeypatch.setattr(counting, table, {})
     poly = interpolate_count(5, 7, (2, 3, 5, 7, 11, 13), 4, irreducible=True)
     assert poly == PolyP([1, 1, 6, 21, 15])
     assert poly.degree == 4
+    # one extraction per diagonal for all six primes, not one per prime (120)
+    assert sorted(extracted) == sorted(a.parts for a in compositions(5, 7))
+    assert len(extracted) == 20

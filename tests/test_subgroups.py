@@ -5,6 +5,7 @@ from subrings.counting import ResourceLimitError
 from subrings.partitions import Partition, partitions_of
 from subrings.polyp import ONE, PolyP, gaussian_binomial
 from subrings.subgroups import (
+    _sandwich_hnf_agreement,
     bound_h_exponent,
     brute_force_subgroups,
     count_subgroups_of_order,
@@ -54,8 +55,8 @@ def test_brute_force_examples():
 def test_brute_force_desk_scale_guard():
     with pytest.raises(ResourceLimitError) as err:
         brute_force_subgroups(12, 2, 1, 5)
-    # the size cap reports the box it compared, not a node count of 0
-    assert err.value.nodes == 5**22
+    # the size cap reports the lattices the walk would count, the answer
+    assert err.value.nodes == count_subgroups_of_order(12, 2, 1)(5) == 12_207_031
     assert err.value.budget == 10**6
     assert err.value.nodes > err.value.budget
     assert "size cap" in err.value.context
@@ -64,10 +65,25 @@ def test_brute_force_desk_scale_guard():
 def test_sandwich_desk_scale_guard():
     with pytest.raises(ResourceLimitError) as err:
         sandwich_subring_audit(6, 49)
-    assert err.value.nodes == 49**10
+    # the size cap reports the lattices the audit would walk
+    total = sum(count_subgroups_of_order(6, 2, k)(7) for k in range(11))
+    assert err.value.nodes == total == 53_693_086_059
     assert err.value.budget == 10**8
     assert err.value.nodes > err.value.budget
     assert "size cap" in err.value.context
+
+
+def test_size_caps_admit_cheap_queries():
+    # a large box with few lattices in it is not refused
+    assert brute_force_subgroups(8, 3, 0, 2) == 1
+    # nor walked: only the diagonals of the wanted index are visited, so
+    # the one lattice in a box of 2^40 diagonals costs 1 + 2 + ... + 40 nodes
+    assert brute_force_subgroups(41, 1, 0, 2, node_budget=820) == 1
+    with pytest.raises(ResourceLimitError, match="820 nodes > budget 819"):
+        brute_force_subgroups(41, 1, 0, 2, node_budget=819)
+    audit = sandwich_subring_audit(2, 10007)
+    assert [r.sandwich_count for r in audit.rows] == [1, 1]
+    assert audit.total_violations == 0
 
 
 def test_formula_matches_brute_force_grid():
@@ -129,6 +145,17 @@ def test_sublattice_iteration_counts():
     for _, idx in iter_sublattices_containing(2, 2, 2):
         counts[idx] = counts.get(idx, 0) + 1
     assert counts == {0: 1, 1: 3, 2: 7, 3: 3, 4: 1}
+
+
+def test_sandwich_hnf_matches_hnf_from_generators():
+    # the audit's closed form against generic elimination of the generators
+    # 1, m * (columns of L) and m^2 e_j of G
+    checked = 0
+    for n, m in [(1, 2), (2, 4), (2, 9), (3, 2), (3, 8), (4, 4), (4, 9), (5, 3), (5, 4)]:
+        walked, agreeing = _sandwich_hnf_agreement(n, m)
+        assert agreeing == walked, (n, m)
+        checked += walked
+    assert checked == 2818
 
 
 def test_sandwich_audit_rank3():
