@@ -24,6 +24,7 @@ from .closure import ClosureSystem, CongruenceCondition, count_solutions, extrac
 from .counting import (
     InterpolationMismatch,
     ResourceLimitError,
+    clear_caches,
     count_by_diagonal,
     count_irreducible,
     count_subrings,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .closure import ClosureSystem, _count_solutions, extract_conditions
+from .closure import ClosureSystem, _compiled_counter, _count_solutions, extract_conditions
 from .hnf import _column_closed, solve_upper_triangular
 from .limits import ResourceLimitError, _Budget, require_prime
 from .partitions import Composition, compositions
@@ -191,6 +191,16 @@ def scan_subrings(
 _F_CACHE: dict[tuple[int, int, int], int] = {}
 _G_CACHE: dict[tuple[int, int, int], int] = {}
 _GA_CACHE: dict[tuple[tuple[int, ...], int], int] = {}
+
+
+def clear_caches() -> None:
+    """Empty the per-process memo tables of f_n, g_n and g_alpha and the
+    cache of compiled congruence counters.  Counts do not change; the next
+    unbudgeted call recomputes (and recompiles) what it needs."""
+    _F_CACHE.clear()
+    _G_CACHE.clear()
+    _GA_CACHE.clear()
+    _compiled_counter.cache_clear()
 
 
 class _Call:

@@ -29,6 +29,7 @@ PUBLIC_NAMES = [
     "brute_force_subgroups",
     "c7",
     "cap_value",
+    "clear_caches",
     "composition_count",
     "compositions",
     "count_by_diagonal",

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import re
@@ -72,6 +73,21 @@ def test_minimal_modulus_structure():
         for cond in extract_conditions(alpha).conditions:
             assert cond.modulus_exponent >= 1
             assert cond.numerator.min_p_exponent() == 0
+
+
+def test_condition_texts_pinned():
+    """The conditions, their order and their text, and the variable ranges
+    of every diagonal with n <= 7, e <= 9 (465 systems), by digest."""
+    digest = hashlib.sha256()
+    for n in range(2, 8):
+        for e in range(n - 1, 10):
+            for alpha in compositions(n, e):
+                system = extract_conditions(alpha)
+                ranges = sorted(system.variable_ranges.items())
+                digest.update(repr((alpha.parts, system.texts(), ranges)).encode())
+    assert digest.hexdigest() == (
+        "cc6b5375cba697f67f4458b7b456ba5324c3bd44098cd44e79ec19ae2a28b9e0"
+    )
 
 
 def test_conditions_serialize_deterministically():
@@ -205,6 +221,50 @@ def test_twenty_one_scanned_variables():
     assert count_by_diagonal((2, 2, 2, 1, 2, 1, 1, 1), 2) == 263552
 
 
+def record_compiles(monkeypatch) -> list:
+    """Empty the counter cache and record every compile closure makes."""
+    compiled = []
+
+    def counted(*args):
+        compiled.append(args)
+        return compile(*args)
+
+    monkeypatch.setattr(closure, "compile", counted, raising=False)
+    closure._compiled_counter.cache_clear()
+    return compiled
+
+
+def test_counter_is_shared_by_equal_box_and_checks(monkeypatch):
+    # at p = 3, (2, 1, 2, 1) is (2, 2, 1) with one more free variable
+    compiled = record_compiles(monkeypatch)
+    assert count_solutions(extract_conditions((2, 2, 1)), 3) == 21
+    assert len(compiled) == 1
+    assert count_solutions(extract_conditions((2, 1, 2, 1)), 3) == 63
+    assert len(compiled) == 1
+
+
+def outcome(system, p, budget):
+    try:
+        return count_solutions(system, p, node_budget=budget)
+    except ResourceLimitError as err:
+        return err.nodes, err.budget, err.partial_count
+
+
+def test_budget_sweep_compiles_once(monkeypatch):
+    """Every budget runs the one compiled counter, and reports what a
+    freshly compiled counter reports."""
+    system, p, nodes = extract_conditions((2, 2, 1)), 5, 155
+    compiled = record_compiles(monkeypatch)
+    warm = [outcome(system, p, budget) for budget in range(nodes + 1)]
+    assert len(compiled) == 1
+    assert warm[-1] == count_solutions(system, p) == 65
+    assert all(warm[b] == (b + 1, b, warm[b][2]) for b in range(nodes))
+    for budget in range(nodes + 1):
+        closure._compiled_counter.cache_clear()
+        assert outcome(system, p, budget) == warm[budget]
+    assert len(compiled) == nodes + 2
+
+
 def test_counter_source_holds_only_literals_and_fixed_names(monkeypatch):
     sources = []
 
@@ -214,11 +274,12 @@ def test_counter_source_holds_only_literals_and_fixed_names(monkeypatch):
         return made
 
     monkeypatch.setattr(closure, "_counter_sources", recording)
+    closure._compiled_counter.cache_clear()
     count_solutions(extract_conditions((3, 2, 1, 1)), 3)
     count_solutions(chain_system(25), 2)
     assert len(sources) > 2
     allowed = re.compile(
-        r"(x|c|count)\d*|nodes|width|overrun|range|def|for|in|if|else|continue|return"
+        r"(x|c|count)\d*|nodes|limit|width|overrun|range|def|for|in|if|else|continue|return"
     )
     for source in sources:
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):

@@ -6,12 +6,15 @@ The production counters (congruence solve and recurrence) are checked
 against the HNF scan oracles, never against themselves."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subrings import counting
+from subrings import closure, counting
 from subrings.closure import count_solutions, extract_conditions
 from subrings.counting import (
     InterpolationMismatch,
     ResourceLimitError,
+    clear_caches,
     count_by_diagonal,
     count_irreducible,
     count_subrings,
@@ -116,6 +119,27 @@ def test_solve_matches_scan_on_every_small_diagonal():
     assert (checked, unpruned) == (622, 517)
 
 
+@st.composite
+def small_diagonals(draw):
+    n = draw(st.integers(2, 5))
+    e = draw(st.integers(n - 1, 6))
+    return draw(st.sampled_from([alpha.parts for alpha in compositions(n, e)]))
+
+
+@given(small_diagonals(), st.sampled_from((2, 3, 5)), st.none() | st.integers(0, 2000))
+@settings(max_examples=150, deadline=None)
+def test_budgeted_solve_matches_budgeted_scan(parts, p, budget):
+    """Under the same node budget, the solve and the scan each return the
+    exact count or overrun with a partial count that does not exceed it."""
+    exact = count_by_diagonal(parts, p)
+    for count in (count_by_diagonal, scan_by_diagonal):
+        try:
+            assert count(parts, p, node_budget=budget) == exact, count.__name__
+        except ResourceLimitError as err:
+            assert budget is not None
+            assert 0 <= err.partial_count <= exact, count.__name__
+
+
 def test_node_budget():
     with pytest.raises(ResourceLimitError) as err:
         count_subrings(4, 6, 3, node_budget=50)
@@ -163,6 +187,18 @@ def test_budget_ignores_the_memo_tables():
     assert count_subrings(4, 6, 2, node_budget=before) == exact
     with pytest.raises(ResourceLimitError):
         count_subrings(4, 6, 2, node_budget=before - 1)
+
+
+def test_clear_caches_recompiles():
+    exact = count_irreducible(4, 5, 3)
+    counters = closure._compiled_counter.cache_info()
+    assert count_irreducible(4, 5, 3) == exact
+    assert closure._compiled_counter.cache_info() == counters  # a memo hit
+    clear_caches()
+    assert not (counting._F_CACHE or counting._G_CACHE or counting._GA_CACHE)
+    assert closure._compiled_counter.cache_info().currsize == 0
+    assert count_irreducible(4, 5, 3) == exact
+    assert closure._compiled_counter.cache_info().misses > 0
 
 
 def test_partial_count_is_a_lower_bound():
