@@ -137,6 +137,8 @@ def minorant_divergence(d: int, n: int, s) -> bool:
 
     Exact for int/Fraction s; floats are compared as floats.
     """
+    if n < 2:
+        raise ValueError("minorant_divergence requires n >= 2")
     if not 0 <= d <= n - 1:
         raise ValueError("d must lie in [0, n-1]")
     threshold = Fraction(d * (n - 1 - d), n - 1 + d)

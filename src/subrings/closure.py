@@ -57,35 +57,6 @@ class SymPoly:
     def __init__(self, terms: dict | None = None):
         self.terms = terms or {}
 
-    @classmethod
-    def const(cls, m: int, k: int = 0) -> "SymPoly":
-        if m == 0:
-            return cls()
-        return cls({((), k): m})
-
-    @classmethod
-    def variable(cls, v: Var) -> "SymPoly":
-        return cls({(((v, 1),), 0): 1})
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _accumulate(out, key, c)
-        return SymPoly(out)
-
-    def __neg__(self) -> "SymPoly":
-        return SymPoly({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "SymPoly") -> "SymPoly":
-        out: dict = {}
-        for (m1, k1), c1 in self.terms.items():
-            for (m2, k2), c2 in other.terms.items():
-                _accumulate(out, (_mono_mul(m1, m2), k1 + k2), c1 * c2)
-        return SymPoly(out)
-
     def p_shift(self, delta: int) -> "SymPoly":
         """Multiply by p^delta (delta may be negative)."""
         if delta == 0 or not self.terms:
@@ -375,15 +346,19 @@ def _count_solutions(system: ClosureSystem, p: int, budget: _Budget) -> int:
         raise ResourceLimitError(budget.context, nodes, budget.limit, count)
 
     # a fresh namespace per solve: overrun raises for this budget, and the
-    # count<s> functions call each other through it
+    # count<s> functions call each other through it.  Their globals are the
+    # namespace itself, a reference cycle that the finally clause breaks,
+    # so a solve leaves nothing for the cycle collector.
     namespace = {"__builtins__": {}, "range": range, "overrun": overrun}
-    for code in _compiled_counter(tuple(box), tuple(map(tuple, checks))):
-        exec(code, namespace)
     try:
+        for code in _compiled_counter(tuple(box), tuple(map(tuple, checks))):
+            exec(code, namespace)
         budget.nodes, budget.count = namespace["count0"](budget.nodes, 0, budget.limit)
     except ResourceLimitError as err:
         budget.nodes, budget.count = err.nodes, err.partial_count
         raise err.with_partial(err.partial_count * free_factor) from None
+    finally:
+        namespace.clear()
     return budget.count * free_factor
 
 

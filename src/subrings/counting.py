@@ -273,8 +273,11 @@ def _f_n(n: int, e: int, p: int, call: _Call) -> int:
 
 def _require_rank(n: int, e: int, irreducible: bool) -> None:
     least = 2 if irreducible else 1
+    name = "count_irreducible" if irreducible else "count_subrings"
+    for arg, value in (("n", n), ("e", e)):
+        if not isinstance(value, int):
+            raise ValueError(f"{name} requires an integer {arg}, got {value!r}")
     if n < least or e < 0:
-        name = "count_irreducible" if irreducible else "count_subrings"
         raise ValueError(f"{name} requires n >= {least}, e >= 0")
 
 

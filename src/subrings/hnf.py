@@ -34,9 +34,10 @@ class HNFMatrix:
             d = p ** self.diag_exponents[i]
             if row[i] != d:
                 raise ValueError(f"diagonal entry ({i},{i}) must be p^e_i = {d}")
-            if any(row[j] != 0 for j in range(i)):
+            if any(row[:i]):
                 raise ValueError("matrix must be upper triangular")
-            if any(not (0 <= row[j] < d) for j in range(i + 1, n)):
+            right = row[i + 1:]
+            if right and not (0 <= min(right) and max(right) < d):
                 raise ValueError(f"row {i} entries must lie in [0, {d})")
 
     @classmethod
@@ -63,41 +64,57 @@ class HNFMatrix:
         return self.prime ** sum(self.diag_exponents)
 
 
-def solve_upper_triangular(rows, rhs, size: int | None = None):
-    """Solve the leading size x size block of an upper-triangular integer
-    system by back substitution.  Returns the integer solution vector or
-    None when any division is inexact.  Exact arithmetic throughout."""
-    m = len(rhs) if size is None else size
-    x = [0] * m
-    for i in range(m - 1, -1, -1):
+def _back_substitute(rows, x, size: int, top: int) -> bool:
+    """The one triangular solver: back substitution, in place, for the
+    leading size x size block of an upper-triangular integer system.
+
+    On entry x[top:size] already hold the solution's last entries and
+    x[:top] the right-hand side of rows 0..top-1; on exit x[:size] is the
+    solution.  False, with x partly overwritten, when a division is
+    inexact.  Exact arithmetic throughout, and nothing is allocated."""
+    for i in range(top - 1, -1, -1):
         row = rows[i]
-        s = rhs[i]
-        for j in range(i + 1, m):
+        s = x[i]
+        for j in range(i + 1, size):
             xj = x[j]
             if xj:
                 s -= row[j] * xj
         q, r = divmod(s, row[i])
         if r:
-            return None
+            return False
         x[i] = q
-    return x
+    return True
+
+
+def solve_upper_triangular(rows, rhs, size: int | None = None):
+    """Solve the leading size x size block of an upper-triangular integer
+    system by back substitution.  Returns the integer solution vector or
+    None when any division is inexact."""
+    m = len(rhs) if size is None else size
+    x = list(rhs[:m])
+    return x if _back_substitute(rows, x, m, m) else None
 
 
 def identity_in_span(A: HNFMatrix) -> bool:
     """True iff (1,...,1)^T has an integer back-substitution solution."""
-    return solve_upper_triangular(A.rows, [1] * A.n) is not None
+    return _back_substitute(A.rows, [1] * A.n, A.n, A.n)
 
 
 def _column_closed(rows, j: int) -> bool:
     """Closure test for every pair of columns (i, j), i = j..0 (0-based).
     The componentwise product of columns i <= j has zeros below row i, so
     only the leading (i+1) x (i+1) block matters: columns past j are never
-    read and may still be unfilled.  Pair (0, j) always holds and is not
-    solved: column 0 is a_00 e_0, so its product with column j is a_0j
-    times column 0."""
+    read and may still be unfilled.  The block's last unknown is a_ij, as
+    a_ii a_ij / a_ii, so back substitution starts at row i-1.  Pair (0, j)
+    always holds and is not solved: column 0 is a_00 e_0, so its product
+    with column j is a_0j times column 0.  One buffer serves every pair."""
+    x = [0] * (j + 1)
     for i in range(j, 0, -1):
-        rhs = [rows[r][i] * rows[r][j] for r in range(i + 1)]
-        if solve_upper_triangular(rows, rhs, i + 1) is None:
+        for r in range(i):
+            row = rows[r]
+            x[r] = row[i] * row[j]
+        x[i] = rows[i][j]
+        if not _back_substitute(rows, x, i + 1, i):
             return False
     return True
 

@@ -50,13 +50,25 @@ class _Budget:
         if self.nodes > self.limit:
             raise ResourceLimitError(self.context, self.nodes, self.limit, self.count)
 
+    def spend_leaves(self, k: int):
+        """k leaves of one node each, spent and counted at once: the same
+        nodes, count and overrun as k calls of spend() each followed by
+        count += 1.  Needs nodes <= limit on entry, as after any spend()."""
+        room = self.limit - self.nodes
+        if k > room:
+            self.nodes = self.limit + 1
+            self.count += room
+            raise ResourceLimitError(self.context, self.nodes, self.limit, self.count)
+        self.nodes += k
+        self.count += k
+
 
 def require_prime(p: int) -> None:
-    """ValueError unless p is a prime."""
+    """ValueError unless p is a prime (an int: 2.0 is refused)."""
     # imported on first use: importing mpmath here, in the middle of the
     # package's own imports rather than with zeta, raises the process's
     # peak RSS by about 1 MiB
     from mpmath.libmp import isprime
 
-    if not isprime(p):
+    if not isinstance(p, int) or not isprime(p):
         raise ValueError(f"p must be a prime, got {p!r}")

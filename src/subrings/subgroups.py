@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator
 
 from .limits import ResourceLimitError, _Budget, require_prime
@@ -65,18 +66,29 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
     progression that is enumerated directly.  One node is spent per entry
     chosen and one per column completed.  rows is reused: visit must copy
     what it keeps.
+
+    With visit=None the lattices are only counted, into budget.count.
+    Then the last entry of the last column, a_0(m-1), is not enumerated:
+    each of its g values completes one lattice at one node, so the walk
+    spends and counts all g at once (_Budget.spend_leaves), with the same
+    nodes and the same partial count on an overrun.
     """
     m = len(diag)
     d = [p**f for f in diag]
+    lams = [p ** (t - f) for f in diag]
     rows = [[d[i] if i == j else 0 for j in range(m)] for i in range(m)]
+    last = m - 1 if visit is None else -1  # the column whose row 0 is counted in bulk
 
     def column(j):
         if j == m:
-            visit(rows)
+            if visit is None:  # m <= 1: no last column with a row 0 above its pivot
+                budget.count += 1
+            else:
+                visit(rows)
             return
         # x solves the leading block of A x = p^t e_j as column j is chosen
         x = [0] * (j + 1)
-        x[j] = p ** (t - diag[j])
+        x[j] = lams[j]
         entry(j, j - 1, x)
 
     def entry(j, i, x):
@@ -85,15 +97,17 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
             column(j + 1)
             return
         row = rows[i]
-        s = sum(row[k] * x[k] for k in range(i + 1, j))
+        s = sum(map(mul, row[i + 1:j], x[i + 1:j])) if i + 1 < j else 0
         lam, di = x[j], d[i]
-        g = min(lam, di)  # gcd of two powers of p
+        g = lam if lam < di else di  # gcd of two powers of p
         if s % g:
+            return
+        if i == 0 and j == last:
+            budget.spend_leaves(g)
             return
         step = di // g
         a0 = (-(s // g) * pow(lam // g, -1, step)) % step if step > 1 else 0
-        for w in range(g):
-            a = a0 + step * w
+        for a in range(a0, di, step):
             row[j] = a
             x[i] = -(s + a * lam) // di
             entry(j, i - 1, x)
@@ -135,12 +149,8 @@ def brute_force_subgroups(
             f"size cap of brute_force_subgroups(n={n}, t={t}, k={k}, p={p})", size, 10**6, 0
         )
     budget = _Budget(f"brute_force_subgroups(n={n}, t={t}, k={k}, p={p})", node_budget)
-
-    def tally(rows):
-        budget.count += 1
-
     for diag in _bounded_compositions(t * m - k, m, t):
-        _walk_sublattices(p, t, diag, budget, tally)
+        _walk_sublattices(p, t, diag, budget, None)
     return budget.count
 
 
@@ -218,17 +228,21 @@ class SandwichAudit:
         return all(r.match for r in self.rows)
 
 
-def _sandwich_matrix(p: int, t: int, rows) -> HNFMatrix:
+def _sandwich_matrix(p: int, t: int, rows, exponent: dict[int, int]) -> HNFMatrix:
     """HNF of G = Z(1,...,1) + m (L x 0) + m^2 Z^n, m = p^t, for L with HNF
-    basis rows, p^t Z^(n-1) <= L <= Z^(n-1).
+    basis rows, p^t Z^(n-1) <= L <= Z^(n-1).  exponent maps each p^f,
+    f <= t, to f.
 
     The columns m B_j and (1,...,1) span G, since m^2 Z^(n-1) <= m L and
     m^2 e_n is then m^2 (1,...,1) minus a vector of m L.  Every entry is
-    already reduced: m a_ij < m a_ii, and 1 < m a_ii as m >= 2.
+    already reduced: m a_ij < m a_ii, and 1 < m a_ii as m >= 2.  G's
+    diagonal exponents are t + f_i, where a_ii = p^(f_i), then 0.  p is
+    not checked for primality here: the callers check it once.
     """
     m = p**t
-    top = tuple(tuple(m * a for a in row) + (1,) for row in rows)
-    return HNFMatrix.from_rows(p, top + ((0,) * len(rows) + (1,),))
+    top = tuple(tuple([m * a for a in row] + [1]) for row in rows)
+    exps = tuple(t + exponent[row[i]] for i, row in enumerate(rows)) + (0,)
+    return HNFMatrix(len(exps), p, exps, top + ((0,) * len(rows) + (1,),))
 
 
 def _sandwich_hnf_agreement(n: int, m: int, node_budget: int | None = None) -> tuple[int, int]:
@@ -236,6 +250,8 @@ def _sandwich_hnf_agreement(n: int, m: int, node_budget: int | None = None) -> t
     those whose closed-form HNF equals generic elimination of G's defining
     generators (1,...,1), m times each column of L, and m^2 e_j)."""
     p, t = _prime_power(m)
+    require_prime(p)
+    exponent = {p**f: f for f in range(t + 1)}  # L's pivots are p^f, f <= t
     budget = _Budget(f"_sandwich_hnf_agreement(n={n}, m={m})", node_budget)
     walked = agreeing = 0
     for rows, _ in iter_sublattices_containing(n - 1, p, t, budget):
@@ -243,7 +259,7 @@ def _sandwich_hnf_agreement(n: int, m: int, node_budget: int | None = None) -> t
         gens += [[m * row[j] for row in rows] + [0] for j in range(n - 1)]
         gens += [[m * m if i == j else 0 for i in range(n)] for j in range(n)]
         walked += 1
-        agreeing += _sandwich_matrix(p, t, rows) == hnf_from_generators(p, gens)
+        agreeing += _sandwich_matrix(p, t, rows, exponent) == hnf_from_generators(p, gens)
     return walked, agreeing
 
 
@@ -259,10 +275,16 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     subgroup self-duality.  The size cap compares the number of lattices
     the walk will produce, the sum of those counts, with 10^8.  An
     overrun's partial count is the number of lattices audited before it.
+
+    p is checked for primality once per audit, not once per matrix: each
+    HNFMatrix is built from its known diagonal exponents t + f_i and 0,
+    and its constructor still validates every entry.
     """
     if n < 1:
         raise ValueError("sandwich_subring_audit requires n >= 1")
     p, t = _prime_power(m)
+    require_prime(p)
+    exponent = {p**f: f for f in range(t + 1)}  # L's pivots are p^f, f <= t
     mm = n - 1
     # index-p^kappa subgroups are equinumerous with order-p^kappa ones
     oracle = [int(count_subgroups_of_order(n, t, kappa)(p)) for kappa in range(t * mm + 1)]
@@ -276,7 +298,7 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     per_kappa_violations: dict[int, int] = {}
     for rows, idx_exp in iter_sublattices_containing(mm, p, t, budget):
         kappa = idx_exp  # index of L in Z^(n-1) = index of the subgroup image
-        A = _sandwich_matrix(p, t, rows)
+        A = _sandwich_matrix(p, t, rows, exponent)
         # holds by construction once the walk's index matches its diagonal;
         # _sandwich_hnf_agreement is the closed form's real check
         expected_det = m ** (n - 1) * p**kappa

@@ -93,6 +93,8 @@ def partial_sum(n: int, p: int, s, E: int, d: int | None = None) -> PartialSum:
     require_prime(p)
     if E < 0:
         raise ValueError("E must be nonnegative")
+    if d is not None and not 0 <= d <= n - 1:
+        raise ValueError(f"d must lie in [0, n-1] = [0, {n - 1}], got {d}")
     if n <= 4:
         coeffs = local_coefficients(n, E)
         with mpmath.workprec(100):

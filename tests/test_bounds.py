@@ -70,6 +70,13 @@ def test_minorant_divergence_boundary():
         minorant_divergence(9, 6, 0.1)
 
 
+def test_minorant_divergence_rejects_rank_below_two():
+    # n = 1 left d = 0 in range and divided 0 by 0
+    for n in (1, 0, -1):
+        with pytest.raises(ValueError, match="requires n >= 2"):
+            minorant_divergence(0, n, 1)
+
+
 def test_caps_hold_on_grid():
     for n in range(2, 31):
         for e in range(n - 1, 201):

@@ -325,6 +325,20 @@ def test_negative_exponent_rejected():
             call()
 
 
+def test_non_integer_arguments_rejected():
+    # a float rank used to raise TypeError, a float prime to give a float
+    cases = [
+        (lambda: count_subrings(3.0, 3, 2), "count_subrings requires an integer n"),
+        (lambda: count_subrings(3, 3.0, 2), "count_subrings requires an integer e"),
+        (lambda: count_irreducible(3.0, 3, 2), "count_irreducible requires an integer n"),
+        (lambda: interpolate_count(3, 2.0, (2, 3, 5), 0), "requires an integer e"),
+        (lambda: count_subrings(3, 3, 2.0), "p must be a prime, got 2.0"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_interpolate_rejects_negative_degree_cap():
     # was a degree_exceeds_cap mismatch: no fit has degree below zero
     for irreducible in (False, True):

@@ -1,4 +1,8 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subrings import limits
 from subrings.counting import ResourceLimitError
@@ -92,6 +96,52 @@ def test_formula_matches_brute_force_grid():
             assert count_subgroups_of_order(n, t, k)(p) == brute_force_subgroups(
                 n, t, k, p
             ), (n, t, k, p)
+
+
+def outcome(call, *args):
+    """A call's count, or its overrun as (message, nodes, budget, partial)."""
+    try:
+        return call(*args)
+    except ResourceLimitError as err:
+        return (str(err), err.nodes, err.budget, err.partial_count)
+
+
+def test_walk_outcomes_pinned():
+    """Every count and every overrun (nodes, budget, partial count) of the
+    brute force on 72 (n, t, k, p) at budgets 0, 7, ..., 399 and
+    unbudgeted, and of the (4, 4) audit at budgets 0..340 and unbudgeted,
+    by digest.  Pinned before the walk counted its last entries in bulk."""
+    digest = hashlib.sha256()
+    grid = [
+        (n, t, k, p) for p in (2, 3, 5) for t in (1, 2) for n in range(2, 6)
+        if p ** (t * (n - 1)) <= 256 for k in range(t * (n - 1) + 1)
+    ]
+    assert len(grid) == 72
+    for q in grid:
+        for budget in [*range(0, 400, 7), None]:
+            digest.update(repr((q, budget, outcome(brute_force_subgroups, *q, budget))).encode())
+    for budget in [*range(341), None]:
+        digest.update(repr((budget, outcome(sandwich_subring_audit, 4, 4, budget))).encode())
+    assert digest.hexdigest() == (
+        "f0357c3fc2b4fd4f489471437f2dae2385b26064db18f5939178e28ecf8d15f1"
+    )
+
+
+@given(
+    st.integers(1, 5), st.integers(1, 2), st.sampled_from((2, 3, 5)), st.data(),
+    st.integers(0, 3000),
+)
+@settings(max_examples=200, deadline=None)
+def test_budgeted_brute_force_against_formula(n, t, p, data, budget):
+    """Under any budget the brute force returns the product formula's count
+    or overruns by one node with a partial count that does not exceed it."""
+    k = data.draw(st.integers(0, t * (n - 1)))
+    exact = int(count_subgroups_of_order(n, t, k)(p))
+    try:
+        assert brute_force_subgroups(n, t, k, p, node_budget=budget) == exact
+    except ResourceLimitError as err:
+        assert (err.nodes, err.budget) == (budget + 1, budget)
+        assert 0 <= err.partial_count <= exact
 
 
 def test_self_duality():

@@ -78,6 +78,16 @@ def test_partial_sum_rejects_non_prime(p):
         partial_sum(3, p, 2, 5)
 
 
+def test_partial_sum_rejects_minorant_parameter_outside_range():
+    # d outside [0, n-1] used to give a value; it is refused at every rank
+    for n, d in ((6, 9), (6, 6), (6, -1), (3, 3)):
+        with pytest.raises(ValueError, match=r"d must lie in \[0, n-1\]"):
+            partial_sum(n, 2, 1, 3, d=d)
+    # both ends of the range are accepted
+    for d in (0, 5):
+        assert partial_sum(6, 2, 1, 3, d=d).value >= 0
+
+
 def test_minorant_boundary_ratios():
     for n in (6, 10):
         rho, d = c7(n, with_argmax=True)
