@@ -92,17 +92,12 @@ def c7(n: int, with_argmax: bool = False):
     return (best, best_d) if with_argmax else best
 
 
-def a_exponent(n: int, with_argmax: bool = False):
+def a_exponent(n: int) -> Fraction:
     """Growth exponent for the subring count: max over integer d of
     (d(n-1-d) + 1)/(n-1+d), exact."""
     if n < 2:
         raise ValueError("a_exponent requires n >= 2")
-    best, best_d = None, None
-    for d in range(0, n):
-        v = Fraction(d * (n - 1 - d) + 1, n - 1 + d)
-        if best is None or v > best:
-            best, best_d = v, d
-    return (best, best_d) if with_argmax else best
+    return max(Fraction(d * (n - 1 - d) + 1, n - 1 + d) for d in range(n))
 
 
 def divergence_line(n: int) -> float:
@@ -149,34 +144,22 @@ def minorant_divergence(d: int, n: int, s) -> bool:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All exponents for one (n, e), with argmax witnesses and the cap."""
+    """All exponents for one (n, e), with argmax witnesses and the cap,
+    named and ordered as the keys of the CLI's bounds JSON."""
 
     n: int
     e: int
-    h_exponent: int
-    h_argmax_t: int | None
-    b_exponent: int
-    b_argmax_d: int
-    c_exponent: float
-    c_argmax: float
-    cap_value: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "e": self.e,
-            "h": self.h_exponent,
-            "b": self.b_exponent,
-            "c": self.c_exponent,
-            "argmax_t": self.h_argmax_t,
-            "argmax_d": self.b_argmax_d,
-            "argmax_C": self.c_argmax,
-            "cap": self.cap_value,
-        }
+    h: int
+    b: int
+    c: float
+    argmax_t: int | None
+    argmax_d: int
+    argmax_C: float
+    cap: float
 
 
 def bound_report(n: int, e: int) -> BoundReport:
     h, t = bound_h_exponent(n, e, with_argmax=True)
     b, d = bound_b_exponent(n, e, with_argmax=True)
     c, C = bound_c_exponent(n, e, with_argmax=True)
-    return BoundReport(n, e, h, t, b, d, c, C, cap_value(n, e))
+    return BoundReport(n, e, h, b, c, t, d, C, cap_value(n, e))

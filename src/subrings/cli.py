@@ -211,12 +211,12 @@ def _cmd_interp(args, budget):
         return base, EXIT_MISMATCH
     base["ok"] = True
     base["polynomial"] = _poly_json(result)
-    base["degree"] = None if result.is_zero() else int(result.degree)
+    base["degree"] = int(result.degree) if result else None
     return base, EXIT_OK
 
 
 def _cmd_bounds(args, budget):
-    return bound_report(args.n, args.e).to_dict(), EXIT_OK
+    return asdict(bound_report(args.n, args.e)), EXIT_OK
 
 
 def _cmd_table1(args, budget):

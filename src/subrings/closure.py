@@ -8,9 +8,12 @@ solution vector into one congruence condition
 
     numerator(a_..) == 0  (mod p^r)
 
-with r minimal.  Every matrix entry is a single term, so each product in
+with r minimal.  A polynomial is a plain dict of its terms,
+{(monomial, p_exponent): coefficient}: a monomial is a sorted tuple of
+(variable, degree) pairs, and the coefficient of p^k times it is a
+nonzero int.  Every matrix entry is a single term, so each product in
 the reduction shifts monomials and p-exponents without merging; equal
-conditions are recognised by their polynomial, and rendered as text only
+conditions are recognised by their terms, and rendered as text only
 for output.  The prime stays symbolic, so one extraction serves every
 p; solutions are then counted by exhaustion at a concrete prime.  That
 count is g_alpha(p): counting.count_by_diagonal is extract_conditions
@@ -47,89 +50,6 @@ def var_name(v: Var) -> str:
     return f"a{i}{j}" + "'" * ticks
 
 
-class SymPoly:
-    """Multivariate polynomial in the entry variables with coefficients
-    integer Laurent polynomials in p, stored term by term:
-    {(monomial, p_exponent): int}, no zero coefficient stored."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = terms or {}
-
-    def p_shift(self, delta: int) -> "SymPoly":
-        """Multiply by p^delta (delta may be negative)."""
-        if delta == 0 or not self.terms:
-            return self
-        return SymPoly({(m, k + delta): c for (m, k), c in self.terms.items()})
-
-    def min_p_exponent(self) -> int | None:
-        """Smallest p-exponent appearing in any coefficient; None when zero."""
-        if not self.terms:
-            return None
-        return min(k for _, k in self.terms)
-
-    def variables(self) -> set[Var]:
-        return {v for mono, _ in self.terms for v, _ in mono}
-
-    def evaluate_int(self, p: int, assignment: dict[Var, int]) -> int:
-        """Value at a concrete prime and integer assignment; all p-exponents
-        must be nonnegative."""
-        total = 0
-        for (mono, k), c in self.terms.items():
-            if k < 0:
-                raise ValueError("evaluate_int on a Laurent term with k < 0")
-            prod = c * p**k
-            for v, d in mono:
-                prod *= assignment[v] ** d
-            total += prod
-        return total
-
-    def text(self) -> str:
-        """Canonical rendering: monomials sorted by variable name, integer
-        coefficients written as polynomials in p, signs folded into the
-        joining operators."""
-        if not self.terms:
-            return "0"
-        laurents: dict = {}
-        for (mono, k), c in self.terms.items():
-            laurents.setdefault(mono, {})[k] = c
-        rendered = []
-        for mono, lau in laurents.items():
-            mono_txt = "*".join(
-                var_name(v) + (f"^{d}" if d > 1 else "")
-                for v, d in sorted(mono, key=lambda t: var_name(t[0]))
-            )
-            rendered.append((mono_txt, lau))
-        rendered.sort(key=lambda t: t[0])
-        pieces = []
-        for mono_txt, lau in rendered:
-            negative = False
-            if len(lau) == 1:
-                ((k, c),) = lau.items()
-                if c < 0:
-                    negative = True
-                    lau = {k: -c}
-            body = _laurent_text(lau)
-            if " " in body:
-                body = f"({body})"
-            if not mono_txt:
-                term = body
-            elif body == "1":
-                term = mono_txt
-            else:
-                term = f"{body}*{mono_txt}"
-            pieces.append((negative, term))
-        neg, term = pieces[0]
-        out = ("-" if neg else "") + term
-        for neg, term in pieces[1:]:
-            out += (" - " if neg else " + ") + term
-        return out
-
-    def __repr__(self) -> str:
-        return f"SymPoly<{self.text()}>"
-
-
 def _accumulate(terms: dict, key, c: int) -> None:
     """terms[key] += c, dropping the term when it cancels."""
     s = terms.get(key, 0) + c
@@ -164,15 +84,59 @@ def _laurent_text(lau: dict) -> str:
     return txt
 
 
+def _poly_text(terms: dict) -> str:
+    """Canonical rendering of a polynomial given term by term: monomials
+    sorted by variable name, integer coefficients written as polynomials
+    in p, signs folded into the joining operators."""
+    if not terms:
+        return "0"
+    laurents: dict = {}
+    for (mono, k), c in terms.items():
+        laurents.setdefault(mono, {})[k] = c
+    rendered = []
+    for mono, lau in laurents.items():
+        mono_txt = "*".join(
+            var_name(v) + (f"^{d}" if d > 1 else "")
+            for v, d in sorted(mono, key=lambda t: var_name(t[0]))
+        )
+        rendered.append((mono_txt, lau))
+    rendered.sort(key=lambda t: t[0])
+    pieces = []
+    for mono_txt, lau in rendered:
+        negative = False
+        if len(lau) == 1:
+            ((k, c),) = lau.items()
+            if c < 0:
+                negative = True
+                lau = {k: -c}
+        body = _laurent_text(lau)
+        if " " in body:
+            body = f"({body})"
+        if not mono_txt:
+            term = body
+        elif body == "1":
+            term = mono_txt
+        else:
+            term = f"{body}*{mono_txt}"
+        pieces.append((negative, term))
+    neg, term = pieces[0]
+    out = ("-" if neg else "") + term
+    for neg, term in pieces[1:]:
+        out += (" - " if neg else " + ") + term
+    return out
+
+
 @dataclass(frozen=True)
 class CongruenceCondition:
-    """numerator == 0 (mod p^modulus_exponent)."""
+    """numerator == 0 (mod p^modulus_exponent), the numerator given by its
+    terms {(monomial, p_exponent): int}.  Extraction leaves every
+    p-exponent >= 0, and at least one equal to 0."""
 
-    numerator: SymPoly
+    numerator: dict
     modulus_exponent: int
 
     def text(self) -> str:
-        return f"{self.numerator.text()} ≡ 0 mod p^{self.modulus_exponent}"
+        return f"{_poly_text(self.numerator)} ≡ 0 mod p^{self.modulus_exponent}"
 
 
 @dataclass
@@ -237,7 +201,7 @@ def extract_conditions(
             # entrywise product of columns i and j: x[c] = (b(c, i) b(c, j)
             # - sum over d > c of b(c, d) x[d]) / p^(parts[c-1]), each
             # product by an entry a shift of monomials and p-exponents
-            x: list[SymPoly | None] = [None] * (i + 1)
+            x: dict[int, dict] = {}
             for c in range(i, 0, -1):
                 shift = parts[c - 1]
                 acc: dict = {}
@@ -246,20 +210,22 @@ def extract_conditions(
                     acc[(_mono_mul(bi[0], bj[0]), bi[1] + bj[1] - shift)] = 1
                 for d in range(c + 1, i + 1):
                     term = entries[(c, d)]
-                    if term is None or not x[d].terms:
+                    if term is None or not x[d]:
                         continue
                     mono, k = term
                     k -= shift
-                    for (m2, k2), coeff in x[d].terms.items():
+                    for (m2, k2), coeff in x[d].items():
                         _accumulate(acc, (_mono_mul(m2, mono), k2 + k), -coeff)
-                x[c] = SymPoly(acc)
+                x[c] = acc
             for c in range(1, i + 1):
-                mink = x[c].min_p_exponent()
-                if mink is None or mink >= 0:
+                if not x[c]:
                     continue
-                r = -mink
-                numerator = x[c].p_shift(r)
-                key = (frozenset(numerator.terms.items()), r)
+                r = -min(k for _, k in x[c])
+                if r <= 0:
+                    continue
+                # clear the denominator: multiply by p^r
+                numerator = {(mono, k + r): coeff for (mono, k), coeff in x[c].items()}
+                key = (frozenset(numerator.items()), r)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -298,8 +264,9 @@ def _count_solutions(system: ClosureSystem, p: int, budget: _Budget) -> int:
     the partial count is the solutions found so far."""
     rmax: dict[Var, int] = {}
     for cond in system.conditions:
-        for v in cond.numerator.variables():
-            rmax[v] = max(rmax.get(v, 0), cond.modulus_exponent)
+        for mono, _ in cond.numerator:
+            for v, _ in mono:
+                rmax[v] = max(rmax.get(v, 0), cond.modulus_exponent)
     order = sorted(rmax, key=lambda v: (v[1], v[0], v[2]))
     idx = {v: i for i, v in enumerate(order)}
 
@@ -318,7 +285,7 @@ def _count_solutions(system: ClosureSystem, p: int, budget: _Budget) -> int:
     for cond in system.conditions:
         mod = p**cond.modulus_exponent
         coeffs: dict[tuple, int] = {}
-        for (mono, k), c in cond.numerator.terms.items():
+        for (mono, k), c in cond.numerator.items():
             coeffs[mono] = coeffs.get(mono, 0) + c * p**k
         terms = []
         last = -1
@@ -337,10 +304,6 @@ def _count_solutions(system: ClosureSystem, p: int, budget: _Budget) -> int:
     if not order:
         budget.count = 1
         return free_factor
-    # the counter needs nodes <= limit on entry, which fails only for a
-    # negative budget; there the first value tried is the overrun
-    if budget.nodes > budget.limit:
-        budget.spend()
 
     def overrun(nodes: int, count: int):
         raise ResourceLimitError(budget.context, nodes, budget.limit, count)

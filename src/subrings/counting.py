@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .closure import ClosureSystem, _compiled_counter, _count_solutions, extract_conditions
 from .hnf import _column_closed, solve_upper_triangular
-from .limits import ResourceLimitError, _Budget, require_prime
+from .limits import ResourceLimitError, _Budget, require_integers, require_prime
 from .partitions import Composition, compositions
 from .polyp import PolyP, lagrange_coefficients
 
@@ -156,9 +156,9 @@ def scan_by_diagonal(
     diagonal alpha.  Uncached."""
     parts = Composition(alpha).parts
     require_prime(p)
+    budget = _Budget(f"scan_by_diagonal(alpha={parts}, p={p})", node_budget)
     if not parts:
         return 1
-    budget = _Budget(f"scan_by_diagonal(alpha={parts}, p={p})", node_budget)
     diag = [p**t for t in parts] + [1]
     return _count_with_diag(p, diag, budget, pruned, irreducible=True)
 
@@ -168,12 +168,13 @@ def scan_subrings(
 ) -> int:
     """Oracle for f_n(p^e): scan every HNF subring matrix of index p^e.
     Uncached."""
+    require_integers("scan_subrings", n=n, e=e)
     if n < 1 or e < 0:
         raise ValueError("scan_subrings requires n >= 1, e >= 0")
     require_prime(p)
+    budget = _Budget(f"scan_subrings(n={n}, e={e}, p={p})", node_budget)
     if n == 1:
         return 1 if e == 0 else 0
-    budget = _Budget(f"scan_subrings(n={n}, e={e}, p={p})", node_budget)
     total = 0
     # last diagonal exponent is 0, forced by the identity condition; the
     # others run over the weak compositions of e in lexicographic order
@@ -274,9 +275,7 @@ def _f_n(n: int, e: int, p: int, call: _Call) -> int:
 def _require_rank(n: int, e: int, irreducible: bool) -> None:
     least = 2 if irreducible else 1
     name = "count_irreducible" if irreducible else "count_subrings"
-    for arg, value in (("n", n), ("e", e)):
-        if not isinstance(value, int):
-            raise ValueError(f"{name} requires an integer {arg}, got {value!r}")
+    require_integers(name, n=n, e=e)
     if n < least or e < 0:
         raise ValueError(f"{name} requires n >= {least}, e >= 0")
 

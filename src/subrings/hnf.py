@@ -56,9 +56,6 @@ class HNFMatrix:
             exps.append(e)
         return cls(n, prime, tuple(exps), tuple(tuple(r) for r in rows))
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.rows[i][j] for i in range(self.n))
-
     @property
     def det(self) -> int:
         return self.prime ** sum(self.diag_exponents)
@@ -86,13 +83,12 @@ def _back_substitute(rows, x, size: int, top: int) -> bool:
     return True
 
 
-def solve_upper_triangular(rows, rhs, size: int | None = None):
-    """Solve the leading size x size block of an upper-triangular integer
-    system by back substitution.  Returns the integer solution vector or
-    None when any division is inexact."""
-    m = len(rhs) if size is None else size
-    x = list(rhs[:m])
-    return x if _back_substitute(rows, x, m, m) else None
+def solve_upper_triangular(rows, rhs):
+    """Solve the leading len(rhs) x len(rhs) block of an upper-triangular
+    integer system by back substitution.  Returns the integer solution
+    vector or None when any division is inexact."""
+    x = list(rhs)
+    return x if _back_substitute(rows, x, len(x), len(x)) else None
 
 
 def identity_in_span(A: HNFMatrix) -> bool:

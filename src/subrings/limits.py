@@ -1,4 +1,4 @@
-"""Node budgets and the prime check shared by the counting modules.
+"""Node budgets and the argument checks shared by the counting modules.
 
 A leaf module: counting, closure and subgroups all import it, and it
 imports none of them.
@@ -35,11 +35,14 @@ class ResourceLimitError(RuntimeError):
 class _Budget:
     """Nodes spent by one public call, however many enumerations it runs.
     count is the innermost enumeration's running total, reported as the
-    partial count when the limit is crossed."""
+    partial count when the limit is crossed.  A negative limit is refused:
+    every enumeration relies on nodes <= limit before it spends."""
 
     __slots__ = ("context", "limit", "nodes", "count")
 
     def __init__(self, context: str, limit: int | None):
+        if limit is not None and limit < 0:
+            raise ValueError(f"node_budget must be >= 0, got {limit} in {context}")
         self.context = context
         self.limit = DEFAULT_NODE_BUDGET if limit is None else limit
         self.nodes = 0
@@ -61,6 +64,14 @@ class _Budget:
             raise ResourceLimitError(self.context, self.nodes, self.limit, self.count)
         self.nodes += k
         self.count += k
+
+
+def require_integers(caller: str, **values) -> None:
+    """ValueError naming the first of the keyword arguments that is not an
+    int (3.0 is refused)."""
+    for arg, value in values.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{caller} requires an integer {arg}, got {value!r}")
 
 
 def require_prime(p: int) -> None:

@@ -100,10 +100,6 @@ class Composition:
             raise ValueError(f"composition parts must be integers >= 1: {parts}")
         self.parts = parts
 
-    @property
-    def e(self) -> int:
-        return sum(self.parts)
-
     def __len__(self) -> int:
         return len(self.parts)
 

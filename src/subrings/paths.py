@@ -29,10 +29,6 @@ class LatticePath:
         if any(s not in (NORTH, EAST) for s in self.steps):
             raise ValueError("steps must be 'N' or 'E'")
 
-    @property
-    def endpoint(self) -> tuple[int, int]:
-        return (self.steps.count(EAST), self.steps.count(NORTH))
-
 
 def area(path: LatticePath) -> int:
     """Enclosed area, computed as the number of (north, east) inversions:

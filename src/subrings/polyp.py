@@ -43,9 +43,6 @@ class PolyP:
         """Index of the highest nonzero coefficient; -inf for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -107,7 +104,7 @@ class PolyP:
         formulas that guarantee exactness, so a remainder signals a bug.
         """
         other = _coerce(other)
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         d = other.coeffs

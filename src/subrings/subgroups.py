@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterator
 
-from .limits import ResourceLimitError, _Budget, require_prime
+from .limits import ResourceLimitError, _Budget, require_integers, require_prime
 from .hnf import HNFMatrix, hnf_from_generators, identity_in_span, is_closed
 from .partitions import Partition, partitions_of
 from .polyp import ONE, PolyP, gaussian_binomial
@@ -45,10 +45,14 @@ def stehling_count(lam, nu) -> PolyP:
 
 def count_subgroups_of_order(n: int, t: int, k: int) -> PolyP:
     """Subgroups of order p^k in (Z/p^t Z)^(n-1), summed over admissible
-    types (parts <= t, length <= n-1)."""
+    types (parts <= t, length <= n-1).  At t = 0 the group is trivial,
+    of the empty type, with its one subgroup."""
+    require_integers("count_subgroups_of_order", n=n, t=t, k=k)
+    if n < 1:
+        raise ValueError("count_subgroups_of_order requires n >= 1")
     if not 0 <= k <= t * (n - 1):
         raise ValueError(f"order exponent {k} outside [0, {t * (n - 1)}]")
-    lam = Partition([t] * (n - 1))
+    lam = Partition([t] * (n - 1) if t else ())
     total = PolyP()
     for nu in partitions_of(k, max_part=t, max_length=n - 1):
         total = total + stehling_count(lam, nu)
@@ -138,17 +142,17 @@ def brute_force_subgroups(
     the bijection with sublattices of Z^(n-1) of index p^(t(n-1)-k)
     containing p^t Z^(n-1).  An overrun's partial count is the number of
     sublattices counted before it."""
+    require_integers("brute_force_subgroups", n=n, t=t, k=k)
     require_prime(p)
-    m = n - 1
-    if not 0 <= k <= t * m:
-        raise ValueError(f"order exponent {k} outside [0, {t * m}]")
-    # the walk yields exactly the answer's number of lattices
+    budget = _Budget(f"brute_force_subgroups(n={n}, t={t}, k={k}, p={p})", node_budget)
+    # the walk yields exactly the answer's number of lattices; this also
+    # refuses an order exponent k outside [0, t(n-1)]
     size = int(count_subgroups_of_order(n, t, k)(p))
     if size > 10**6:
         raise ResourceLimitError(
             f"size cap of brute_force_subgroups(n={n}, t={t}, k={k}, p={p})", size, 10**6, 0
         )
-    budget = _Budget(f"brute_force_subgroups(n={n}, t={t}, k={k}, p={p})", node_budget)
+    m = n - 1
     for diag in _bounded_compositions(t * m - k, m, t):
         _walk_sublattices(p, t, diag, budget, None)
     return budget.count
@@ -280,10 +284,12 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     HNFMatrix is built from its known diagonal exponents t + f_i and 0,
     and its constructor still validates every entry.
     """
+    require_integers("sandwich_subring_audit", n=n, m=m)
     if n < 1:
         raise ValueError("sandwich_subring_audit requires n >= 1")
     p, t = _prime_power(m)
     require_prime(p)
+    budget = _Budget(f"sandwich_subring_audit(n={n}, m={m})", node_budget)
     exponent = {p**f: f for f in range(t + 1)}  # L's pivots are p^f, f <= t
     mm = n - 1
     # index-p^kappa subgroups are equinumerous with order-p^kappa ones
@@ -293,7 +299,6 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
         raise ResourceLimitError(
             f"size cap of sandwich_subring_audit(n={n}, m={m})", size, 10**8, 0
         )
-    budget = _Budget(f"sandwich_subring_audit(n={n}, m={m})", node_budget)
     per_kappa_count: dict[int, int] = {}
     per_kappa_violations: dict[int, int] = {}
     for rows, idx_exp in iter_sublattices_containing(mm, p, t, budget):

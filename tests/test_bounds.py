@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import mpmath
@@ -142,7 +143,7 @@ def test_exponent_bounds_hold_at_desk_scale():
 
 def test_bound_report_shape():
     rep = bound_report(6, 20)
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["h"] == 16 and d["b"] == 12
     assert d["h"] <= d["cap"] and d["b"] <= d["cap"]
     assert d["c"] <= d["b"] + 1e-6

@@ -27,7 +27,11 @@ from subrings.hnf import HNFMatrix, hnf_from_generators
 from subrings.partitions import compositions
 from subrings.paths import family_matrices
 from subrings.polyp import PolyP
-from subrings.subgroups import brute_force_subgroups
+from subrings.subgroups import (
+    brute_force_subgroups,
+    count_subgroups_of_order,
+    sandwich_subring_audit,
+)
 
 
 def test_rank_one_and_two():
@@ -135,6 +139,50 @@ def test_budgeted_solve_matches_budgeted_scan(parts, p, budget):
     for count in (count_by_diagonal, scan_by_diagonal):
         try:
             assert count(parts, p, node_budget=budget) == exact, count.__name__
+        except ResourceLimitError as err:
+            assert budget is not None
+            assert 0 <= err.partial_count <= exact, count.__name__
+
+
+# (alpha, p) whose unpruned box has at most 2000 entries: 164 cases
+SMALL_BOXES = [
+    (alpha.parts, p)
+    for n in range(2, 6) for e in range(n - 1, 7) for alpha in compositions(n, e)
+    for p in (2, 3, 5) if irreducible_box(alpha.parts, p) <= 2000
+]
+
+
+@given(st.sampled_from(SMALL_BOXES), st.none() | st.integers(0, 800))
+@settings(max_examples=200, deadline=None)
+def test_budgeted_unpruned_scan_matches_pruned_scan(case, budget):
+    """Under the same node budget, the unpruned and the pruned scan each
+    return the exact count or overrun with a partial count that does not
+    exceed it."""
+    parts, p = case
+    exact = scan_by_diagonal(parts, p)
+    for pruned in (False, True):
+        try:
+            assert scan_by_diagonal(parts, p, node_budget=budget, pruned=pruned) == exact
+        except ResourceLimitError as err:
+            assert budget is not None
+            assert 0 <= err.partial_count <= exact, pruned
+
+
+@given(
+    st.sampled_from([(n, e, p) for n in range(1, 5) for e in range(6) for p in (2, 3, 5)
+                     if p**e <= 625]),
+    # the recurrence needs at most 63 nodes on these cases, the scan 14201
+    st.none() | st.integers(0, 100) | st.integers(0, 16000),
+)
+@settings(max_examples=200, deadline=None)
+def test_budgeted_recurrence_matches_budgeted_scan(case, budget):
+    """Under the same node budget, the recurrence and the HNF scan each
+    return f_n(p^e) or overrun with a partial count that does not exceed
+    it."""
+    exact = count_subrings(*case)
+    for count in (count_subrings, scan_subrings):
+        try:
+            assert count(*case, node_budget=budget) == exact, count.__name__
         except ResourceLimitError as err:
             assert budget is not None
             assert 0 <= err.partial_count <= exact, count.__name__
@@ -337,6 +385,37 @@ def test_non_integer_arguments_rejected():
     for call, message in cases:
         with pytest.raises(ValueError, match=message):
             call()
+    # the oracles used to fail with a TypeError from range or list repetition
+    for call, args, arg in (
+        (scan_subrings, (3.0, 3, 2), "n"),
+        (scan_subrings, (3, 3.0, 2), "e"),
+        (brute_force_subgroups, (3.0, 1, 1, 2), "n"),
+        (brute_force_subgroups, (3, 1, 1.0, 2), "k"),
+        (count_subgroups_of_order, (3, 2.0, 1), "t"),
+        (sandwich_subring_audit, (3.0, 4), "n"),
+        (sandwich_subring_audit, (3, 4.0), "m"),
+    ):
+        with pytest.raises(ValueError, match=f"{call.__name__} requires an integer {arg}"):
+            call(*args)
+
+
+def test_negative_node_budget_refused():
+    # count_by_diagonal((2, 1), 3, node_budget=-1) used to return 3, as a
+    # system with no scanned variable spends nothing
+    calls = [
+        lambda b: count_by_diagonal((2, 1), 3, b),
+        lambda b: count_subrings(1, 0, 2, b),
+        lambda b: count_irreducible(3, 3, 2, b),
+        lambda b: interpolate_count(2, 4, (2, 3), 0, node_budget=b),
+        lambda b: scan_subrings(3, 3, 2, b),
+        lambda b: scan_subrings(1, 0, 2, b),
+        lambda b: scan_by_diagonal((), 3, b),
+        lambda b: brute_force_subgroups(3, 1, 1, 2, b),
+        lambda b: sandwich_subring_audit(3, 4, b),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="node_budget must be >= 0, got -1"):
+            call(-1)
 
 
 def test_interpolate_rejects_negative_degree_cap():

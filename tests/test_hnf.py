@@ -81,7 +81,7 @@ def test_idempotent_recheck():
 
 def test_hnf_from_generators_roundtrip():
     A = mat(3, [[9, 3, 1], [0, 3, 1], [0, 0, 1]])
-    cols = [A.column(j) for j in range(3)]
+    cols = [tuple(row[j] for row in A.rows) for j in range(3)]
     # throw in redundant combinations; the HNF must come back identical
     extra = [tuple(3 * x for x in cols[0]), tuple(x + y for x, y in zip(cols[1], cols[2]))]
     B = hnf_from_generators(3, cols + extra)
@@ -109,7 +109,7 @@ def test_hnf_from_generators_roundtrip_random(e1, e2, e3, data):
         [0, 0, d[2]],
     ]
     A = HNFMatrix.from_rows(p, rows)
-    cols = [list(A.column(j)) for j in range(3)]
+    cols = [[row[j] for row in A.rows] for j in range(3)]
     extras = []
     for _ in range(2):
         coeffs = [data.draw(st.integers(-3, 3)) for _ in range(3)]
@@ -151,12 +151,12 @@ def test_solve_upper_triangular_against_fractions(system, data):
     assert solve_upper_triangular(rows, ax) == x
     # None exactly when the rational solution is non-integral
     ref = fraction_back_substitution(rows, rhs, m)
-    got = solve_upper_triangular(rows, rhs, m)
+    got = solve_upper_triangular(rows, rhs[:m])
     if all(v.denominator == 1 for v in ref):
         assert got == [int(v) for v in ref]
     else:
         assert got is None
-    # size reads only the leading m x m block and the first m right-hand entries
+    # a solve reads only the leading len(rhs) x len(rhs) block of rows
     block = [row[:m] for row in rows[:m]]
     assert solve_upper_triangular(block, rhs[:m]) == got
 

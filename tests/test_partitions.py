@@ -71,7 +71,7 @@ def test_composition_counts_match_binomial():
 def test_composition_fields():
     c = Composition((3, 2, 1, 1))
     assert len(c) == 4
-    assert c.e == 7
+    assert sum(c) == 7
     with pytest.raises(ValueError):
         Composition((1, 0))
     # a non-integral part is refused, not truncated to an integer

@@ -41,7 +41,7 @@ def test_inversion_count_equals_geometric_area():
         for v in range(0, 5):
             for P in iter_paths(u, v):
                 assert area(P) == geometric_area(P)
-                assert P.endpoint == (u, v)
+                assert (P.steps.count("E"), P.steps.count("N")) == (u, v)
 
 
 def test_path_from_composition():

@@ -48,12 +48,18 @@ def test_count_subgroups_small():
     assert count_subgroups_of_order(3, 2, 2) == PolyP([1, 1, 1])
     assert count_subgroups_of_order(5, 3, 0) == ONE
     assert count_subgroups_of_order(3, 2, 2)(2) == 7
+    # t = 0: the trivial group, of the empty type
+    assert all(count_subgroups_of_order(n, 0, 0) == ONE for n in range(1, 6))
 
 
 def test_brute_force_examples():
     assert brute_force_subgroups(3, 1, 1, 2) == 3
     assert brute_force_subgroups(3, 2, 2, 2) == 7
     assert brute_force_subgroups(4, 1, 2, 3) == 13  # [3 2]_3
+    assert all(brute_force_subgroups(n, 0, 0, p) == 1 for n in range(1, 6) for p in (2, 3))
+    # n = 0 has no group; it used to recurse without end
+    with pytest.raises(ValueError, match="requires n >= 1"):
+        brute_force_subgroups(0, 0, 0, 2)
 
 
 def test_brute_force_desk_scale_guard():
