@@ -40,9 +40,8 @@ from .hnf import (
     is_closed,
     is_irreducible,
 )
-from .partitions import Composition, Partition, composition_count, compositions, partitions_of
+from .partitions import composition_count, compositions, partitions_of
 from .paths import (
-    LatticePath,
     area,
     family_count,
     family_matrices,

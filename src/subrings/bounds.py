@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .limits import require_integers
 from .subgroups import bound_h_exponent
 
 SQRT2 = math.sqrt(2.0)
@@ -26,6 +27,7 @@ def cap_value(n: int, e: int) -> float:
 def bound_b_exponent(n: int, e: int, with_argmax: bool = False):
     """Matrix-family exponent: max over d in [0, n-1] of
     floor(e/(n-1+d)) * d(n-1-d).  f_n(p^e) >= p^b."""
+    require_integers("bound_b_exponent", n=n, e=e)
     if n < 2:
         raise ValueError("bound_b_exponent requires n >= 2")
     if e < n - 1:
@@ -47,6 +49,7 @@ def bound_c_exponent(n: int, e: int, with_argmax: bool = False):
     """Continuous relaxation of the matrix-family bound: maximum over
     C in [0, 1] of the smooth objective, to absolute tolerance 1e-9
     (grid of 10^4 points, then golden-section on the best cell)."""
+    require_integers("bound_c_exponent", n=n, e=e)
     if n < 2:
         raise ValueError("bound_c_exponent requires n >= 2")
     if e < n - 1:
@@ -82,6 +85,7 @@ def bound_c_exponent(n: int, e: int, with_argmax: bool = False):
 def c7(n: int, with_argmax: bool = False):
     """Divergence abscissa of the local factors from the matrix-family
     route: max over integer d of d(n-1-d)/(n-1+d), as an exact Fraction."""
+    require_integers("c7", n=n)
     if n < 2:
         raise ValueError("c7 requires n >= 2")
     best, best_d = Fraction(0), 0
@@ -95,6 +99,7 @@ def c7(n: int, with_argmax: bool = False):
 def a_exponent(n: int) -> Fraction:
     """Growth exponent for the subring count: max over integer d of
     (d(n-1-d) + 1)/(n-1+d), exact."""
+    require_integers("a_exponent", n=n)
     if n < 2:
         raise ValueError("a_exponent requires n >= 2")
     return max(Fraction(d * (n - 1 - d) + 1, n - 1 + d) for d in range(n))
@@ -132,6 +137,7 @@ def minorant_divergence(d: int, n: int, s) -> bool:
 
     Exact for int/Fraction s; floats are compared as floats.
     """
+    require_integers("minorant_divergence", n=n, d=d)
     if n < 2:
         raise ValueError("minorant_divergence requires n >= 2")
     if not 0 <= d <= n - 1:

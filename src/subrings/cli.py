@@ -334,7 +334,7 @@ _CHECKS = (
         )
     )),
     ("closure", "count_solutions", lambda budget: (
-        ("closure_vs_enumeration", {"alpha": list(alpha.parts), "p": p},
+        ("closure_vs_enumeration", {"alpha": list(alpha), "p": p},
          scan_by_diagonal(alpha, p, budget), count_solutions(extract_conditions(alpha), p, budget))
         for p in (2, 3) for e in range(2, 5) for alpha in compositions(3, e)
     )),
@@ -364,7 +364,7 @@ _CHECKS = (
         for walked, agreeing in (_sandwich_hnf_agreement(n, m, budget),)
     )),
     ("paths", "family_matrices", lambda budget: (
-        (name, {"alpha": list(alpha.parts), "k": k, "l": l, "p": p}, expected, actual)
+        (name, {"alpha": list(alpha), "k": k, "l": l, "p": p}, expected, actual)
         for p in (2, 3) for n in (3, 4) for k, l in ((2, 1), (3, 2), (2, 3))
         for d in range(n) for alpha in two_value_compositions(n, d, k, l)
         for mats in (list(family_matrices(alpha, k, l, p)),)

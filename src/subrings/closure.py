@@ -38,7 +38,7 @@ import functools
 from dataclasses import dataclass
 
 from .limits import ResourceLimitError, _Budget, require_prime
-from .partitions import Composition
+from .partitions import composition
 
 # a variable is (row, col, ticks): the HNF entry slot plus the number of
 # rescaling substitutions applied to it
@@ -166,7 +166,7 @@ def extract_conditions(
     forms arise).
     Conditions with denominator exponent 0 are omitted.
     """
-    parts = Composition(alpha).parts
+    parts = composition(alpha)
     subs = dict(substitutions or {})
     m = len(parts)
 

@@ -32,7 +32,7 @@ from typing import Sequence
 from .closure import ClosureSystem, _compiled_counter, _count_solutions, extract_conditions
 from .hnf import _column_closed, solve_upper_triangular
 from .limits import ResourceLimitError, _Budget, require_integers, require_prime
-from .partitions import Composition, compositions
+from .partitions import bounded_compositions, composition, compositions
 from .polyp import PolyP, lagrange_coefficients
 
 
@@ -154,7 +154,7 @@ def scan_by_diagonal(
 ) -> int:
     """Oracle for g_alpha(p): scan the irreducible HNF matrices with
     diagonal alpha.  Uncached."""
-    parts = Composition(alpha).parts
+    parts = composition(alpha)
     require_prime(p)
     budget = _Budget(f"scan_by_diagonal(alpha={parts}, p={p})", node_budget)
     if not parts:
@@ -178,8 +178,8 @@ def scan_subrings(
     total = 0
     # last diagonal exponent is 0, forced by the identity condition; the
     # others run over the weak compositions of e in lexicographic order
-    for shifted in compositions(n, e + n - 1):
-        diag = [p ** (t - 1) for t in shifted] + [1]
+    for weak in bounded_compositions(e, n - 1, e):
+        diag = [p**t for t in weak] + [1]
         try:
             total += _count_with_diag(p, diag, budget, pruned, irreducible=False)
         except ResourceLimitError as err:
@@ -239,7 +239,7 @@ def _g_n(n: int, e: int, p: int, call: _Call) -> int:
         total = 0
         for alpha in compositions(n, e):
             try:
-                total += _g_alpha(alpha.parts, p, call)
+                total += _g_alpha(alpha, p, call)
             except ResourceLimitError as err:
                 raise err.with_partial(total + err.partial_count) from None
         call.g[key] = total
@@ -297,7 +297,7 @@ def recurrence_f(n: int, e: int, p: int, node_budget: int | None = None) -> int:
 def count_by_diagonal(alpha, p: int, node_budget: int | None = None) -> int:
     """g_alpha(p): irreducible subring matrices with diagonal alpha, as
     the solutions of alpha's closure congruences at p."""
-    parts = Composition(alpha).parts
+    parts = composition(alpha)
     require_prime(p)
     call = _Call(f"count_by_diagonal(alpha={parts}, p={p})", node_budget)
     return _g_alpha(parts, p, call)

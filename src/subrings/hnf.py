@@ -47,6 +47,8 @@ class HNFMatrix:
         exps = []
         for i in range(n):
             d = rows[i][i]
+            if d < 1:  # 0 would never leave the loop below
+                raise ValueError(f"diagonal entry {d} must be >= 1")
             e = 0
             while d % prime == 0:
                 d //= prime

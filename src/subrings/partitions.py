@@ -1,5 +1,10 @@
 """Partitions (types of finite abelian p-groups) and compositions
-(diagonals of irreducible subring matrices)."""
+(diagonals of irreducible subring matrices), as plain tuples of ints.
+
+partition() and composition() check a tuple given from outside and
+return it; the generators yield tuples that need no check.  Every
+composition, weak or not, is drawn from bounded_compositions.
+"""
 
 from __future__ import annotations
 
@@ -7,62 +12,29 @@ from math import comb
 from typing import Iterator, Sequence
 
 
-class Partition:
-    """Weakly decreasing tuple of positive integers."""
+def partition(parts: Sequence[int]) -> tuple[int, ...]:
+    """parts as a tuple, refused unless positive and weakly decreasing."""
+    parts = tuple(parts)
+    if any(x < 1 for x in parts):
+        raise ValueError(f"partition parts must be positive: {parts}")
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"partition parts must be weakly decreasing: {parts}")
+    return parts
 
-    __slots__ = ("parts",)
 
-    def __init__(self, parts: Sequence[int] = ()):
-        parts = tuple(parts)
-        if any(x < 1 for x in parts):
-            raise ValueError(f"partition parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"partition parts must be weakly decreasing: {parts}")
-        self.parts = parts
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other) -> bool:
-        other_parts = other.parts if isinstance(other, Partition) else tuple(other)
-        return self.parts == other_parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition{self.parts}"
-
-    def part(self, j: int) -> int:
-        """1-based part access, 0 beyond the length (handy in product formulas)."""
-        return self.parts[j - 1] if 1 <= j <= len(self.parts) else 0
-
-    def conjugate(self) -> "Partition":
-        """Transpose of the Young diagram: part j of the conjugate counts
-        the parts of self that are >= j."""
-        if not self.parts:
-            return Partition()
-        width = self.parts[0]
-        out = [0] * width
-        for v in self.parts:
-            for j in range(v):
-                out[j] += 1
-        return Partition(out)
-
-    def contains(self, other: "Partition") -> bool:
-        """Componentwise containment other <= self."""
-        return all(other.part(j) <= self.part(j) for j in range(1, len(other) + 1))
+def conjugate(lam: Sequence[int]) -> tuple[int, ...]:
+    """Transpose of the Young diagram: part j of the conjugate counts the
+    parts of lam that are >= j.  Linear in the total of the parts."""
+    out = [0] * max(lam, default=0)
+    for v in lam:
+        for j in range(v):
+            out[j] += 1
+    return tuple(out)
 
 
 def partitions_of(
     k: int, max_part: int | None = None, max_length: int | None = None
-) -> Iterator[Partition]:
+) -> Iterator[tuple[int, ...]]:
     """All partitions of k, with the part-size and length bounds enforced
     during generation rather than filtered afterwards."""
     if k < 0:
@@ -72,7 +44,7 @@ def partitions_of(
 
     def rec(remaining, largest, length_left, prefix):
         if remaining == 0:
-            yield Partition(prefix)
+            yield prefix
             return
         if length_left == 0:
             return
@@ -80,64 +52,43 @@ def partitions_of(
             # even filled with `first` repeatedly, the rest must fit
             if first * length_left < remaining:
                 break
-            yield from rec(remaining - first, first, length_left - 1, prefix + [first])
+            yield from rec(remaining - first, first, length_left - 1, prefix + (first,))
 
-    if k == 0:
-        yield Partition()
+    yield from rec(k, cap, room, ())
+
+
+def composition(alpha: Sequence[int]) -> tuple[int, ...]:
+    """alpha as a tuple, refused unless every part is an int >= 1: the
+    diagonal exponents (e_1, ..., e_(n-1)) of an irreducible subring
+    matrix."""
+    parts = tuple(alpha)
+    if any(not isinstance(x, int) or x < 1 for x in parts):
+        raise ValueError(f"composition parts must be integers >= 1: {parts}")
+    return parts
+
+
+def bounded_compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of parts integers in [0, cap] summing to total, in
+    lexicographic order.  Every branch taken ends in a tuple, so the work
+    is bounded by the number of tuples times parts."""
+    if parts == 0:
+        if total == 0:
+            yield ()
         return
-    yield from rec(k, cap, room, [])
+    for first in range(max(0, total - cap * (parts - 1)), min(cap, total) + 1):
+        for rest in bounded_compositions(total - first, parts - 1, cap):
+            yield (first,) + rest
 
 
-class Composition:
-    """Ordered tuple of positive integers: the diagonal exponents
-    (e_1, ..., e_(n-1)) of an irreducible subring matrix."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Sequence[int]):
-        parts = tuple(parts)
-        if any(not isinstance(x, int) or x < 1 for x in parts):
-            raise ValueError(f"composition parts must be integers >= 1: {parts}")
-        self.parts = parts
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other) -> bool:
-        other_parts = other.parts if isinstance(other, Composition) else tuple(other)
-        return self.parts == other_parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Composition{self.parts}"
-
-
-def compositions(n: int, e: int) -> Iterator[Composition]:
+def compositions(n: int, e: int) -> Iterator[tuple[int, ...]]:
     """Every composition of e into exactly n-1 positive parts, in
-    lexicographic order.  Empty stream when e < n-1."""
+    lexicographic order: the weak compositions of e - (n-1), each part
+    shifted up by one.  Empty stream when e < n-1."""
     if n < 2:
         raise ValueError("compositions requires n >= 2")
-    parts = n - 1
-
-    def rec(remaining, slots, prefix):
-        if slots == 1:
-            if remaining >= 1:
-                yield Composition(prefix + [remaining])
-            return
-        for first in range(1, remaining - slots + 2):
-            yield from rec(remaining - first, slots - 1, prefix + [first])
-
-    if e < parts:
-        return
-    yield from rec(e, parts, [])
+    slack = e - (n - 1)
+    for weak in bounded_compositions(slack, n - 1, slack):
+        yield tuple([x + 1 for x in weak])
 
 
 def composition_count(n: int, e: int) -> int:

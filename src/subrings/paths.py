@@ -1,85 +1,67 @@
 """North-east lattice paths and the two-exponent matrix families.
 
-A composition whose parts all equal k or l maps to a path (north at k,
-east at l); the number of irreducible matrices in the associated family is
-p^((k - ceil(k/2)) * Area), and summing p^Area over all paths to a fixed
-endpoint gives a Gaussian binomial.
+A path is a plain tuple of steps, each "N" or "E"; a composition is a
+plain tuple of ints.  A composition whose parts all equal k or l maps to
+a path (north at k, east at l); the number of irreducible matrices in
+the associated family is p^((k - ceil(k/2)) * Area), and summing p^Area
+over all paths to a fixed endpoint gives a Gaussian binomial.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from .hnf import HNFMatrix
 from .limits import require_prime
-from .partitions import Composition
 from .polyp import PolyP, gaussian_binomial
 
 NORTH = "N"
 EAST = "E"
 
 
-@dataclass(frozen=True)
-class LatticePath:
-    steps: tuple[str, ...]
-
-    def __post_init__(self):
-        if any(s not in (NORTH, EAST) for s in self.steps):
-            raise ValueError("steps must be 'N' or 'E'")
-
-
-def area(path: LatticePath) -> int:
+def area(steps: tuple[str, ...]) -> int:
     """Enclosed area, computed as the number of (north, east) inversions:
     pairs i < j with step i north and step j east.  Each east step at
-    height h contributes h unit squares under the path."""
+    height h contributes h unit squares under the path.  A step other
+    than N or E is refused."""
     height = 0
     total = 0
-    for s in path.steps:
+    for s in steps:
         if s == NORTH:
             height += 1
-        else:
+        elif s == EAST:
             total += height
+        else:
+            raise ValueError("steps must be 'N' or 'E'")
     return total
 
 
-def iter_paths(u: int, v: int) -> Iterator[LatticePath]:
+def iter_paths(u: int, v: int) -> Iterator[tuple[str, ...]]:
     """All north-east paths from the origin to (u, v)."""
-    for north_positions in itertools.combinations(range(u + v), v):
-        steps = [EAST] * (u + v)
-        for i in north_positions:
-            steps[i] = NORTH
-        yield LatticePath(tuple(steps))
+    for north in itertools.combinations(range(u + v), v):
+        yield tuple(NORTH if i in north else EAST for i in range(u + v))
 
 
-def path_from_composition(alpha, k: int, l: int) -> LatticePath:
+def path_from_composition(alpha, k: int, l: int) -> tuple[str, ...]:
     """Path with step i north when alpha_i = k and east when alpha_i = l."""
     parts = tuple(alpha)
     if k == l:
         raise ValueError("the two part values must differ")
-    steps = []
     for x in parts:
-        if x == k:
-            steps.append(NORTH)
-        elif x == l:
-            steps.append(EAST)
-        else:
+        if x not in (k, l):
             raise ValueError(f"part {x} is neither {k} nor {l}")
-    return LatticePath(tuple(steps))
+    return tuple(NORTH if x == k else EAST for x in parts)
 
 
-def two_value_compositions(n: int, d: int, k: int, l: int) -> Iterator[Composition]:
+def two_value_compositions(n: int, d: int, k: int, l: int) -> Iterator[tuple[int, ...]]:
     """All arrangements of d parts k and (n-1-d) parts l."""
     if k == l:
         raise ValueError("the two part values must differ")
     if not 0 <= d <= n - 1:
         raise ValueError("d must lie in [0, n-1]")
     for pos in itertools.combinations(range(n - 1), d):
-        parts = [l] * (n - 1)
-        for i in pos:
-            parts[i] = k
-        yield Composition(parts)
+        yield tuple(k if i in pos else l for i in range(n - 1))
 
 
 def _family_check(alpha_parts, k, l):
@@ -102,12 +84,8 @@ def family_matrices(alpha, k: int, l: int, p: int) -> Iterator[HNFMatrix]:
     half = -(-k // 2)
     m = len(parts)
     n = m + 1
-    slots = [
-        (i, j)
-        for i in range(m)
-        for j in range(i + 1, m)
-        if parts[i] == k and parts[j] == l
-    ]
+    pairs = itertools.combinations(range(m), 2)
+    slots = [(i, j) for i, j in pairs if (parts[i], parts[j]) == (k, l)]
     values = range(0, p**k, p**half)
     base = [[0] * n for _ in range(n)]
     for i in range(m):
@@ -125,8 +103,7 @@ def family_count(alpha, k: int, l: int) -> PolyP:
     """p^((k - ceil(k/2)) * Area(P_alpha)) as a PolyP monomial."""
     parts = tuple(alpha)
     _family_check(parts, k, l)
-    a = area(path_from_composition(parts, k, l))
-    return PolyP.monomial((k - (-(-k // 2))) * a)
+    return PolyP.monomial((k - (-(-k // 2))) * area(path_from_composition(parts, k, l)))
 
 
 def path_area_identity_check(u: int, v: int, q: int) -> bool:

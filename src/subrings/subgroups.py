@@ -2,10 +2,11 @@
 from subgroups to subrings.
 
 The closed-form side is the classical product formula over conjugate
-partitions; the oracle side enumerates HNF bases of sublattices of
-Z^(n-1) containing p^t Z^(n-1).  A subgroup G with
-Z + m^2 Z^n <= G <= Z + m Z^n is automatically a subring, which the audit
-checks matrix by matrix.  Each G is m L + Z(1,...,1) + m^2 Z^n for such
+partitions, each a plain tuple of ints (see partitions); the oracle side
+enumerates HNF bases of sublattices of Z^(n-1) containing p^t Z^(n-1),
+one diagonal at a time, drawn from partitions.bounded_compositions.  A
+subgroup G with Z + m^2 Z^n <= G <= Z + m Z^n is automatically a
+subring, which the audit checks matrix by matrix.  Each G is m L + Z(1,...,1) + m^2 Z^n for such
 an L with m = p^t, and its HNF is written down from L's basis B in closed
 form: [[m B, 1], [0, 1]].
 """
@@ -19,27 +20,26 @@ from typing import Iterator
 
 from .limits import ResourceLimitError, _Budget, require_integers, require_prime
 from .hnf import HNFMatrix, hnf_from_generators, identity_in_span, is_closed
-from .partitions import Partition, partitions_of
+from .partitions import bounded_compositions, conjugate, partition, partitions_of
 from .polyp import ONE, PolyP, gaussian_binomial
 
 
 def stehling_count(lam, nu) -> PolyP:
     """Number of subgroups of type nu in an abelian p-group of type lam,
     as the product over conjugate-partition columns:
-    prod_j p^(nu'_(j+1) (lam'_j - nu'_j)) [lam'_j - nu'_(j+1), nu'_j - nu'_(j+1)]_p."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    nu = nu if isinstance(nu, Partition) else Partition(nu)
-    if not lam.contains(nu):
+    prod_j p^(nu'_(j+1) (lam'_j - nu'_j)) [lam'_j - nu'_(j+1), nu'_j - nu'_(j+1)]_p.
+    nu' is read zero-padded to one more column than lam'."""
+    lam, nu = partition(lam), partition(nu)
+    if len(nu) > len(lam) or any(b > a for a, b in zip(lam, nu)):
         raise ValueError(f"{nu!r} is not contained in {lam!r}")
-    lamc = lam.conjugate()
-    nuc = nu.conjugate()
+    lamc = conjugate(lam)
+    nuc = conjugate(nu)
+    nuc += (0,) * (len(lamc) + 1 - len(nuc))
     result = ONE
-    for j in range(1, len(lamc) + 1):
-        a = nuc.part(j + 1) * (lamc.part(j) - nuc.part(j))
-        result = result * PolyP.monomial(a)
-        result = result * gaussian_binomial(
-            lamc.part(j) - nuc.part(j + 1), nuc.part(j) - nuc.part(j + 1)
-        )
+    for j, a in enumerate(lamc):
+        b, c = nuc[j], nuc[j + 1]
+        result = result * PolyP.monomial(c * (a - b))
+        result = result * gaussian_binomial(a - c, b - c)
     return result
 
 
@@ -52,7 +52,7 @@ def count_subgroups_of_order(n: int, t: int, k: int) -> PolyP:
         raise ValueError("count_subgroups_of_order requires n >= 1")
     if not 0 <= k <= t * (n - 1):
         raise ValueError(f"order exponent {k} outside [0, {t * (n - 1)}]")
-    lam = Partition([t] * (n - 1) if t else ())
+    lam = (t,) * (n - 1) if t else ()
     total = PolyP()
     for nu in partitions_of(k, max_part=t, max_length=n - 1):
         total = total + stehling_count(lam, nu)
@@ -153,28 +153,16 @@ def brute_force_subgroups(
             f"size cap of brute_force_subgroups(n={n}, t={t}, k={k}, p={p})", size, 10**6, 0
         )
     m = n - 1
-    for diag in _bounded_compositions(t * m - k, m, t):
+    for diag in bounded_compositions(t * m - k, m, t):
         _walk_sublattices(p, t, diag, budget, None)
     return budget.count
-
-
-def _bounded_compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Tuples of parts integers in [0, cap] summing to total, in
-    lexicographic order.  Every branch taken ends in a tuple, so the work
-    is bounded by the number of tuples times parts."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(max(0, total - cap * (parts - 1)), min(cap, total) + 1):
-        for rest in _bounded_compositions(total - first, parts - 1, cap):
-            yield (first,) + rest
 
 
 def max_degree_order_count(n: int, t: int, k: int) -> int:
     """Degree in p of count_subgroups_of_order(n, t, k): the conjugate type
     is balanced, with i = t*ceil(k/t) - k parts floor(k/t) and the rest
     ceil(k/t), giving k(n-1) - sum of squared parts."""
+    require_integers("max_degree_order_count", n=n, t=t, k=k)
     if not 0 <= k <= t * (n - 1):
         raise ValueError(f"order exponent {k} outside [0, {t * (n - 1)}]")
     if k == 0:
@@ -189,6 +177,7 @@ def bound_h_exponent(n: int, e: int, with_argmax: bool = False):
     h = max over t in [ceil(e/2(n-1)), floor(e/(n-1))] of the balanced
     degree for order exponent k = e - t(n-1).  Never negative: the trivial
     bound f >= 1 is reported as 0."""
+    require_integers("bound_h_exponent", n=n, e=e)
     if n < 2:
         raise ValueError("bound_h_exponent requires n >= 2")
     if e < n - 1:
@@ -254,7 +243,6 @@ def _sandwich_hnf_agreement(n: int, m: int, node_budget: int | None = None) -> t
     those whose closed-form HNF equals generic elimination of G's defining
     generators (1,...,1), m times each column of L, and m^2 e_j)."""
     p, t = _prime_power(m)
-    require_prime(p)
     exponent = {p**f: f for f in range(t + 1)}  # L's pivots are p^f, f <= t
     budget = _Budget(f"_sandwich_hnf_agreement(n={n}, m={m})", node_budget)
     walked = agreeing = 0
@@ -280,15 +268,15 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     the walk will produce, the sum of those counts, with 10^8.  An
     overrun's partial count is the number of lattices audited before it.
 
-    p is checked for primality once per audit, not once per matrix: each
-    HNFMatrix is built from its known diagonal exponents t + f_i and 0,
-    and its constructor still validates every entry.
+    p is checked for primality once per audit, when m is split into p^t
+    (_prime_power), not once per matrix: each HNFMatrix is built from its
+    known diagonal exponents t + f_i and 0, and its constructor still
+    validates every entry.
     """
     require_integers("sandwich_subring_audit", n=n, m=m)
     if n < 1:
         raise ValueError("sandwich_subring_audit requires n >= 1")
     p, t = _prime_power(m)
-    require_prime(p)
     budget = _Budget(f"sandwich_subring_audit(n={n}, m={m})", node_budget)
     exponent = {p**f: f for f in range(t + 1)}  # L's pivots are p^f, f <= t
     mm = n - 1
@@ -330,16 +318,27 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
 
 
 def _prime_power(m: int) -> tuple[int, int]:
+    """(p, t) with m = p^t, p prime and t >= 1.  As p >= 2, t <= log2(m),
+    and for each such t the one candidate p is the integer t-th root of
+    m, so the cost is polylogarithmic in m, not linear."""
+    # imported on first use, like limits.require_prime's isprime
+    from mpmath.libmp import isprime
+
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    for p in range(2, m + 1):
-        if m % p == 0:
-            t = 0
-            q = m
-            while q % p == 0:
-                q //= p
-                t += 1
-            if q != 1:
-                raise ValueError(f"modulus {m} is not a prime power")
+    for t in range(1, m.bit_length()):
+        p = _integer_root(m, t)
+        if p**t == m and isprime(p):
             return p, t
     raise ValueError(f"modulus {m} is not a prime power")
+
+
+def _integer_root(m: int, t: int) -> int:
+    """The largest r with r^t <= m, for m >= 1: Newton's method on
+    integers, started above the root, stops when it no longer descends."""
+    r = 1 << -(-m.bit_length() // t)
+    while True:
+        s = ((t - 1) * r + m // r ** (t - 1)) // t
+        if s >= r:
+            return r
+        r = s

@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from .bounds import bound_b_exponent, c7
-from .limits import require_prime
+from .limits import require_integers, require_prime
 from .polyp import ONE, PolyP, series_expand_rational
 from .subgroups import bound_h_exponent
 
@@ -61,6 +61,7 @@ LOCAL_FACTORS: dict[int, LocalFactor] = {
 
 def local_coefficients(n: int, order: int) -> list[PolyP]:
     """f_n(p^e) for e = 0..order as exact polynomials in p (n in {2,3,4})."""
+    require_integers("local_coefficients", n=n, order=order)
     if n not in LOCAL_FACTORS:
         raise ValueError(f"no closed-form local factor for n = {n}")
     if order < 0:
@@ -90,6 +91,9 @@ def partial_sum(n: int, p: int, s, E: int, d: int | None = None) -> PartialSum:
     lower-bound terms p^(e * rho - d(n-1-d)) with rho = d(n-1-d)/(n-1+d),
     supported on e >= n-1.  Evaluation runs at 100-bit precision.
     """
+    require_integers("partial_sum", n=n, E=E)
+    if d is not None:
+        require_integers("partial_sum", d=d)
     require_prime(p)
     if E < 0:
         raise ValueError("E must be nonnegative")

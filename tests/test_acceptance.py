@@ -162,7 +162,7 @@ def test_criterion_06_two_exponent_families():
                         assert expected == PolyP.monomial(exponent)
                         for p in (2, 3):
                             mats = list(family_matrices(alpha, k, l, p))
-                            assert len(mats) == expected(p), (alpha.parts, k, l, p)
+                            assert len(mats) == expected(p), (alpha, k, l, p)
                             assert all(
                                 identity_in_span(A) and is_closed(A) and is_irreducible(A)
                                 for A in mats
@@ -265,7 +265,7 @@ def test_criterion_12_closure_extraction():
                     for p in (2, 3, 5):
                         assert count_solutions(system, p) == scan_by_diagonal(
                             alpha, p
-                        ), (alpha.parts, p)
+                        ), (alpha, p)
         assert time.time() - start < 300.0
 
 

@@ -8,14 +8,11 @@ import subrings
 PUBLIC_NAMES = [
     "BoundReport",
     "ClosureSystem",
-    "Composition",
     "CongruenceCondition",
     "HNFMatrix",
     "InterpolationMismatch",
-    "LatticePath",
     "LocalFactor",
     "PartialSum",
-    "Partition",
     "PolyP",
     "ResourceLimitError",
     "SandwichAudit",

@@ -18,7 +18,8 @@ from subrings.bounds import (
     order_exponents,
 )
 from subrings.counting import count_subrings
-from subrings.subgroups import bound_h_exponent
+from subrings.subgroups import bound_h_exponent, max_degree_order_count
+from subrings.zeta import local_coefficients, partial_sum
 
 
 def test_bound_b_values():
@@ -69,6 +70,31 @@ def test_minorant_divergence_boundary():
     assert minorant_divergence(2, 6, float(Fraction(6, 7)) - 1e-9)
     with pytest.raises(ValueError):
         minorant_divergence(9, 6, 0.1)
+
+
+@pytest.mark.parametrize(
+    "call, args, arg",
+    [
+        (bound_h_exponent, (6, 30.0), "e"),
+        (max_degree_order_count, (4.0, 1, 1), "n"),
+        (bound_b_exponent, (6, 10.0), "e"),
+        (bound_c_exponent, (6.0, 10), "n"),
+        (c7, (6.0,), "n"),
+        (a_exponent, (6.0,), "n"),
+        (minorant_divergence, (1, 4.0, 1), "n"),
+        (minorant_divergence, (1.0, 4, 1), "d"),
+        (local_coefficients, (3, 4.0), "order"),
+        (local_coefficients, (3.0, 4), "n"),
+        (partial_sum, (3.0, 2, 1, 4), "n"),
+        (partial_sum, (3, 2, 1, 4.0), "E"),
+        (partial_sum, (6, 2, 1, 8, 1.0), "d"),
+    ],
+)
+def test_bound_and_zeta_entry_points_refuse_non_integers(call, args, arg):
+    # each used to return a float (bound_b_exponent(6, 10.0) gave 6.0) or
+    # fail with a TypeError from range or a slice
+    with pytest.raises(ValueError, match=f"{call.__name__} requires an integer {arg},"):
+        call(*args)
 
 
 def test_minorant_divergence_rejects_rank_below_two():

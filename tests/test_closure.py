@@ -84,7 +84,7 @@ def test_condition_texts_pinned():
             for alpha in compositions(n, e):
                 system = extract_conditions(alpha)
                 ranges = sorted(system.variable_ranges.items())
-                digest.update(repr((alpha.parts, system.texts(), ranges)).encode())
+                digest.update(repr((alpha, system.texts(), ranges)).encode())
     assert digest.hexdigest() == (
         "cc6b5375cba697f67f4458b7b456ba5324c3bd44098cd44e79ec19ae2a28b9e0"
     )
@@ -179,7 +179,7 @@ def test_closure_grid_matches_enumeration():
                 system = extract_conditions(alpha)
                 for p in (2, 3):
                     assert count_solutions(system, p) == scan_by_diagonal(alpha, p), (
-                        alpha.parts,
+                        alpha,
                         p,
                     )
 

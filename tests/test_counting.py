@@ -111,11 +111,11 @@ def test_solve_matches_scan_on_every_small_diagonal():
         for e in range(n - 1, 9):
             for alpha in compositions(n, e):
                 for p in (2, 3, 5):
-                    box = irreducible_box(alpha.parts, p)
+                    box = irreducible_box(alpha, p)
                     if box > 3 * 10**5:
                         continue
                     solved = count_by_diagonal(alpha, p)
-                    assert solved == scan_by_diagonal(alpha, p), (alpha.parts, p)
+                    assert solved == scan_by_diagonal(alpha, p), (alpha, p)
                     checked += 1
                     if box <= 2000:
                         assert solved == scan_by_diagonal(alpha, p, pruned=False)
@@ -127,7 +127,7 @@ def test_solve_matches_scan_on_every_small_diagonal():
 def small_diagonals(draw):
     n = draw(st.integers(2, 5))
     e = draw(st.integers(n - 1, 6))
-    return draw(st.sampled_from([alpha.parts for alpha in compositions(n, e)]))
+    return draw(st.sampled_from(list(compositions(n, e))))
 
 
 @given(small_diagonals(), st.sampled_from((2, 3, 5)), st.none() | st.integers(0, 2000))
@@ -146,9 +146,9 @@ def test_budgeted_solve_matches_budgeted_scan(parts, p, budget):
 
 # (alpha, p) whose unpruned box has at most 2000 entries: 164 cases
 SMALL_BOXES = [
-    (alpha.parts, p)
+    (alpha, p)
     for n in range(2, 6) for e in range(n - 1, 7) for alpha in compositions(n, e)
-    for p in (2, 3, 5) if irreducible_box(alpha.parts, p) <= 2000
+    for p in (2, 3, 5) if irreducible_box(alpha, p) <= 2000
 ]
 
 
@@ -220,7 +220,7 @@ def smallest_budget(count, *args):
 def test_budget_covers_the_whole_call(n, e, p):
     """One budget spans every diagonal of a call, so the call needs at
     least the budgets of its diagonals added up, not their maximum."""
-    per_diagonal = [smallest_budget(count_by_diagonal, a.parts, p) for a in compositions(n, e)]
+    per_diagonal = [smallest_budget(count_by_diagonal, a, p) for a in compositions(n, e)]
     whole = smallest_budget(count_irreducible, n, e, p)
     assert whole >= sum(per_diagonal)
     assert smallest_budget(count_subrings, n, e, p) >= whole
@@ -460,5 +460,5 @@ def test_interpolate_rank5_exponent_seven_degree_four(monkeypatch):
     assert poly == PolyP([1, 1, 6, 21, 15])
     assert poly.degree == 4
     # one extraction per diagonal for all six primes, not one per prime (120)
-    assert sorted(extracted) == sorted(a.parts for a in compositions(5, 7))
+    assert sorted(extracted) == sorted(compositions(5, 7))
     assert len(extracted) == 20

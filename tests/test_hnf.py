@@ -24,6 +24,10 @@ def test_validation():
         mat(2, [[2, 2], [0, 1]])  # entry not reduced mod the row pivot
     with pytest.raises(ValueError):
         mat(2, [[3, 0], [0, 1]])  # diagonal not a power of p
+    # a zero diagonal entry used to loop forever dividing out the prime
+    for rows in ([[0]], [[1, 0], [0, 0]], [[-2]]):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            mat(2, rows)
     A = mat(2, [[4, 1], [0, 1]])
     assert A.diag_exponents == (2, 0)
     assert A.det == 4

@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import pytest
@@ -5,61 +6,93 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from subrings.partitions import (
-    Composition,
-    Partition,
+    bounded_compositions,
+    composition,
     composition_count,
     compositions,
+    conjugate,
+    partition,
     partitions_of,
 )
+from subrings.subgroups import stehling_count
 
 
 def test_conjugate_examples():
-    assert Partition((3, 1)).conjugate() == Partition((2, 1, 1))
-    assert Partition(()).conjugate() == Partition(())
+    assert conjugate((3, 1)) == (2, 1, 1)
+    assert conjugate(()) == ()
     # homocyclic type: (t,...,t) with n-1 copies flips to n-1 repeated t times
-    assert Partition((4, 4, 4)).conjugate() == Partition((3, 3, 3, 3))
+    assert conjugate((4, 4, 4)) == (3, 3, 3, 3)
 
 
 @given(st.lists(st.integers(1, 8), max_size=6))
 def test_conjugate_involution(parts):
-    lam = Partition(sorted(parts, reverse=True))
-    assert lam.conjugate().conjugate() == lam
+    lam = partition(sorted(parts, reverse=True))
+    assert conjugate(conjugate(lam)) == lam
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
+    assert partition([3, 3, 1]) == (3, 3, 1)
+    assert partition(()) == ()
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        partition((1, 2))
+    with pytest.raises(ValueError, match="must be positive"):
+        partition((2, 0))
 
 
 def test_containment():
-    assert Partition((3, 2)).contains(Partition((2, 2)))
-    assert not Partition((3, 2)).contains(Partition((4,)))
-    assert not Partition((3, 2)).contains(Partition((1, 1, 1)))
+    # stehling_count counts subgroups of type nu inside type lam, and
+    # refuses a nu that lam does not contain
+    assert stehling_count((3, 2), (2, 2)) != 0
+    for nu in ((4,), (1, 1, 1)):
+        with pytest.raises(ValueError, match="is not contained in"):
+            stehling_count((3, 2), nu)
+    # both shapes are checked as partitions first
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        stehling_count((3, 2), (1, 2))
 
 
 def test_partitions_of_bounds():
-    got = sorted(p.parts for p in partitions_of(4, max_part=2, max_length=3))
+    got = sorted(partitions_of(4, max_part=2, max_length=3))
     assert got == [(2, 1, 1), (2, 2)]
-    assert [p.parts for p in partitions_of(0)] == [()]
+    assert list(partitions_of(0)) == [()]
     # bounds enforced during generation
     assert all(
-        max(p.parts) <= 3 and len(p) <= 4
+        max(p) <= 3 and len(p) <= 4
         for p in partitions_of(9, max_part=3, max_length=4)
     )
 
 
 def test_compositions_examples():
-    assert [c.parts for c in compositions(3, 3)] == [(1, 2), (2, 1)]
-    assert [c.parts for c in compositions(4, 3)] == [(1, 1, 1)]
+    assert list(compositions(3, 3)) == [(1, 2), (2, 1)]
+    assert list(compositions(4, 3)) == [(1, 1, 1)]
     assert list(compositions(3, 1)) == []
     assert sum(1 for _ in compositions(5, 7)) == comb(6, 3) == 20
+    with pytest.raises(ValueError, match="requires n >= 2"):
+        list(compositions(1, 0))
 
 
 def test_compositions_lexicographic():
-    got = [c.parts for c in compositions(3, 5)]
+    got = list(compositions(3, 5))
     assert got == sorted(got)
+
+
+def test_composition_order_pinned_against_product():
+    """Budget partial counts and the pinned digests depend on the order in
+    which diagonals are drawn: both generators must list their tuples in
+    the lexicographic order of itertools.product, filtered by the sum."""
+    for n in range(2, 8):
+        for e in range(0, 11):
+            # no part of a composition of e into n-1 parts exceeds e-(n-2)
+            box = itertools.product(range(1, e - n + 3), repeat=n - 1)
+            assert list(compositions(n, e)) == [c for c in box if sum(c) == e], (n, e)
+    for parts in range(0, 7):
+        for cap in (0, 1, 2, 3, 5):
+            by_total = {}
+            for c in itertools.product(range(cap + 1), repeat=parts):
+                by_total.setdefault(sum(c), []).append(c)
+            for total in range(-1, 11):
+                got = list(bounded_compositions(total, parts, cap))
+                assert got == by_total.get(total, []), (total, parts, cap)
 
 
 def test_composition_counts_match_binomial():
@@ -69,12 +102,10 @@ def test_composition_counts_match_binomial():
 
 
 def test_composition_fields():
-    c = Composition((3, 2, 1, 1))
-    assert len(c) == 4
-    assert sum(c) == 7
-    with pytest.raises(ValueError):
-        Composition((1, 0))
+    assert composition([3, 2, 1, 1]) == (3, 2, 1, 1)
+    with pytest.raises(ValueError, match="integers >= 1"):
+        composition((1, 0))
     # a non-integral part is refused, not truncated to an integer
     for parts in ((2.5, 1), (1.9, 1), ("2", 1)):
-        with pytest.raises(ValueError):
-            Composition(parts)
+        with pytest.raises(ValueError, match="integers >= 1"):
+            composition(parts)

@@ -4,7 +4,6 @@ from subrings.counting import count_by_diagonal
 from subrings.hnf import identity_in_span, is_closed, is_irreducible
 from subrings.paths import (
     NORTH,
-    LatticePath,
     area,
     family_count,
     family_matrices,
@@ -17,17 +16,19 @@ from subrings.polyp import PolyP, gaussian_binomial
 
 
 def test_area_examples():
-    assert area(LatticePath(("N", "E", "N", "E", "N"))) == 3
-    assert area(LatticePath(("E", "E", "E", "N", "N"))) == 0
+    assert area(("N", "E", "N", "E", "N")) == 3
+    assert area(("E", "E", "E", "N", "N")) == 0
     # all-north then all-east fills the u x v rectangle
-    assert area(LatticePath(("N",) * 3 + ("E",) * 4)) == 12
+    assert area(("N",) * 3 + ("E",) * 4) == 12
+    with pytest.raises(ValueError, match="steps must be 'N' or 'E'"):
+        area(("N", "W", "E"))
 
 
 def geometric_area(path):
     # area under the path between x = 0 and x = u, column by column
     x = y = 0
     under = 0
-    for s in path.steps:
+    for s in path:
         if s == NORTH:
             y += 1
         else:
@@ -41,14 +42,14 @@ def test_inversion_count_equals_geometric_area():
         for v in range(0, 5):
             for P in iter_paths(u, v):
                 assert area(P) == geometric_area(P)
-                assert (P.steps.count("E"), P.steps.count("N")) == (u, v)
+                assert (P.count("E"), P.count("N")) == (u, v)
 
 
 def test_path_from_composition():
     P = path_from_composition((3, 5, 3, 3, 5), 3, 5)
-    assert P.steps == ("N", "E", "N", "N", "E")
+    assert P == ("N", "E", "N", "N", "E")
     assert area(P) == 4
-    assert path_from_composition((2, 2, 2), 2, 1).steps == ("N", "N", "N")
+    assert path_from_composition((2, 2, 2), 2, 1) == ("N", "N", "N")
     with pytest.raises(ValueError):
         path_from_composition((3, 4), 3, 5)
     with pytest.raises(ValueError):

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from subrings import limits
 from subrings.counting import ResourceLimitError
-from subrings.partitions import Partition, partitions_of
+from subrings.partitions import conjugate, partitions_of
 from subrings.polyp import ONE, PolyP, gaussian_binomial
 from subrings.subgroups import (
+    _prime_power,
     _sandwich_hnf_agreement,
     bound_h_exponent,
     brute_force_subgroups,
@@ -31,15 +32,13 @@ def test_stehling_homocyclic_matches_direct_product():
     # for lambda = (t,...,t) the general product specializes with
     # lambda'_j = n-1 for j <= t
     t, n = 3, 4
-    lam = Partition([t] * (n - 1))
+    lam = (t,) * (n - 1)
     for nu in partitions_of(5, max_part=t, max_length=n - 1):
-        nuc = nu.conjugate()
+        nuc = conjugate(nu) + (0,) * (t + 1 - nu[0])  # 0-based, padded past column t
         direct = ONE
-        for j in range(1, t + 1):
-            direct = direct * PolyP.monomial(nuc.part(j + 1) * ((n - 1) - nuc.part(j)))
-            direct = direct * gaussian_binomial(
-                (n - 1) - nuc.part(j + 1), nuc.part(j) - nuc.part(j + 1)
-            )
+        for j in range(t):
+            direct = direct * PolyP.monomial(nuc[j + 1] * ((n - 1) - nuc[j]))
+            direct = direct * gaussian_binomial((n - 1) - nuc[j + 1], nuc[j] - nuc[j + 1])
         assert stehling_count(lam, nu) == direct
 
 
@@ -231,6 +230,30 @@ def test_sandwich_audit_rank2_divisor_chain():
 def test_sandwich_audit_rejects_non_prime_power():
     with pytest.raises(ValueError):
         sandwich_subring_audit(3, 6)
+
+
+def test_prime_power_against_trial_division():
+    for m in range(2, 3000):
+        p = next(q for q in range(2, m + 1) if m % q == 0)
+        t = 0
+        while m % p**(t + 1) == 0:
+            t += 1
+        if p**t == m:
+            assert _prime_power(m) == (p, t)
+        else:
+            with pytest.raises(ValueError, match=f"modulus {m} is not a prime power"):
+                _prime_power(m)
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        _prime_power(1)
+    assert _prime_power(3**40) == (3, 40)
+    assert _prime_power((2**61 - 1) ** 3) == (2**61 - 1, 3)
+
+
+def test_sandwich_audit_at_a_large_prime_modulus():
+    # finding (p, t) used to trial-divide up to m: minutes at m = 2^31 - 1
+    audit = sandwich_subring_audit(2, 2**31 - 1)
+    assert len(audit.rows) == 2
+    assert audit.all_counts_match and audit.total_violations == 0
 
 
 def test_sandwich_audit_rejects_rank_zero():
