@@ -93,9 +93,18 @@ def solve_upper_triangular(rows, rhs):
     return x if _back_substitute(rows, x, len(x), len(x)) else None
 
 
+def _ends_in_identity(rows) -> bool:
+    """True iff the last column is (1,...,1), the ring identity.  Only the
+    last column can be: column j < n-1 has a zero in row n-1."""
+    return all(row[-1] == 1 for row in rows)
+
+
 def identity_in_span(A: HNFMatrix) -> bool:
-    """True iff (1,...,1)^T has an integer back-substitution solution."""
-    return _back_substitute(A.rows, [1] * A.n, A.n, A.n)
+    """True iff (1,...,1)^T has an integer back-substitution solution.
+    When the last column is (1,...,1) the solution is e_(n-1), and nothing
+    is solved."""
+    rows = A.rows
+    return _ends_in_identity(rows) or _back_substitute(rows, [1] * A.n, A.n, A.n)
 
 
 def _column_closed(rows, j: int) -> bool:
@@ -118,8 +127,13 @@ def _column_closed(rows, j: int) -> bool:
 
 
 def is_closed(A: HNFMatrix) -> bool:
-    """True iff every componentwise column product lies in the column span."""
-    return all(_column_closed(A.rows, j) for j in range(A.n))
+    """True iff every componentwise column product lies in the column span.
+    When the last column is (1,...,1), the ring identity, its product with
+    any column is that column, so its pairs (i, n-1) hold and are not
+    solved, as _column_closed skips pair (0, j)."""
+    rows = A.rows
+    last = A.n - 1 if _ends_in_identity(rows) else A.n
+    return all(_column_closed(rows, j) for j in range(last))
 
 
 def is_irreducible(A: HNFMatrix) -> bool:

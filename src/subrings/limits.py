@@ -65,6 +65,16 @@ class _Budget:
         self.nodes += k
         self.count += k
 
+    def spend_batch(self, k: int, count: int) -> bool:
+        """Spend k nodes and count count at once, if the k nodes fit in
+        what is left; otherwise change nothing and return False, so the
+        caller can take the nodes one at a time and overrun exactly."""
+        if k > self.limit - self.nodes:
+            return False
+        self.nodes += k
+        self.count += count
+        return True
+
 
 def require_integers(caller: str, **values) -> None:
     """ValueError naming the first of the keyword arguments that is not an

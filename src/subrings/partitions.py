@@ -11,10 +11,14 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator, Sequence
 
+from .limits import require_integers
+
 
 def partition(parts: Sequence[int]) -> tuple[int, ...]:
-    """parts as a tuple, refused unless positive and weakly decreasing."""
+    """parts as a tuple, refused unless positive and weakly decreasing
+    ints."""
     parts = tuple(parts)
+    require_integers("partition", **{f"parts[{i}]": x for i, x in enumerate(parts)})
     if any(x < 1 for x in parts):
         raise ValueError(f"partition parts must be positive: {parts}")
     if any(a < b for a, b in zip(parts, parts[1:])):
@@ -37,6 +41,11 @@ def partitions_of(
 ) -> Iterator[tuple[int, ...]]:
     """All partitions of k, with the part-size and length bounds enforced
     during generation rather than filtered afterwards."""
+    require_integers("partitions_of", k=k)
+    if max_part is not None:
+        require_integers("partitions_of", max_part=max_part)
+    if max_length is not None:
+        require_integers("partitions_of", max_length=max_length)
     if k < 0:
         return
     cap = k if max_part is None else min(max_part, k)
@@ -84,6 +93,7 @@ def compositions(n: int, e: int) -> Iterator[tuple[int, ...]]:
     """Every composition of e into exactly n-1 positive parts, in
     lexicographic order: the weak compositions of e - (n-1), each part
     shifted up by one.  Empty stream when e < n-1."""
+    require_integers("compositions", n=n, e=e)
     if n < 2:
         raise ValueError("compositions requires n >= 2")
     slack = e - (n - 1)

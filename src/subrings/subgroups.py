@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from operator import mul
 from typing import Iterator
 
@@ -22,6 +23,12 @@ from .limits import ResourceLimitError, _Budget, require_integers, require_prime
 from .hnf import HNFMatrix, hnf_from_generators, identity_in_span, is_closed
 from .partitions import bounded_compositions, conjugate, partition, partitions_of
 from .polyp import ONE, PolyP, gaussian_binomial
+
+
+def _require_exponent(caller: str, t: int) -> None:
+    """ValueError naming t unless the group's exponent t is >= 0."""
+    if t < 0:
+        raise ValueError(f"{caller} requires t >= 0, got t={t}")
 
 
 def stehling_count(lam, nu) -> PolyP:
@@ -50,6 +57,7 @@ def count_subgroups_of_order(n: int, t: int, k: int) -> PolyP:
     require_integers("count_subgroups_of_order", n=n, t=t, k=k)
     if n < 1:
         raise ValueError("count_subgroups_of_order requires n >= 1")
+    _require_exponent("count_subgroups_of_order", t)
     if not 0 <= k <= t * (n - 1):
         raise ValueError(f"order exponent {k} outside [0, {t * (n - 1)}]")
     lam = (t,) * (n - 1) if t else ()
@@ -75,13 +83,20 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
     Then the last entry of the last column, a_0(m-1), is not enumerated:
     each of its g values completes one lattice at one node, so the walk
     spends and counts all g at once (_Budget.spend_leaves), with the same
-    nodes and the same partial count on an overrun.
+    nodes and the same partial count on an overrun.  Row 1 of the last
+    column, a_1(m-1), is counted in bulk too when m >= 3: along its
+    progression x_1 moves by -lam/g per step, so row 0's sum is linear in
+    the step index k, and the q values that pass row 0's gcd test are the
+    solutions of one linear congruence, counted at once.  The batch costs
+    g + q g0 nodes and completes q g0 lattices (_Budget.spend_batch); when
+    it does not fit in the budget the values are walked one at a time, so
+    an overrun still reports the exact nodes and partial count.
     """
     m = len(diag)
     d = [p**f for f in diag]
     lams = [p ** (t - f) for f in diag]
     rows = [[d[i] if i == j else 0 for j in range(m)] for i in range(m)]
-    last = m - 1 if visit is None else -1  # the column whose row 0 is counted in bulk
+    last = m - 1 if visit is None else -1  # rows 0 and 1 of this column are counted in bulk
 
     def column(j):
         if j == m:
@@ -111,6 +126,22 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
             return
         step = di // g
         a0 = (-(s // g) * pow(lam // g, -1, step)) % step if step > 1 else 0
+        if i == 1 and j == last:
+            # x_1 of a = a0 + k step is x_1(a0) - k lam/g, so row 0's sum is
+            # s0 - k c with c = a_01 lam/g, and its gcd test s0 == k c
+            # (mod g0) holds for no k or for one k in every g0/h, with
+            # h = gcd(c, g0).  All are powers of p, and g0/h divides g:
+            # either g = lam >= g0, or g = d_1 < lam and lam/g divides c,
+            # so g0/h <= g0 g/lam <= g.  So g h/g0 values pass, and each
+            # completes g0 lattices at g0 nodes after its own node.
+            row0 = rows[0]
+            x[1] = -(s + a0 * lam) // di
+            s0 = sum(map(mul, row0[1:j], x[1:j]))
+            g0 = lam if lam < d[0] else d[0]
+            h = gcd(row0[1] * (lam // g), g0)
+            lattices = 0 if s0 % h else g * h
+            if budget.spend_batch(g + lattices, lattices):
+                return
         for a in range(a0, di, step):
             row[j] = a
             x[i] = -(s + a * lam) // di
@@ -125,6 +156,9 @@ def iter_sublattices_containing(
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
     """HNF bases of sublattices L of Z^m with p^t Z^m <= L, yielding
     (rows, index_exponent), one diagonal at a time."""
+    require_integers("iter_sublattices_containing", m=m, t=t)
+    _require_exponent("iter_sublattices_containing", t)
+    require_prime(p)
     if budget is None:
         budget = _Budget(f"iter_sublattices_containing(m={m}, p={p}, t={t})", None)
     for diag in itertools.product(range(t + 1), repeat=m):
@@ -143,6 +177,7 @@ def brute_force_subgroups(
     containing p^t Z^(n-1).  An overrun's partial count is the number of
     sublattices counted before it."""
     require_integers("brute_force_subgroups", n=n, t=t, k=k)
+    _require_exponent("brute_force_subgroups", t)
     require_prime(p)
     budget = _Budget(f"brute_force_subgroups(n={n}, t={t}, k={k}, p={p})", node_budget)
     # the walk yields exactly the answer's number of lattices; this also
@@ -163,6 +198,7 @@ def max_degree_order_count(n: int, t: int, k: int) -> int:
     is balanced, with i = t*ceil(k/t) - k parts floor(k/t) and the rest
     ceil(k/t), giving k(n-1) - sum of squared parts."""
     require_integers("max_degree_order_count", n=n, t=t, k=k)
+    _require_exponent("max_degree_order_count", t)
     if not 0 <= k <= t * (n - 1):
         raise ValueError(f"order exponent {k} outside [0, {t * (n - 1)}]")
     if k == 0:
@@ -268,10 +304,12 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     the walk will produce, the sum of those counts, with 10^8.  An
     overrun's partial count is the number of lattices audited before it.
 
-    p is checked for primality once per audit, when m is split into p^t
-    (_prime_power), not once per matrix: each HNFMatrix is built from its
-    known diagonal exponents t + f_i and 0, and its constructor still
-    validates every entry.
+    p is checked for primality per audit, when m is split into p^t
+    (_prime_power) and when the walk starts, not per matrix: each
+    HNFMatrix is built from its known diagonal exponents t + f_i and 0,
+    and its constructor still validates every entry.  Every matrix ends
+    in the identity column, so is_closed and identity_in_span solve
+    nothing for that column.
     """
     require_integers("sandwich_subring_audit", n=n, m=m)
     if n < 1:

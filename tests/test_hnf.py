@@ -215,3 +215,27 @@ def closed_by_fractions(A):
 @settings(max_examples=400)
 def test_is_closed_against_all_pairs(A):
     assert is_closed(A) == closed_by_fractions(A)
+
+
+@st.composite
+def identity_column_matrices(draw):
+    """A random HNF matrix, n <= 6, whose last column is (1,...,1): every
+    other pivot is p^e with e >= 1, so 1 is reduced in its row, and the
+    other entries are random, so most draws are not closed."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 6))
+    d = [p ** draw(st.integers(1, 3)) for _ in range(n - 1)] + [1]
+    rows = [
+        [d[i] if j == i else 1 if j == n - 1 else draw(st.integers(0, d[i] - 1)) if j > i else 0
+         for j in range(n)]
+        for i in range(n)
+    ]
+    return HNFMatrix.from_rows(p, rows)
+
+
+@given(identity_column_matrices())
+@settings(max_examples=400)
+def test_identity_column_shortcut_against_all_pairs(A):
+    # is_closed and identity_in_span solve nothing for the identity column
+    assert is_closed(A) == closed_by_fractions(A)
+    assert identity_in_span(A)

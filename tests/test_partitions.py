@@ -1,4 +1,5 @@
 import itertools
+import re
 from math import comb
 
 import pytest
@@ -37,6 +38,27 @@ def test_partition_validation():
         partition((1, 2))
     with pytest.raises(ValueError, match="must be positive"):
         partition((2, 0))
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (stehling_count, ((2.0,), (1,)), "partition requires an integer parts[0], got 2.0"),
+        (stehling_count, ((2,), (1.0,)), "partition requires an integer parts[0], got 1.0"),
+        (partition, ((3, 1.0),), "partition requires an integer parts[1], got 1.0"),
+        (lambda *a: list(partitions_of(*a)), (4.0,), "partitions_of requires an integer k,"),
+        (lambda *a: list(partitions_of(*a)), (4, 2.0), "partitions_of requires an integer max_part,"),
+        (lambda *a: list(partitions_of(*a)), (4, 2, 2.0),
+         "partitions_of requires an integer max_length,"),
+        (lambda *a: list(compositions(*a)), (3.0, 4), "compositions requires an integer n,"),
+        (lambda *a: list(compositions(*a)), (3, 4.0), "compositions requires an integer e,"),
+    ],
+)
+def test_shape_entry_points_refuse_non_integers(call, args, message):
+    # each used to fail with a TypeError from range or from multiplying a
+    # sequence by a float
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(*args)
 
 
 def test_containment():

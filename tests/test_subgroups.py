@@ -132,6 +132,22 @@ def test_walk_outcomes_pinned():
     )
 
 
+def test_bulk_row_outcomes_at_every_budget():
+    """Every budget from 0 to the exact node total, on shapes whose last
+    column has a row 1 above its pivot, so each batch of that row is met
+    both where it fits and where it is walked one value at a time.  The
+    totals and the digest were computed before that row was counted in
+    bulk."""
+    totals = {(4, 2, 3, 2): 104, (4, 2, 3, 3): 256, (5, 1, 2, 3): 320, (6, 1, 3, 2): 648}
+    digest = hashlib.sha256()
+    for q, total in totals.items():
+        for budget in range(total + 1):
+            digest.update(repr((q, budget, outcome(brute_force_subgroups, *q, budget))).encode())
+    assert digest.hexdigest() == (
+        "1c5547860722537e09c4bd65e57e1dc6a03ac4121f2ad01f320926604a3f052f"
+    )
+
+
 @given(
     st.integers(1, 5), st.integers(1, 2), st.sampled_from((2, 3, 5)), st.data(),
     st.integers(0, 3000),
@@ -147,6 +163,30 @@ def test_budgeted_brute_force_against_formula(n, t, p, data, budget):
     except ResourceLimitError as err:
         assert (err.nodes, err.budget) == (budget + 1, budget)
         assert 0 <= err.partial_count <= exact
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (count_subgroups_of_order, (3, -1, 0)),
+        (brute_force_subgroups, (3, -1, 0, 2)),
+        (max_degree_order_count, (3, -2, 0)),
+        (lambda *a: list(iter_sublattices_containing(*a)), (2, 2, -1)),
+    ],
+    ids=["count_subgroups_of_order", "brute_force_subgroups", "max_degree_order_count",
+         "iter_sublattices_containing"],
+)
+def test_subgroup_entry_points_refuse_negative_t(call, args):
+    # the first three said "order exponent 0 outside [0, -2]"; the walk
+    # silently yielded nothing
+    with pytest.raises(ValueError, match=r"requires t >= 0, got t=-"):
+        call(*args)
+
+
+def test_sublattice_iteration_refuses_non_prime_p():
+    # (2, 4, 1) used to walk with p = 4
+    with pytest.raises(ValueError, match="p must be a prime, got 4"):
+        list(iter_sublattices_containing(2, 4, 1))
 
 
 def test_self_duality():
