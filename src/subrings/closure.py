@@ -28,13 +28,20 @@ they use are assigned.  The compiled code depends only on the box widths
 and the per-depth checks (moduli and reduced coefficients), which are its
 key in a small per-process LRU cache; the node budget is an argument, so
 diagonals of the same shape and every call of a budget sweep share one
-compile.  Counts are never cached: every solve runs every node.  A node
-is one value tried for one variable.
+compile.  A node is one value tried for one variable.
+
+A term c*x*... of a condition mod p^r reads x only mod p^r / p^v_p(c), so
+each scanned variable has a period, at most its width: values a period
+apart have the same tests and the same subtrees below.  Counts are never
+cached, across solves or within one: every node is charged; each period
+runs once, and its nodes and count are repeated in bulk for the rest of
+the width whenever that fits the budget.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .limits import ResourceLimitError, _Budget, require_prime
@@ -250,9 +257,12 @@ def count_solutions(
     that variable's loop, so the innermost loops only evaluate one
     polynomial in one variable per condition.  The compiled counter is
     kept in a bounded cache keyed by the box widths and the per-depth
-    checks, and reused by any system and prime with the same key; it runs
-    in full on every call.  node_budget bounds the nodes, the values tried
-    over all variables.
+    checks, and reused by any system and prime with the same key.  Every
+    node is charged; each period runs once: where a variable is read only
+    mod a power of p below its width, the first period is scanned and the
+    rest of the width charged and counted in bulk, so the count, the
+    nodes and any overrun are those of the full scan.  node_budget bounds
+    the nodes, the values tried over all variables.
     """
     require_prime(p)
     budget = _Budget(f"count_solutions(alpha={system.alpha}, p={p})", node_budget)
@@ -280,7 +290,11 @@ def _count_solutions(system: ClosureSystem, p: int, budget: _Budget) -> int:
 
     # each condition at this prime: its modulus and its terms, with the
     # coefficients reduced mod that modulus, filed under its last variable;
-    # a term's factors list the index of each variable once per degree
+    # a term's factors list the index of each variable once per degree.
+    # A term c*x*... mod p^r reads x only mod p^r / p^v_p(c), so values of
+    # x that far apart pass the same tests: x's period is the largest such
+    # step over the terms containing it, 1 if none does, capped at its box
+    periods = [1] * len(order)
     checks: list[list[tuple[int, tuple]]] = [[] for _ in order]
     for cond in system.conditions:
         mod = p**cond.modulus_exponent
@@ -295,10 +309,13 @@ def _count_solutions(system: ClosureSystem, p: int, budget: _Budget) -> int:
             coeff %= mod
             if coeff:
                 terms.append((coeff, factors))
+                for vi in factors:
+                    periods[vi] = max(periods[vi], mod // math.gcd(coeff, mod))
         if last >= 0:
             checks[last].append((mod, tuple(terms)))
         elif terms:  # a constant condition that fails
             return 0
+    periods = [min(q, width) for q, width in zip(periods, box)]
 
     budget.count = 0
     if not order:
@@ -314,7 +331,8 @@ def _count_solutions(system: ClosureSystem, p: int, budget: _Budget) -> int:
     # so a solve leaves nothing for the cycle collector.
     namespace = {"__builtins__": {}, "range": range, "overrun": overrun}
     try:
-        for code in _compiled_counter(tuple(box), tuple(map(tuple, checks))):
+        counter = _compiled_counter(tuple(box), tuple(periods), tuple(map(tuple, checks)))
+        for code in counter:
             exec(code, namespace)
         budget.nodes, budget.count = namespace["count0"](budget.nodes, 0, budget.limit)
     except ResourceLimitError as err:
@@ -326,34 +344,42 @@ def _count_solutions(system: ClosureSystem, p: int, budget: _Budget) -> int:
 
 
 # How many compiled counters one process keeps, least recently used
-# dropped first.  A counter depends only on its box widths and checks,
-# which recur across diagonals of the same shape and across the calls of a
-# budget sweep.  On the benchmark's congruence workload 256 solves need
-# 146 distinct counters; 32 entries reuse 70 of them and add about 0.15 MiB
-# to the peak RSS, where 64 entries reuse 82 for about 0.3 MiB.
+# dropped first.  A counter depends only on its box widths and checks (its
+# periods follow from them), which recur across diagonals of the same shape
+# and across the calls of a budget sweep.  On a round of the benchmark's
+# congruence workload 256 solves need 146 distinct counters; 32 entries
+# reuse 54-61 of them (seeds 1-5) and add about 0.15 MiB to the peak RSS,
+# where 64 entries reuse 84-92 for about 0.3 MiB.
 _COUNTER_CACHE_SIZE = 32
 
 
 @functools.lru_cache(maxsize=_COUNTER_CACHE_SIZE)
-def _compiled_counter(box: tuple[int, ...], checks: tuple) -> tuple:
-    """The counter for these box widths and per-depth checks, one code
-    object per generated function.  The budget is an argument of the
-    counter, not part of its text, so every budget shares one compile."""
+def _compiled_counter(box: tuple[int, ...], periods: tuple[int, ...], checks: tuple) -> tuple:
+    """The counter for these box widths, periods and per-depth checks, one
+    code object per generated function.  The periods follow from the
+    checks and widths, so they add no distinct key.  The budget is an
+    argument of the counter, not part of its text, so every budget shares
+    one compile."""
     return tuple(
-        compile(source, "<counter>", "exec") for source in _counter_sources(box, checks)
+        compile(source, "<counter>", "exec")
+        for source in _counter_sources(box, periods, checks)
     )
 
 
 # Each generated function is compiled on its own, and the parser's memory
 # grows with the text it reads, so one function holds at most this many
-# loops plus condition tests and calls the next for the deeper loops (on
-# the benchmark's congruence workload this took 0.3 MiB off the peak RSS,
-# at no measurable cost in time).  It also keeps the nesting far below
-# CPython's limit of 20 statically nested blocks.
-_FUNCTION_SIZE = 12
+# loops, condition tests and period steps (one per loop whose period is
+# below its width) and calls the next for the deeper loops.  On the
+# benchmark's congruence workload splitting took 0.3 MiB off the peak RSS,
+# at no measurable cost in time; with the period steps counted, 10 keeps
+# the largest compile (about 170 KB traced by tracemalloc) below the
+# 185 KB that 12 took before there were period steps, where 12 with them
+# took 230 KB.  It also keeps the nesting far below CPython's limit of 20
+# statically nested blocks.
+_FUNCTION_SIZE = 10
 
 
-def _counter_sources(box: tuple[int, ...], checks: tuple) -> list[str]:
+def _counter_sources(box: tuple[int, ...], periods: tuple[int, ...], checks: tuple) -> list[str]:
     """Source of the nested-loop counter for one system at one prime, one
     function per text.
 
@@ -364,15 +390,23 @@ def _counter_sources(box: tuple[int, ...], checks: tuple) -> list[str]:
     by Horner's rule in x<d>; its coefficients of x<d>^k are computed as
     soon as the outer variables they use are assigned.  Every value tried
     costs one node.  The text holds only integer literals and fixed names.
+
+    Values of x<d> a period q apart have the same tests and subtrees.
+    Where q is below the width w, the loop runs 0..q-1 as usual.  At
+    x<d> == q, if the nodes that period spent, times w/q - 1, fit in what
+    the budget has left, it charges them and adds as many times the
+    period's count at once; otherwise it goes on one value at a time.
+    Either way the nodes, count and any overrun are those of the full scan.
     """
     nvars = len(box)
     starts, size = [0], 0  # the first depth of each function
     function_of = []
     for d in range(nvars):
-        if d > starts[-1] and size + 1 + len(checks[d]) > _FUNCTION_SIZE:
+        cost = 1 + len(checks[d]) + (periods[d] < box[d])
+        if d > starts[-1] and size + cost > _FUNCTION_SIZE:
             starts.append(d)
             size = 0
-        size += 1 + len(checks[d])
+        size += cost
         function_of.append(len(starts) - 1)
 
     tests: list[list[str]] = [[] for _ in range(nvars)]
@@ -417,7 +451,7 @@ def _counter_sources(box: tuple[int, ...], checks: tuple) -> list[str]:
         pad = "    "
         lines += [pad + line for place, line in here if place == start - 1]
         for d in range(start, min(stop, nvars - 1)):
-            lines += _loop(d, str(int(box[d])), tests[d], pad, spend=True)
+            lines += _loop(d, int(box[d]), int(periods[d]), tests[d], pad)
             pad += "    "
             lines += [pad + line for place, line in here if place == d]
         if stop < nvars:
@@ -426,33 +460,60 @@ def _counter_sources(box: tuple[int, ...], checks: tuple) -> list[str]:
         else:
             # the last loop nests nothing, so it spends one node per value
             # tried: it tries as many as the budget has left, and if that
-            # is short of its width the next value is the overrun
-            d, width = nvars - 1, int(box[nvars - 1])
+            # is short of its width the next value is the overrun.  When
+            # the whole width fits, one period is tried and its count
+            # multiplied.
+            d, width, period = nvars - 1, int(box[nvars - 1]), int(periods[nvars - 1])
             lines.append(f"{pad}width = limit - nodes")
             lines.append(f"{pad}if width > {width}:")
             lines.append(f"{pad}    width = {width}")
             lines.append(f"{pad}nodes += width")
-            lines += _loop(d, "width", tests[d], pad, spend=False)
+            values = "width"
+            if period < width:
+                lines.append(f"{pad}k{d} = count")
+                values = f"width if width < {width} else {period}"
+            lines.append(f"{pad}for x{d} in range({values}):")
+            lines += _tests(d, tests[d], pad + "    ")
             lines.append(f"{pad}    count += 1")
             lines.append(f"{pad}if width < {width}:")
             lines.append(f"{pad}    overrun(nodes + 1, count)")
+            if period < width:
+                lines.append(f"{pad}count += (count - k{d}) * {width // period - 1}")
         lines.append("    return nodes, count")
         sources.append("\n".join(lines) + "\n")
     return sources
 
 
-def _loop(d: int, width: str, tests: list[str], pad: str, spend: bool) -> list[str]:
-    """The header of the loop over x<d> and the tests inside it; with spend,
-    each value tried is one node, checked against the limit."""
+def _loop(d: int, width: int, period: int, tests: list[str], pad: str) -> list[str]:
+    """The loop over x<d>, each value tried one node checked against the
+    limit, and the tests inside it.  Below the width, the first period's
+    nodes and count, taken from n<d> and k<d>, are repeated at once when
+    they fit in the budget."""
     inner = pad + "    "
-    lines = [f"{pad}for x{d} in range({width}):"]
-    if spend:
-        lines.append(f"{inner}nodes += 1")
-        lines.append(f"{inner}if nodes > limit:")
-        lines.append(f"{inner}    overrun(nodes, count)")
+    lines = []
+    if period < width:
+        repeats = width // period - 1
+        lines.append(f"{pad}n{d}, k{d} = nodes, count")
+    lines.append(f"{pad}for x{d} in range({width}):")
+    if period < width:
+        lines += [
+            f"{inner}if x{d} == {period} and (nodes - n{d}) * {repeats} <= limit - nodes:",
+            f"{inner}    nodes, count = nodes + (nodes - n{d}) * {repeats},"
+            f" count + (count - k{d}) * {repeats}",
+            f"{inner}    break",
+        ]
+    lines.append(f"{inner}nodes += 1")
+    lines.append(f"{inner}if nodes > limit:")
+    lines.append(f"{inner}    overrun(nodes, count)")
+    return lines + _tests(d, tests, inner)
+
+
+def _tests(d: int, tests: list[str], pad: str) -> list[str]:
+    """The tests of x<d>'s conditions, each skipping the value it fails."""
+    lines = []
     for test in tests:
-        lines.append(f"{inner}if {test}:")
-        lines.append(f"{inner}    continue")
+        lines.append(f"{pad}if {test}:")
+        lines.append(f"{pad}    continue")
     return lines
 
 

@@ -40,30 +40,31 @@ def partitions_of(
     k: int, max_part: int | None = None, max_length: int | None = None
 ) -> Iterator[tuple[int, ...]]:
     """All partitions of k, with the part-size and length bounds enforced
-    during generation rather than filtered afterwards."""
+    during generation rather than filtered afterwards.  The arguments are
+    checked at the call, not at the first item."""
     require_integers("partitions_of", k=k)
     if max_part is not None:
         require_integers("partitions_of", max_part=max_part)
     if max_length is not None:
         require_integers("partitions_of", max_length=max_length)
     if k < 0:
-        return
+        return iter(())
     cap = k if max_part is None else min(max_part, k)
     room = k if max_length is None else max_length
+    return _partitions(k, cap, room, ())
 
-    def rec(remaining, largest, length_left, prefix):
-        if remaining == 0:
-            yield prefix
-            return
-        if length_left == 0:
-            return
-        for first in range(min(largest, remaining), 0, -1):
-            # even filled with `first` repeatedly, the rest must fit
-            if first * length_left < remaining:
-                break
-            yield from rec(remaining - first, first, length_left - 1, prefix + (first,))
 
-    yield from rec(k, cap, room, ())
+def _partitions(remaining, largest, length_left, prefix):
+    if remaining == 0:
+        yield prefix
+        return
+    if length_left == 0:
+        return
+    for first in range(min(largest, remaining), 0, -1):
+        # even filled with `first` repeatedly, the rest must fit
+        if first * length_left < remaining:
+            break
+        yield from _partitions(remaining - first, first, length_left - 1, prefix + (first,))
 
 
 def composition(alpha: Sequence[int]) -> tuple[int, ...]:
@@ -92,13 +93,13 @@ def bounded_compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int
 def compositions(n: int, e: int) -> Iterator[tuple[int, ...]]:
     """Every composition of e into exactly n-1 positive parts, in
     lexicographic order: the weak compositions of e - (n-1), each part
-    shifted up by one.  Empty stream when e < n-1."""
+    shifted up by one.  Empty stream when e < n-1.  The arguments are
+    checked at the call, not at the first item."""
     require_integers("compositions", n=n, e=e)
     if n < 2:
         raise ValueError("compositions requires n >= 2")
     slack = e - (n - 1)
-    for weak in bounded_compositions(slack, n - 1, slack):
-        yield tuple([x + 1 for x in weak])
+    return (tuple([x + 1 for x in weak]) for weak in bounded_compositions(slack, n - 1, slack))
 
 
 def composition_count(n: int, e: int) -> int:

@@ -155,7 +155,12 @@ def iter_sublattices_containing(
     m: int, p: int, t: int, budget: _Budget | None = None,
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
     """HNF bases of sublattices L of Z^m with p^t Z^m <= L, yielding
-    (rows, index_exponent), one diagonal at a time."""
+    (rows, index_exponent), one diagonal at a time.
+
+    This stays a generator function, so its arguments are checked at the
+    first item, not at the call: the benchmark's spans
+    (perfbench/spans.py) count the lattices it yields only for a
+    generator function."""
     require_integers("iter_sublattices_containing", m=m, t=t)
     _require_exponent("iter_sublattices_containing", t)
     require_prime(p)

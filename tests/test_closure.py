@@ -17,6 +17,7 @@ from subrings.closure import (
 )
 from subrings.counting import ResourceLimitError, count_by_diagonal, scan_by_diagonal
 from subrings.hnf import HNFMatrix, is_closed
+from subrings.limits import _Budget
 from subrings.partitions import compositions
 
 
@@ -310,7 +311,8 @@ def test_counter_source_holds_only_literals_and_fixed_names(monkeypatch):
     count_solutions(chain_system(25), 2)
     assert len(sources) > 2
     allowed = re.compile(
-        r"(x|c|count)\d*|nodes|limit|width|overrun|range|def|for|in|if|else|continue|return"
+        r"(x|c|count)\d*|[nk]\d+|nodes|limit|width|overrun|range"
+        r"|def|for|in|if|else|and|continue|break|return"
     )
     for source in sources:
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
@@ -320,3 +322,114 @@ def test_counter_source_holds_only_literals_and_fixed_names(monkeypatch):
                 assert tok.string.isdigit(), tok.string
             elif tok.type in (tokenize.STRING, tokenize.COMMENT):
                 raise AssertionError(tok.string)
+
+
+def metered_outcome(system, p, budget):
+    """A solve's (count, nodes), or its overrun's ("overrun", nodes,
+    partial count)."""
+    meter = _Budget("", budget)
+    try:
+        count = closure._count_solutions(system, p, meter)
+    except ResourceLimitError as err:
+        return "overrun", err.nodes, err.partial_count
+    return count, meter.nodes
+
+
+def grid_digest() -> str:
+    digest = hashlib.sha256()
+    for n in range(2, 8):
+        for e in range(n - 1, 10):
+            for alpha in compositions(n, e):
+                system = extract_conditions(alpha)
+                for p in (2, 3):
+                    outcome = metered_outcome(system, p, 300_000)
+                    digest.update(repr((alpha, p, outcome)).encode())
+    return digest.hexdigest()
+
+
+def test_grid_outcomes_pinned():
+    """The count and nodes, or the overrun's nodes and partial count, of
+    every diagonal with n <= 7, e <= 9 at p = 2 and 3 under a budget of
+    3*10^5 nodes (930 solves), by digest.  Pinned before values a period
+    apart were counted in bulk."""
+    assert grid_digest() == (
+        "f3b952ba87cd50c9e19e162d30d2af2a797693c2202254ec471c4f7089d4705a"
+    )
+
+
+def periodic_last_system() -> ClosureSystem:
+    """x^2 - x + p*x*y == 0 mod p^2 with x, y in [0, p^2): y is read only
+    mod p, so the last loop's period is below its width.  x = 0 or
+    x == 1 - p*y mod p^2: 2 p^2 solutions."""
+    x, y = (1, 2, 0), (1, 3, 0)
+    terms = {(((x, 2),), 0): 1, (((x, 1),), 0): -1, (((x, 1), (y, 1)), 1): 1}
+    return ClosureSystem((3, 3), [CongruenceCondition(terms, 2)], {x: 2, y: 2})
+
+
+# systems with periods below their widths: (node total, budget stride)
+PERIODIC_SWEEPS = {
+    ((3, 2, 1, 1), 7): (175665, 499),
+    ((2, 3, 1, 1), 7): (66157, 199),
+    ((2, 2, 2, 1), 5): (7130, 17),
+    ("periodic last", 5): (650, 1),
+}
+
+
+def sweep_digest() -> str:
+    digest = hashlib.sha256()
+    for (alpha, p), (total, stride) in PERIODIC_SWEEPS.items():
+        system = periodic_last_system() if alpha == "periodic last" else extract_conditions(alpha)
+        budgets = {*range(200), *range(total - 200, total + 1), *range(0, total, stride)}
+        for budget in sorted(budgets):
+            outcome = metered_outcome(system, p, budget)
+            digest.update(repr((alpha, p, budget, outcome)).encode())
+        assert len(outcome) == 2 and outcome[1] == total  # the total suffices
+    return digest.hexdigest()
+
+
+def test_periodic_budget_sweeps_pinned():
+    """Every outcome at budgets 0..199, at the last 200 up to the node
+    total and at a stride between, on systems where loops run a period
+    below their width, by digest.  Pinned before those periods were
+    repeated in bulk, so each bulk step is met both where it fits the
+    budget and where it falls back to one value at a time."""
+    assert sweep_digest() == (
+        "b70b4fe3435a495f8ff1c470b6414df27f145d4a6a96fe73121fd102bcc52237"
+    )
+
+
+def test_periods_of_3211_at_seven(monkeypatch):
+    """The scan order is a12, a13, a23, a14, a24.  a12 is read mod p^2, by
+    a12*a23 mod p^2.  a13 has width p^2 but is read only mod p, by
+    a12*a13 mod p and by p*a13 and p*a13*a14 mod p^2; a14 likewise.  a23
+    and a24 have width p.  In the hand-built system y is read mod p by
+    p*x*y mod p^2."""
+    keys = []
+    compiled = closure._compiled_counter
+
+    def recording(box, periods, checks):
+        keys.append((box, periods))
+        return compiled(box, periods, checks)
+
+    monkeypatch.setattr(closure, "_compiled_counter", recording)
+    assert count_solutions(extract_conditions((3, 2, 1, 1)), 7) == 15043
+    assert count_solutions(periodic_last_system(), 5) == 2 * 25
+    assert keys == [((49, 49, 7, 49, 7), (49, 7, 7, 7, 7)), ((25, 25), (25, 5))]
+
+
+@pytest.mark.parametrize("alpha,p", [key for key in PERIODIC_SWEEPS if key[0] != "periodic last"])
+def test_periodic_systems_match_scan(alpha, p):
+    assert count_solutions(extract_conditions(alpha), p) == scan_by_diagonal(alpha, p)
+
+
+def test_periodic_last_loop_against_evaluation():
+    # no extracted system tested has a last loop whose period is below
+    # its width, so the hand-built one is checked against a plain count
+    system, p = periodic_last_system(), 5
+    (cond,) = system.conditions
+    x, y = sorted(system.variable_ranges)
+    solutions = sum(
+        evaluate(cond.numerator, p, {x: a, y: b}) % p**2 == 0
+        for a in range(p**2) for b in range(p**2)
+    )
+    assert count_solutions(system, p) == solutions

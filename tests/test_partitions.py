@@ -61,6 +61,21 @@ def test_shape_entry_points_refuse_non_integers(call, args, message):
         call(*args)
 
 
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (partitions_of, (4.0,), "partitions_of requires an integer k,"),
+        (partitions_of, (4, 2, 2.0), "partitions_of requires an integer max_length,"),
+        (compositions, (3.0, 4), "compositions requires an integer n,"),
+        (compositions, (1, 4), "compositions requires n >= 2"),
+    ],
+)
+def test_shape_generators_refuse_at_the_call(call, args, message):
+    # the checks used to run only when the first item was drawn
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(*args)
+
+
 def test_containment():
     # stehling_count counts subgroups of type nu inside type lam, and
     # refuses a nu that lam does not contain
