@@ -24,11 +24,17 @@ The exhaustion runs as Python generated for one system at one prime: one
 nested `for` loop per scanned variable, each condition tested in the loop
 of its last variable by Horner's rule, with its coefficients in that
 variable computed (and reduced mod p^r) as soon as the outer variables
-they use are assigned.  The compiled code depends only on the box widths
-and the per-depth checks (moduli and reduced coefficients), which are its
-key in a small per-process LRU cache; the node budget is an argument, so
-diagonals of the same shape and every call of a budget sweep share one
-compile.  A node is one value tried for one variable.
+they use are assigned.  A plan per (system, p) holds the box widths, the
+periods and the per-depth checks.  The counter is cut into functions of a
+few loops each, and the text of a function depends only on its shape:
+its loops, which of them have a period step, and the factors of each
+check's nonzero terms.  The widths, periods, repeat counts, moduli and
+reduced coefficients are its literals, bound to its last parameters as
+their defaults when a solve builds the function.  A function is compiled
+once per shape, in a small per-process LRU cache; the node budget is an
+argument too, so diagonals of the same structure, the same diagonal at
+other primes and every call of a budget sweep share one compile.  A node
+is one value tried for one variable.
 
 A term c*x*... of a condition mod p^r reads x only mod p^r / p^v_p(c), so
 each scanned variable has a period, at most its width: values a period
@@ -43,6 +49,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import CodeType, FunctionType
+from typing import NamedTuple
 
 from .limits import ResourceLimitError, _Budget, require_prime
 from .partitions import composition
@@ -255,23 +263,75 @@ def count_solutions(
     The scan is a nested-loop counter generated for this system and p: a
     condition's coefficients in its last variable are computed outside
     that variable's loop, so the innermost loops only evaluate one
-    polynomial in one variable per condition.  The compiled counter is
-    kept in a bounded cache keyed by the box widths and the per-depth
-    checks, and reused by any system and prime with the same key.  Every
-    node is charged; each period runs once: where a variable is read only
-    mod a power of p below its width, the first period is scanned and the
-    rest of the width charged and counted in bulk, so the count, the
-    nodes and any overrun are those of the full scan.  node_budget bounds
-    the nodes, the values tried over all variables.
+    polynomial in one variable per condition.  Each function of the
+    counter is compiled once per shape (its loops, their period steps and
+    the factors of each check's terms) in a bounded cache, and run with
+    the widths, periods, moduli and coefficients of this system and p.
+    Every node is charged; each period runs once: where a variable is
+    read only mod a power of p below its width, the first period is
+    scanned and the rest of the width charged and counted in bulk, so the
+    count, the nodes and any overrun are those of the full scan.
+    node_budget bounds the nodes, the values tried over all variables.
     """
     require_prime(p)
     budget = _Budget(f"count_solutions(alpha={system.alpha}, p={p})", node_budget)
     return _count_solutions(system, p, budget)
 
 
+class _Plan(NamedTuple):
+    """One system at one prime, ready to count.  box and periods give each
+    scanned variable's width and period, in scan order.  checks[d] lists
+    the conditions tested in the loop over x<d>, each as (modulus, terms),
+    a term being (coefficient reduced mod the modulus, factors) with the
+    index of each variable once per degree.  free_factor counts the values
+    that no condition reads."""
+
+    box: tuple[int, ...]
+    periods: tuple[int, ...]
+    checks: tuple
+    free_factor: int
+
+
 def _count_solutions(system: ClosureSystem, p: int, budget: _Budget) -> int:
     """count_solutions spending from the caller's budget.  On an overrun
     the partial count is the solutions found so far."""
+    plan = _plan(system, p)
+    if plan is None:
+        return 0
+    budget.count = 0
+    if not plan.box:
+        budget.count = 1
+        return plan.free_factor
+
+    def overrun(nodes: int, count: int):
+        raise ResourceLimitError(budget.context, nodes, budget.limit, count)
+
+    # a fresh namespace per solve: overrun raises for this budget, and the
+    # count<s> functions call each other through it.  Each is built from
+    # its shape's compiled code with this solve's literals as the defaults
+    # of its last parameters.  (Patched into copies of the compiled
+    # constants instead, they would spare each call of a deeper function
+    # copying them, but those copies raised the congruence workload's peak
+    # RSS by 0.13 MiB.)  The functions' globals are the namespace itself,
+    # a reference cycle that the finally clause breaks, so a solve leaves
+    # nothing for the cycle collector.
+    namespace = {"__builtins__": {}, "range": range, "overrun": overrun}
+    try:
+        for shape, literals in _functions(plan):
+            namespace[f"count{shape[0]}"] = FunctionType(
+                _compiled_function(shape), namespace, None, literals)
+        budget.nodes, budget.count = namespace["count0"](budget.nodes, 0, budget.limit)
+    except ResourceLimitError as err:
+        budget.nodes, budget.count = err.nodes, err.partial_count
+        raise err.with_partial(err.partial_count * plan.free_factor) from None
+    finally:
+        namespace.clear()
+    return budget.count * plan.free_factor
+
+
+def _plan(system: ClosureSystem, p: int) -> _Plan | None:
+    """The scan of system at p, or None when a condition reduces to a
+    nonzero constant, which no value solves."""
     rmax: dict[Var, int] = {}
     for cond in system.conditions:
         for mono, _ in cond.numerator:
@@ -286,11 +346,9 @@ def _count_solutions(system: ClosureSystem, p: int, budget: _Budget) -> int:
         scan = min(system.variable_ranges[v], rmax[v])
         box.append(p**scan)
         free_exponent -= scan
-    free_factor = p**free_exponent
 
     # each condition at this prime: its modulus and its terms, with the
-    # coefficients reduced mod that modulus, filed under its last variable;
-    # a term's factors list the index of each variable once per degree.
+    # coefficients reduced mod that modulus, filed under its last variable.
     # A term c*x*... mod p^r reads x only mod p^r / p^v_p(c), so values of
     # x that far apart pass the same tests: x's period is the largest such
     # step over the terms containing it, 1 if none does, capped at its box
@@ -313,83 +371,98 @@ def _count_solutions(system: ClosureSystem, p: int, budget: _Budget) -> int:
                     periods[vi] = max(periods[vi], mod // math.gcd(coeff, mod))
         if last >= 0:
             checks[last].append((mod, tuple(terms)))
-        elif terms:  # a constant condition that fails
-            return 0
-    periods = [min(q, width) for q, width in zip(periods, box)]
-
-    budget.count = 0
-    if not order:
-        budget.count = 1
-        return free_factor
-
-    def overrun(nodes: int, count: int):
-        raise ResourceLimitError(budget.context, nodes, budget.limit, count)
-
-    # a fresh namespace per solve: overrun raises for this budget, and the
-    # count<s> functions call each other through it.  Their globals are the
-    # namespace itself, a reference cycle that the finally clause breaks,
-    # so a solve leaves nothing for the cycle collector.
-    namespace = {"__builtins__": {}, "range": range, "overrun": overrun}
-    try:
-        counter = _compiled_counter(tuple(box), tuple(periods), tuple(map(tuple, checks)))
-        for code in counter:
-            exec(code, namespace)
-        budget.nodes, budget.count = namespace["count0"](budget.nodes, 0, budget.limit)
-    except ResourceLimitError as err:
-        budget.nodes, budget.count = err.nodes, err.partial_count
-        raise err.with_partial(err.partial_count * free_factor) from None
-    finally:
-        namespace.clear()
-    return budget.count * free_factor
-
-
-# How many compiled counters one process keeps, least recently used
-# dropped first.  A counter depends only on its box widths and checks (its
-# periods follow from them), which recur across diagonals of the same shape
-# and across the calls of a budget sweep.  On a round of the benchmark's
-# congruence workload 256 solves need 146 distinct counters; 32 entries
-# reuse 54-61 of them (seeds 1-5) and add about 0.15 MiB to the peak RSS,
-# where 64 entries reuse 84-92 for about 0.3 MiB.
-_COUNTER_CACHE_SIZE = 32
-
-
-@functools.lru_cache(maxsize=_COUNTER_CACHE_SIZE)
-def _compiled_counter(box: tuple[int, ...], periods: tuple[int, ...], checks: tuple) -> tuple:
-    """The counter for these box widths, periods and per-depth checks, one
-    code object per generated function.  The periods follow from the
-    checks and widths, so they add no distinct key.  The budget is an
-    argument of the counter, not part of its text, so every budget shares
-    one compile."""
-    return tuple(
-        compile(source, "<counter>", "exec")
-        for source in _counter_sources(box, periods, checks)
+        elif terms:
+            return None
+    return _Plan(
+        tuple(box),
+        tuple(min(q, width) for q, width in zip(periods, box)),
+        tuple(map(tuple, checks)),
+        p**free_exponent,
     )
 
 
 # Each generated function is compiled on its own, and the parser's memory
 # grows with the text it reads, so one function holds at most this many
 # loops, condition tests and period steps (one per loop whose period is
-# below its width) and calls the next for the deeper loops.  On the
-# benchmark's congruence workload splitting took 0.3 MiB off the peak RSS,
-# at no measurable cost in time; with the period steps counted, 10 keeps
-# the largest compile (about 170 KB traced by tracemalloc) below the
-# 185 KB that 12 took before there were period steps, where 12 with them
-# took 230 KB.  It also keeps the nesting far below CPython's limit of 20
+# below its width) and calls the next for the deeper loops; one loop with
+# more tests than that makes a function of its own.  On the benchmark's
+# congruence workload splitting took 0.3 MiB off the peak RSS, at no
+# measurable cost in time.  With the literals as parameters, the largest
+# compile there allocates about 215 KiB (tracemalloc), and 8 does not
+# lower it.  10 also keeps the nesting far below CPython's limit of 20
 # statically nested blocks.
 _FUNCTION_SIZE = 10
 
 
-def _counter_sources(box: tuple[int, ...], periods: tuple[int, ...], checks: tuple) -> list[str]:
-    """Source of the nested-loop counter for one system at one prime, one
-    function per text.
+def _functions(plan: _Plan) -> list[tuple[tuple, tuple[int, ...]]]:
+    """The plan cut into the functions of its counter, each as (shape,
+    literals): the shape decides the function's text, and the literals
+    are the values that the text names L0, L1, ...
 
-    count<s>(x0, ..., x<s-1>, nodes, count, limit) runs the loops over
-    x<s>, x<s+1>, ... and returns the updated (nodes, count), calling
-    overrun once nodes would pass limit; count0 is the whole count.  A
-    condition whose last variable is x<d> is tested in the loop over x<d>
-    by Horner's rule in x<d>; its coefficients of x<d>^k are computed as
-    soon as the outer variables they use are assigned.  Every value tried
-    costs one node.  The text holds only integer literals and fixed names.
+    A shape is (start, last, depths): the function runs the loops over
+    x<start>, x<start+1>, ..., and last says whether its loops are the
+    innermost.  depths holds, for each of its loops, whether the period is
+    below the width, and the conditions tested there, each as the factors
+    of its nonzero reduced terms.  The literals are, loop by loop: the
+    width; the period and repeat count where the period is below the
+    width; then for each condition its modulus and its coefficients.
+    _counter_source names them in the same order.
+    """
+    functions = []
+    start, size, depths, literals = 0, 0, [], []
+    for d, (width, period, checks) in enumerate(zip(plan.box, plan.periods, plan.checks)):
+        stepped = period < width
+        cost = 1 + len(checks) + stepped
+        if depths and size + cost > _FUNCTION_SIZE:
+            functions.append(((start, False, tuple(depths)), tuple(literals)))
+            start, size, depths, literals = d, 0, [], []
+        size += cost
+        literals.append(width)
+        if stepped:
+            literals += (period, width // period - 1)
+        for mod, terms in checks:
+            literals.append(mod)
+            literals += (coeff for coeff, _ in terms)
+        shaped = tuple(tuple(factors for _, factors in terms) for _, terms in checks)
+        depths.append((stepped, shaped))
+    functions.append(((start, True, tuple(depths)), tuple(literals)))
+    return functions
+
+
+# How many compiled functions one process keeps, least recently used
+# dropped first.  A function depends only on its shape, which recurs across
+# diagonals of the same structure, across primes and across the calls of a
+# budget sweep.  On a round of the benchmark's congruence workload (seeds
+# 1-5), 256 solves run 503 functions of 131 distinct shapes, and 48 entries
+# compile 196-216 of them.  The peak RSS sets the size: with 48 entries the
+# round's peak read 21.07-21.11 MiB in ten runs, within its spread without
+# per-shape sharing (21.06-21.15 MiB), where 64 entries, compiling 166-174,
+# took it to 21.20 MiB in one of two runs.
+_FUNCTION_CACHE_SIZE = 48
+
+
+@functools.lru_cache(maxsize=_FUNCTION_CACHE_SIZE)
+def _compiled_function(shape: tuple) -> CodeType:
+    """The code of count<start> for this shape.  Neither the literals nor
+    the budget are in the text, so every prime and every budget that give
+    one shape share one compile."""
+    module = compile(_counter_source(shape), "<counter>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+def _counter_source(shape: tuple) -> str:
+    """Source of one function of the nested-loop counter.
+
+    count<s>(x0, ..., x<s-1>, nodes, count, limit, L0, L1, ...) runs the
+    loops over x<s>, x<s+1>, ... and returns the updated (nodes, count),
+    calling overrun once nodes would pass limit; count0 is the whole
+    count, and a function that is not the last calls the next for the
+    deeper loops.  L0, L1, ... are the literals: they take their values
+    as defaults, which the callers leave in place.  A condition whose
+    last variable is x<d> is tested in the loop over x<d> by Horner's rule
+    in x<d>; its coefficients of x<d>^k are computed as soon as the outer
+    variables they use are assigned.  Every value tried costs one node.
+    The text holds only the integer 1 and fixed names.
 
     Values of x<d> a period q apart have the same tests and subtrees.
     Where q is below the width w, the loop runs 0..q-1 as usual.  At
@@ -398,104 +471,98 @@ def _counter_sources(box: tuple[int, ...], periods: tuple[int, ...], checks: tup
     period's count at once; otherwise it goes on one value at a time.
     Either way the nodes, count and any overrun are those of the full scan.
     """
-    nvars = len(box)
-    starts, size = [0], 0  # the first depth of each function
-    function_of = []
-    for d in range(nvars):
-        cost = 1 + len(checks[d]) + (periods[d] < box[d])
-        if d > starts[-1] and size + cost > _FUNCTION_SIZE:
-            starts.append(d)
-            size = 0
-        size += cost
-        function_of.append(len(starts) - 1)
+    start, last, depths = shape
+    stop = start + len(depths)
+    # the literals' names, taken in the order _functions lists them
+    params: list[str] = []
 
-    tests: list[list[str]] = [[] for _ in range(nvars)]
-    # (depth whose loop body computes it, depth using it, assignment)
-    hoists: list[tuple[int, int, str]] = []
-    # (hoisted expression, function) -> the name it is computed into
-    names: dict[tuple[str, int], str] = {}
-    for d in range(nvars):
-        for mod, terms in checks[d]:
+    def literal() -> str:
+        params.append(f"L{len(params)}")
+        return params[-1]
+
+    width, period, repeats = {}, {}, {}
+    tests: dict[int, list[str]] = {}
+    # (depth whose loop body computes it, assignment)
+    hoists: list[tuple[int, str]] = []
+    for d, (stepped, checks) in enumerate(depths, start):
+        width[d] = literal()
+        if stepped:
+            period[d], repeats[d] = literal(), literal()
+        tests[d] = []
+        for terms in checks:
+            mod = literal()
             by_power: dict[int, list] = {}
-            for coeff, factors in terms:
+            for factors in terms:
+                coeff = literal()
                 rest = [vi for vi in factors if vi != d]
                 by_power.setdefault(len(factors) - len(rest), []).append((coeff, rest))
             coeffs: list[str | None] = []
             for k in range(max(by_power, default=-1) + 1):
                 parts = by_power.get(k, [])
-                const = sum(c for c, rest in parts if not rest) % mod
-                body = [_monomial(c, rest) for c, rest in parts if rest]
+                const = " + ".join(c for c, rest in parts if not rest)
+                body = ["*".join([c, *(f"x{vi}" for vi in rest)]) for c, rest in parts if rest]
                 if not body:
-                    coeffs.append(str(int(const)) if const else None)
+                    coeffs.append(const or None)
                     continue
                 if const:
-                    body.append(str(int(const)))
-                expr = f"({' + '.join(body)}) % {int(mod)}"
-                key = (expr, function_of[d])
-                if key not in names:
-                    names[key] = f"c{len(names)}"
-                    place = max(vi for _, rest in parts for vi in rest)
-                    hoists.append((place, d, f"{names[key]} = {expr}"))
-                coeffs.append(names[key])
+                    body.append(const)
+                name = f"c{len(hoists)}"
+                place = max(vi for _, rest in parts for vi in rest)
+                hoists.append((place, f"{name} = ({' + '.join(body)}) % {mod}"))
+                coeffs.append(name)
             horner = _horner(coeffs, f"x{d}")
             if horner is not None:
-                tests[d].append(f"({horner}) % {int(mod)}")
+                tests[d].append(f"({horner}) % {mod}")
 
-    sources = []
-    for start, stop in zip(starts, starts[1:] + [nvars]):
-        outer = [f"x{i}" for i in range(start)]
-        lines = [f"def count{start}({', '.join(outer + ['nodes', 'count', 'limit'])}):"]
-        # an assignment whose variables are all outer ones comes first
-        here = [(max(place, start - 1), line) for place, use, line in hoists
-                if start <= use < stop]
-        pad = "    "
-        lines += [pad + line for place, line in here if place == start - 1]
-        for d in range(start, min(stop, nvars - 1)):
-            lines += _loop(d, int(box[d]), int(periods[d]), tests[d], pad)
-            pad += "    "
-            lines += [pad + line for place, line in here if place == d]
-        if stop < nvars:
-            inner = ", ".join([f"x{i}" for i in range(stop)] + ["nodes", "count", "limit"])
-            lines.append(f"{pad}nodes, count = count{stop}({inner})")
-        else:
-            # the last loop nests nothing, so it spends one node per value
-            # tried: it tries as many as the budget has left, and if that
-            # is short of its width the next value is the overrun.  When
-            # the whole width fits, one period is tried and its count
-            # multiplied.
-            d, width, period = nvars - 1, int(box[nvars - 1]), int(periods[nvars - 1])
-            lines.append(f"{pad}width = limit - nodes")
-            lines.append(f"{pad}if width > {width}:")
-            lines.append(f"{pad}    width = {width}")
-            lines.append(f"{pad}nodes += width")
-            values = "width"
-            if period < width:
-                lines.append(f"{pad}k{d} = count")
-                values = f"width if width < {width} else {period}"
-            lines.append(f"{pad}for x{d} in range({values}):")
-            lines += _tests(d, tests[d], pad + "    ")
-            lines.append(f"{pad}    count += 1")
-            lines.append(f"{pad}if width < {width}:")
-            lines.append(f"{pad}    overrun(nodes + 1, count)")
-            if period < width:
-                lines.append(f"{pad}count += (count - k{d}) * {width // period - 1}")
-        lines.append("    return nodes, count")
-        sources.append("\n".join(lines) + "\n")
-    return sources
+    outer = [f"x{i}" for i in range(start)]
+    lines = [f"def count{start}({', '.join(outer + ['nodes', 'count', 'limit'] + params)}):"]
+    pad = "    "
+    # an assignment whose variables are all outer ones comes first
+    lines += [pad + line for place, line in hoists if place < start]
+    for d in range(start, stop - last):
+        lines += _loop(d, width[d], period.get(d), repeats.get(d), tests[d], pad)
+        pad += "    "
+        lines += [pad + line for place, line in hoists if place == d]
+    if not last:
+        inner = ", ".join([f"x{i}" for i in range(stop)] + ["nodes", "count", "limit"])
+        lines.append(f"{pad}nodes, count = count{stop}({inner})")
+    else:
+        # the last loop nests nothing, so it spends one node per value
+        # tried: it tries as many as the budget has left, and if that is
+        # short of its width the next value is the overrun.  When the
+        # whole width fits, one period is tried and its count multiplied.
+        d = stop - 1
+        lines.append(f"{pad}width = limit - nodes")
+        lines.append(f"{pad}if width > {width[d]}:")
+        lines.append(f"{pad}    width = {width[d]}")
+        lines.append(f"{pad}nodes += width")
+        values = "width"
+        if d in period:
+            lines.append(f"{pad}k{d} = count")
+            values = f"width if width < {width[d]} else {period[d]}"
+        lines.append(f"{pad}for x{d} in range({values}):")
+        lines += _tests(d, tests[d], pad + "    ")
+        lines.append(f"{pad}    count += 1")
+        lines.append(f"{pad}if width < {width[d]}:")
+        lines.append(f"{pad}    overrun(nodes + 1, count)")
+        if d in period:
+            lines.append(f"{pad}count += (count - k{d}) * {repeats[d]}")
+    lines.append("    return nodes, count")
+    return "".join(f"{line}\n" for line in lines)
 
 
-def _loop(d: int, width: int, period: int, tests: list[str], pad: str) -> list[str]:
+def _loop(d: int, width: str, period: str | None, repeats: str | None,
+          tests: list[str], pad: str) -> list[str]:
     """The loop over x<d>, each value tried one node checked against the
-    limit, and the tests inside it.  Below the width, the first period's
-    nodes and count, taken from n<d> and k<d>, are repeated at once when
-    they fit in the budget."""
+    limit, and the tests inside it.  With a period below the width, the
+    first period's nodes and count, taken from n<d> and k<d>, are repeated
+    at once when they fit in the budget."""
     inner = pad + "    "
     lines = []
-    if period < width:
-        repeats = width // period - 1
+    if period is not None:
         lines.append(f"{pad}n{d}, k{d} = nodes, count")
     lines.append(f"{pad}for x{d} in range({width}):")
-    if period < width:
+    if period is not None:
         lines += [
             f"{inner}if x{d} == {period} and (nodes - n{d}) * {repeats} <= limit - nodes:",
             f"{inner}    nodes, count = nodes + (nodes - n{d}) * {repeats},"
@@ -517,20 +584,13 @@ def _tests(d: int, tests: list[str], pad: str) -> list[str]:
     return lines
 
 
-def _monomial(coeff: int, factors: list[int]) -> str:
-    names = [f"x{vi}" for vi in factors]
-    if coeff != 1 or not names:
-        names.insert(0, str(int(coeff)))
-    return "*".join(names)
-
-
 def _horner(coeffs: list[str | None], x: str) -> str | None:
     """coeffs[0] + x*(coeffs[1] + x*(...)), skipping the zero (None)
     coefficients; None when all are zero."""
     expr = None
     for c in reversed(coeffs):
         if expr is not None:
-            expr = x if expr == "1" else f"{x}*({expr})"
+            expr = f"{x}*({expr})"
             if c is not None:
                 expr = f"{c} + {expr}"
         else:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .closure import ClosureSystem, _compiled_counter, _count_solutions, extract_conditions
+from .closure import ClosureSystem, _compiled_function, _count_solutions, extract_conditions
 from .hnf import _column_closed, solve_upper_triangular
 from .limits import ResourceLimitError, _Budget, require_integers, require_prime
 from .partitions import bounded_compositions, composition, compositions
@@ -196,12 +196,12 @@ _GA_CACHE: dict[tuple[tuple[int, ...], int], int] = {}
 
 def clear_caches() -> None:
     """Empty the per-process memo tables of f_n, g_n and g_alpha and the
-    cache of compiled congruence counters.  Counts do not change; the next
-    unbudgeted call recomputes (and recompiles) what it needs."""
+    cache of compiled congruence counter functions.  Counts do not change;
+    the next unbudgeted call recomputes (and recompiles) what it needs."""
     _F_CACHE.clear()
     _G_CACHE.clear()
     _GA_CACHE.clear()
-    _compiled_counter.cache_clear()
+    _compiled_function.cache_clear()
 
 
 class _Call:
@@ -334,12 +334,17 @@ def interpolate_count(
 
     Returns the PolyP on success, or an InterpolationMismatch describing
     which check failed (non-integer coefficients, degree above the cap, or
-    a held-out disagreement).  node_budget covers all the primes together;
-    an overrun reports the partial count of the prime it stopped in.
+    a held-out disagreement).  The primes must be distinct.  node_budget
+    covers all the primes together; an overrun reports the partial count
+    of the prime it stopped in.
     """
     primes = tuple(primes)
-    for q in primes:
+    for i, q in enumerate(primes):
         require_prime(q)
+        # a repeat is a fit point met twice, or a held-out prime that the
+        # fit passes through by construction
+        if q in primes[:i]:
+            raise ValueError(f"primes must be distinct, got {q} twice in {primes}")
     if degree_cap < 0:
         raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
     if len(primes) < degree_cap + 2:

@@ -35,12 +35,16 @@ class ResourceLimitError(RuntimeError):
 class _Budget:
     """Nodes spent by one public call, however many enumerations it runs.
     count is the innermost enumeration's running total, reported as the
-    partial count when the limit is crossed.  A negative limit is refused:
-    every enumeration relies on nodes <= limit before it spends."""
+    partial count when the limit is crossed.  A limit that is not an int
+    (a float or a bool) or is negative is refused: every enumeration
+    compares whole nodes with it, and relies on nodes <= limit before it
+    spends."""
 
     __slots__ = ("context", "limit", "nodes", "count")
 
     def __init__(self, context: str, limit: int | None):
+        if limit is not None and (type(limit) is bool or not isinstance(limit, int)):
+            raise ValueError(f"node_budget must be an int, got {limit!r} in {context}")
         if limit is not None and limit < 0:
             raise ValueError(f"node_budget must be >= 0, got {limit} in {context}")
         self.context = context

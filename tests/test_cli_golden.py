@@ -81,6 +81,10 @@ CASES = {
     "interp_bad_primes_exit1": [
         "interp", "--n", "4", "--e", "5", "--primes", "2,4", "--degree-cap", "0",
     ],
+    # a held-out prime that is also fitted makes the check vacuous
+    "interp_repeated_prime_exit1": [
+        "interp", "--n", "6", "--e", "7", "--primes", "2,3,5,7,11,13,13", "--degree-cap", "5",
+    ],
     "interp_budget_exit3": [
         "interp", "--n", "4", "--e", "6", "--primes", "2,3,5,7", "--degree-cap", "2",
         "--irreducible", "--node-budget", "100",

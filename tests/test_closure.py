@@ -11,7 +11,7 @@ from subrings import closure
 from subrings.closure import (
     ClosureSystem,
     CongruenceCondition,
-    _counter_sources,
+    _counter_source,
     count_solutions,
     extract_conditions,
 )
@@ -262,7 +262,7 @@ def record_compiles(monkeypatch) -> list:
         return compile(*args)
 
     monkeypatch.setattr(closure, "compile", counted, raising=False)
-    closure._compiled_counter.cache_clear()
+    closure._compiled_function.cache_clear()
     return compiled
 
 
@@ -273,6 +273,33 @@ def test_counter_is_shared_by_equal_box_and_checks(monkeypatch):
     assert len(compiled) == 1
     assert count_solutions(extract_conditions((2, 1, 2, 1)), 3) == 63
     assert len(compiled) == 1
+
+
+def test_counter_is_shared_across_primes(monkeypatch):
+    # the widths, periods, moduli and coefficients of (2, 2, 1) change
+    # with p, its shape does not
+    compiled = record_compiles(monkeypatch)
+    system = extract_conditions((2, 2, 1))
+    assert [count_solutions(system, p) for p in (3, 5, 7)] == [21, 65, 133]
+    assert len(compiled) == 1
+
+
+def test_compiles_are_the_distinct_shapes(monkeypatch):
+    """Over every diagonal of g_5(p^7) at p = 5 and 7, each distinct
+    function shape is compiled once: 40 functions, 18 shapes."""
+    compiled = record_compiles(monkeypatch)
+    shapes, functions = set(), 0
+    for alpha in compositions(5, 7):
+        system = extract_conditions(alpha)
+        for p in (5, 7):
+            assert count_solutions(system, p) == scan_by_diagonal(alpha, p)
+            plan = closure._plan(system, p)
+            if plan is not None and plan.box:
+                made = closure._functions(plan)
+                functions += len(made)
+                shapes.update(shape for shape, _ in made)
+    assert (functions, len(shapes)) == (40, 18)
+    assert len(compiled) == len(shapes)
 
 
 def outcome(system, p, budget):
@@ -292,7 +319,7 @@ def test_budget_sweep_compiles_once(monkeypatch):
     assert warm[-1] == count_solutions(system, p) == 65
     assert all(warm[b] == (b + 1, b, warm[b][2]) for b in range(nodes))
     for budget in range(nodes + 1):
-        closure._compiled_counter.cache_clear()
+        closure._compiled_function.cache_clear()
         assert outcome(system, p, budget) == warm[budget]
     assert len(compiled) == nodes + 2
 
@@ -300,18 +327,17 @@ def test_budget_sweep_compiles_once(monkeypatch):
 def test_counter_source_holds_only_literals_and_fixed_names(monkeypatch):
     sources = []
 
-    def recording(*args):
-        made = _counter_sources(*args)
-        sources.extend(made)
-        return made
+    def recording(shape):
+        sources.append(_counter_source(shape))
+        return sources[-1]
 
-    monkeypatch.setattr(closure, "_counter_sources", recording)
-    closure._compiled_counter.cache_clear()
+    monkeypatch.setattr(closure, "_counter_source", recording)
+    closure._compiled_function.cache_clear()
     count_solutions(extract_conditions((3, 2, 1, 1)), 3)
     count_solutions(chain_system(25), 2)
     assert len(sources) > 2
     allowed = re.compile(
-        r"(x|c|count)\d*|[nk]\d+|nodes|limit|width|overrun|range"
+        r"(x|c|count)\d*|[nkL]\d+|nodes|limit|width|overrun|range"
         r"|def|for|in|if|else|and|continue|break|return"
     )
     for source in sources:
@@ -405,13 +431,14 @@ def test_periods_of_3211_at_seven(monkeypatch):
     and a24 have width p.  In the hand-built system y is read mod p by
     p*x*y mod p^2."""
     keys = []
-    compiled = closure._compiled_counter
+    planned = closure._plan
 
-    def recording(box, periods, checks):
-        keys.append((box, periods))
-        return compiled(box, periods, checks)
+    def recording(system, p):
+        plan = planned(system, p)
+        keys.append((plan.box, plan.periods))
+        return plan
 
-    monkeypatch.setattr(closure, "_compiled_counter", recording)
+    monkeypatch.setattr(closure, "_plan", recording)
     assert count_solutions(extract_conditions((3, 2, 1, 1)), 7) == 15043
     assert count_solutions(periodic_last_system(), 5) == 2 * 25
     assert keys == [((49, 49, 7, 49, 7), (49, 7, 7, 7, 7)), ((25, 25), (25, 5))]

@@ -239,14 +239,14 @@ def test_budget_ignores_the_memo_tables():
 
 def test_clear_caches_recompiles():
     exact = count_irreducible(4, 5, 3)
-    counters = closure._compiled_counter.cache_info()
+    counters = closure._compiled_function.cache_info()
     assert count_irreducible(4, 5, 3) == exact
-    assert closure._compiled_counter.cache_info() == counters  # a memo hit
+    assert closure._compiled_function.cache_info() == counters  # a memo hit
     clear_caches()
     assert not (counting._F_CACHE or counting._G_CACHE or counting._GA_CACHE)
-    assert closure._compiled_counter.cache_info().currsize == 0
+    assert closure._compiled_function.cache_info().currsize == 0
     assert count_irreducible(4, 5, 3) == exact
-    assert closure._compiled_counter.cache_info().misses > 0
+    assert closure._compiled_function.cache_info().misses > 0
 
 
 def test_partial_count_is_a_lower_bound():
@@ -416,6 +416,26 @@ def test_negative_node_budget_refused():
     for call in calls:
         with pytest.raises(ValueError, match="node_budget must be >= 0, got -1"):
             call(-1)
+
+
+def test_non_int_node_budget_refused():
+    # the first two returned 3 and 6, the scan overran with "budget True"
+    calls = [
+        (lambda: count_solutions(extract_conditions((2, 1)), 3, 1.5), "got 1.5"),
+        (lambda: count_subrings(3, 3, 2, node_budget=2.5), "got 2.5"),
+        (lambda: scan_by_diagonal((2, 1), 3, node_budget=True), "got True"),
+    ]
+    for call, got in calls:
+        with pytest.raises(ValueError, match=f"node_budget must be an int, {got}"):
+            call()
+
+
+def test_interpolate_refuses_a_repeated_prime():
+    # with 13 both fitted and held out, the check passed by construction
+    # and returned a degree-5 fit to f_6(p^7), whose degree is 6
+    for primes, repeated in (((2, 3, 5, 7, 11, 13, 13), 13), ((2, 2, 3), 2)):
+        with pytest.raises(ValueError, match=f"got {repeated} twice"):
+            interpolate_count(6, 7, primes, len(primes) - 2)
 
 
 def test_interpolate_rejects_negative_degree_cap():
