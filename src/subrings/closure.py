@@ -31,10 +31,11 @@ its loops, which of them have a period step, and the factors of each
 check's nonzero terms.  The widths, periods, repeat counts, moduli and
 reduced coefficients are its literals, bound to its last parameters as
 their defaults when a solve builds the function.  A function is compiled
-once per shape, in a small per-process LRU cache; the node budget is an
-argument too, so diagonals of the same structure, the same diagonal at
-other primes and every call of a budget sweep share one compile.  A node
-is one value tried for one variable.
+once per shape, in a per-process LRU cache of 256 entries, room for
+every shape that a round of interleaved composition families comes back
+to; the node budget is an argument too, so diagonals of the same
+structure, the same diagonal at other primes and every call of a budget
+sweep share one compile.  A node is one value tried for one variable.
 
 A term c*x*... of a condition mod p^r reads x only mod p^r / p^v_p(c), so
 each scanned variable has a period, at most its width: values a period
@@ -74,6 +75,12 @@ def _accumulate(terms: dict, key, c: int) -> None:
         terms.pop(key, None)
 
 
+# Extracting the benchmark's 266 congruence systems multiplies monomials
+# 10,349 times but forms only 285 distinct products.  Remembering them took
+# extraction from about 0.033 to 0.027 s, and a congruence round from
+# 0.205 to 0.193 s, for 0.11 MiB of peak RSS.  Monomials are tuples, so
+# the cached products are shared safely.
+@functools.lru_cache(maxsize=4096)
 def _mono_mul(m1, m2):
     exp = dict(m1)
     for v, d in m2:
@@ -197,6 +204,8 @@ def extract_conditions(
                 entries[(i, j)] = None  # range [0, p^0): forced 0
                 continue
             k = subs.pop((i, j), 0)
+            if type(k) is bool or not isinstance(k, int):
+                raise ValueError(f"substitution for slot ({i},{j}) must be an int, got {k!r}")
             if k < 0 or k > est:
                 raise ValueError(f"substitution p^{k} out of range for slot ({i},{j})")
             var = (i, j, 1 if k else 0)
@@ -432,13 +441,16 @@ def _functions(plan: _Plan) -> list[tuple[tuple, tuple[int, ...]]]:
 # How many compiled functions one process keeps, least recently used
 # dropped first.  A function depends only on its shape, which recurs across
 # diagonals of the same structure, across primes and across the calls of a
-# budget sweep.  On a round of the benchmark's congruence workload (seeds
-# 1-5), 256 solves run 503 functions of 131 distinct shapes, and 48 entries
-# compile 196-216 of them.  The peak RSS sets the size: with 48 entries the
-# round's peak read 21.07-21.11 MiB in ten runs, within its spread without
-# per-shape sharing (21.06-21.15 MiB), where 64 entries, compiling 166-174,
-# took it to 21.20 MiB in one of two runs.
-_FUNCTION_CACHE_SIZE = 48
+# budget sweep.  The size holds a whole working set: a round of the
+# benchmark's congruence workload (seeds 1-5) runs 503 functions of 131
+# distinct shapes, interleaving five composition families, and the shapes
+# of g over (5,7), (6,8), (6,9), (7,9), (8,10), (7,8), (5,9), (4,10) and
+# (6,7) at p = 2, 3, 5, 7 and 11 number 159.  With 256 entries a round
+# compiles each of its 131 shapes once, where 48 entries evicted shapes
+# that came back and compiled 196-216.  An entry holds about 1.75 KiB of
+# code and 1.25 KiB of shape key (tracemalloc), so a full cache about
+# 0.75 MiB; the round's peak RSS rose by about 0.12 MiB (0.6 %).
+_FUNCTION_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_FUNCTION_CACHE_SIZE)

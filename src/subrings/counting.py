@@ -29,7 +29,13 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .closure import ClosureSystem, _compiled_function, _count_solutions, extract_conditions
+from .closure import (
+    ClosureSystem,
+    _compiled_function,
+    _count_solutions,
+    _mono_mul,
+    extract_conditions,
+)
 from .hnf import _column_closed, solve_upper_triangular
 from .limits import ResourceLimitError, _Budget, require_integers, require_prime
 from .partitions import bounded_compositions, composition, compositions
@@ -195,13 +201,15 @@ _GA_CACHE: dict[tuple[tuple[int, ...], int], int] = {}
 
 
 def clear_caches() -> None:
-    """Empty the per-process memo tables of f_n, g_n and g_alpha and the
-    cache of compiled congruence counter functions.  Counts do not change;
-    the next unbudgeted call recomputes (and recompiles) what it needs."""
+    """Empty the per-process memo tables of f_n, g_n and g_alpha, the
+    cache of compiled congruence counter functions and that of monomial
+    products.  Counts do not change; the next unbudgeted call recomputes
+    (and recompiles) what it needs."""
     _F_CACHE.clear()
     _G_CACHE.clear()
     _GA_CACHE.clear()
     _compiled_function.cache_clear()
+    _mono_mul.cache_clear()
 
 
 class _Call:

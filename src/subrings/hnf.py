@@ -31,7 +31,10 @@ class HNFMatrix:
         for i, row in enumerate(self.rows):
             if len(row) != n:
                 raise ValueError("rows must have length n")
-            d = p ** self.diag_exponents[i]
+            e = self.diag_exponents[i]
+            if not isinstance(e, int) or e < 0:
+                raise ValueError(f"diagonal exponent {i} must be an int >= 0, got {e!r}")
+            d = p**e
             if row[i] != d:
                 raise ValueError(f"diagonal entry ({i},{i}) must be p^e_i = {d}")
             if any(row[:i]):
@@ -152,7 +155,11 @@ def is_irreducible(A: HNFMatrix) -> bool:
 def hnf_from_generators(prime: int, vectors: Sequence[Sequence[int]]) -> HNFMatrix:
     """Upper-triangular column-HNF basis of the lattice generated by the
     given column vectors (full rank required)."""
+    if not vectors:
+        raise ValueError("hnf_from_generators needs at least one generator")
     n = len(vectors[0])
+    if any(len(v) != n for v in vectors):
+        raise ValueError("generators must all have the same length")
     cols = [list(v) for v in vectors]
     basis: list[list[int] | None] = [None] * n
     # eliminate from the bottom row up, keeping every remainder column in
@@ -176,9 +183,11 @@ def hnf_from_generators(prime: int, vectors: Sequence[Sequence[int]]) -> HNFMatr
                 piv[r] = -piv[r]
         basis[i] = piv
         cols = [c for c in cols if c is not piv]
-    # reduce entries above each pivot into [0, pivot)
+    # reduce entries above each pivot into [0, pivot), bottom row first:
+    # subtracting column i changes rows 0..i only, so the rows below i
+    # that are already reduced stay so
     for j in range(n):
-        for i in range(j):
+        for i in range(j - 1, -1, -1):
             q = basis[j][i] // basis[i][i]
             if q:
                 basis[j] = [x - q * y for x, y in zip(basis[j], basis[i])]

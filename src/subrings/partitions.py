@@ -90,20 +90,26 @@ def bounded_compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int
             yield (first,) + rest
 
 
+def _require_dimension(caller: str, n: int, e: int) -> None:
+    require_integers(caller, n=n, e=e)
+    if n < 2:
+        raise ValueError(f"{caller} requires n >= 2")
+
+
 def compositions(n: int, e: int) -> Iterator[tuple[int, ...]]:
     """Every composition of e into exactly n-1 positive parts, in
     lexicographic order: the weak compositions of e - (n-1), each part
     shifted up by one.  Empty stream when e < n-1.  The arguments are
     checked at the call, not at the first item."""
-    require_integers("compositions", n=n, e=e)
-    if n < 2:
-        raise ValueError("compositions requires n >= 2")
+    _require_dimension("compositions", n, e)
     slack = e - (n - 1)
     return (tuple([x + 1 for x in weak]) for weak in bounded_compositions(slack, n - 1, slack))
 
 
 def composition_count(n: int, e: int) -> int:
-    """binomial(e-1, n-2) compositions of e into n-1 positive parts."""
+    """binomial(e-1, n-2) compositions of e into n-1 positive parts, 0
+    when e < n-1.  Refuses what compositions refuses."""
+    _require_dimension("composition_count", n, e)
     if e < n - 1:
         return 0
     return comb(e - 1, n - 2)

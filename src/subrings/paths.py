@@ -13,7 +13,7 @@ import itertools
 from typing import Iterator
 
 from .hnf import HNFMatrix
-from .limits import require_prime
+from .limits import require_integers, require_prime
 from .polyp import PolyP, gaussian_binomial
 
 NORTH = "N"
@@ -38,7 +38,11 @@ def area(steps: tuple[str, ...]) -> int:
 
 
 def iter_paths(u: int, v: int) -> Iterator[tuple[str, ...]]:
-    """All north-east paths from the origin to (u, v)."""
+    """All north-east paths from the origin to (u, v), ints >= 0.  The
+    arguments are checked when the first path is drawn."""
+    require_integers("iter_paths", u=u, v=v)
+    if u < 0 or v < 0:
+        raise ValueError("endpoint coordinates must be nonnegative")
     for north in itertools.combinations(range(u + v), v):
         yield tuple(NORTH if i in north else EAST for i in range(u + v))
 

@@ -104,6 +104,23 @@ def test_minorant_divergence_rejects_rank_below_two():
             minorant_divergence(0, n, 1)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((3, -1), "needs e >= n-1, got e=-1"),
+        ((5, 3), "needs e >= n-1, got e=3"),
+        ((1, 5), "requires n >= 2"),
+        ((3.0, 4), "requires an integer n, got 3.0"),
+        ((3, 4.5), "requires an integer e, got 4.5"),
+    ],
+)
+def test_cap_value_refuses_what_bound_b_exponent_refuses(args, message):
+    # cap_value(3, -1) used to return -0.343
+    for call in (cap_value, bound_b_exponent):
+        with pytest.raises(ValueError, match=f"{call.__name__} {message}"):
+            call(*args)
+
+
 def test_caps_hold_on_grid():
     for n in range(2, 31):
         for e in range(n - 1, 201):

@@ -105,6 +105,13 @@ def test_bad_substitution_rejected():
         extract_conditions((2, 1), {(1, 2): 5})
 
 
+@pytest.mark.parametrize("k", [True, 1.5, 1.0, "1"])
+def test_non_int_substitution_refused(k):
+    # True used to be taken as p^1, and 1.5 was reported as out of range
+    with pytest.raises(ValueError, match=r"substitution for slot \(1,2\) must be an int, got "):
+        extract_conditions((3, 2, 1, 1), {(1, 2): k})
+
+
 def test_solutions_reconstruct_closed_matrices():
     """Every counted solution corresponds to an HNF matrix passing the
     exhaustive closure test (back-substitution correctness)."""
@@ -300,6 +307,20 @@ def test_compiles_are_the_distinct_shapes(monkeypatch):
                 shapes.update(shape for shape, _ in made)
     assert (functions, len(shapes)) == (40, 18)
     assert len(compiled) == len(shapes)
+
+
+def test_cache_holds_a_round_of_shapes(monkeypatch):
+    """Every diagonal of g_6(p^9) at p = 2 and 3 compiles its 77 distinct
+    shapes once, and a second pass over them compiles nothing: the cache
+    keeps shapes that come back after many others."""
+    compiled = record_compiles(monkeypatch)
+    systems = [extract_conditions(alpha) for alpha in compositions(6, 9)]
+    first = [count_solutions(system, p) for system in systems for p in (2, 3)]
+    plans = [closure._plan(system, p) for system in systems for p in (2, 3)]
+    shapes = {shape for plan in plans if plan and plan.box for shape, _ in closure._functions(plan)}
+    assert len(compiled) == len(shapes) == 77
+    assert [count_solutions(system, p) for system in systems for p in (2, 3)] == first
+    assert len(compiled) == 77
 
 
 def outcome(system, p, budget):

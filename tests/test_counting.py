@@ -245,6 +245,7 @@ def test_clear_caches_recompiles():
     clear_caches()
     assert not (counting._F_CACHE or counting._G_CACHE or counting._GA_CACHE)
     assert closure._compiled_function.cache_info().currsize == 0
+    assert closure._mono_mul.cache_info().currsize == 0
     assert count_irreducible(4, 5, 3) == exact
     assert closure._compiled_function.cache_info().misses > 0
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -97,6 +99,22 @@ def test_hnf_from_generators_rank_check():
         hnf_from_generators(2, [(2, 0), (4, 0)])
 
 
+def test_hnf_from_generators_refuses_malformed_generators():
+    # both used to raise an IndexError
+    with pytest.raises(ValueError, match="needs at least one generator"):
+        hnf_from_generators(2, [])
+    for gens in ([(2, 0), (0,)], [(2,), (0, 2)]):
+        with pytest.raises(ValueError, match="generators must all have the same length"):
+            hnf_from_generators(2, gens)
+
+
+@pytest.mark.parametrize("exponent, entry", [(-1, 0.5), (1.0, 2.0), (1.5, 2), ("1", 2)])
+def test_diagonal_exponent_must_be_a_non_negative_int(exponent, entry):
+    # (-1, 0.5) used to build a matrix with diagonal 0.5 and det 0.5
+    with pytest.raises(ValueError, match="diagonal exponent 0 must be an int >= 0, got "):
+        HNFMatrix(1, 2, (exponent,), ((entry,),))
+
+
 @given(
     st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
     st.data(),
@@ -119,6 +137,68 @@ def test_hnf_from_generators_roundtrip_random(e1, e2, e3, data):
         coeffs = [data.draw(st.integers(-3, 3)) for _ in range(3)]
         extras.append([sum(c * col[r] for c, col in zip(coeffs, cols)) for r in range(3)])
     assert hnf_from_generators(p, cols + extras) == A
+
+
+def determinant(m) -> int:
+    """Laplace expansion along the first row; 1 for the empty matrix."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * determinant([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def mix(data, gens) -> list[list[int]]:
+    """gens shuffled, then a few times one generator plus an integer
+    multiple of another: the same lattice."""
+    gens = [list(g) for g in data.draw(st.permutations(gens))]
+    for _ in range(data.draw(st.integers(0, 4))):
+        i, j = data.draw(st.integers(0, len(gens) - 1)), data.draw(st.integers(0, len(gens) - 1))
+        if i != j:
+            c = data.draw(st.integers(-3, 3))
+            gens[i] = [x + c * y for x, y in zip(gens[i], gens[j])]
+    return gens
+
+
+@st.composite
+def generator_sets(draw):
+    """A prime and a small full-rank generator set whose lattice has index
+    a power of it: a few random vectors and p^k times each unit vector,
+    mixed."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 2))
+    vector = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    free = draw(st.lists(vector, max_size=3))
+    units = [[p**k if i == j else 0 for i in range(n)] for j in range(n)]
+    return p, mix(draw(st.data()), free + units)
+
+
+@given(generator_sets())
+@settings(max_examples=200)
+def test_hnf_from_generators_keeps_the_span(case):
+    p, gens = case
+    H = hnf_from_generators(p, gens)
+    n = H.n
+    # every generator is an integer combination of the HNF columns
+    for g in gens:
+        assert solve_upper_triangular(H.rows, g) is not None
+    # and the HNF's index is that of the generators' lattice, so the two
+    # lattices are equal
+    minors = [
+        determinant([[g[r] for g in chosen] for r in range(n)])
+        for chosen in itertools.combinations(gens, n)
+    ]
+    assert H.det == math.gcd(*minors)
+
+
+@given(generator_sets(), st.data())
+@settings(max_examples=200)
+def test_hnf_from_generators_is_canonical(case, data):
+    p, gens = case
+    assert hnf_from_generators(p, mix(data, gens)) == hnf_from_generators(p, gens)
 
 
 @st.composite

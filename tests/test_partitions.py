@@ -138,6 +138,19 @@ def test_composition_counts_match_binomial():
             assert sum(1 for _ in compositions(n, e)) == composition_count(n, e)
 
 
+@pytest.mark.parametrize("args", [(3.0, 4), (3, 4.0), (True, 4.0), (1, 5), (0, 0), (-2, 3)])
+def test_composition_count_refuses_what_compositions_refuses(args):
+    # (1, 5) used to leak math.comb's "k must be a non-negative integer",
+    # and (3.0, 4) raised a TypeError
+    with pytest.raises(ValueError) as drawn:
+        compositions(*args)
+    with pytest.raises(ValueError) as counted:
+        composition_count(*args)
+    assert str(counted.value) == str(drawn.value).replace("compositions", "composition_count")
+    # no composition of e into n-1 parts when e < n-1
+    assert composition_count(4, 2) == composition_count(9, 0) == 0
+
+
 def test_composition_fields():
     assert composition([3, 2, 1, 1]) == (3, 2, 1, 1)
     with pytest.raises(ValueError, match="integers >= 1"):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from subrings.counting import count_by_diagonal
@@ -106,6 +108,21 @@ def test_family_sum_is_gaussian_binomial():
             for alpha in two_value_compositions(n, d, 2, 1):
                 total = total + family_count(alpha, 2, 1)
             assert total == gaussian_binomial(n - 1, d)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((-1, 2), "endpoint coordinates must be nonnegative"),
+        ((2, -1), "endpoint coordinates must be nonnegative"),
+        ((1.5, 2), "iter_paths requires an integer u, got 1.5"),
+        ((2, 2.0), "iter_paths requires an integer v, got 2.0"),
+    ],
+)
+def test_iter_paths_refuses_bad_endpoints(args, message):
+    # (-1, 2) used to yield no path at all
+    with pytest.raises(ValueError, match=re.escape(message)):
+        next(iter_paths(*args))
 
 
 def test_path_area_identity():
