@@ -111,6 +111,7 @@ def a_exponent(n: int) -> Fraction:
 def divergence_line(n: int) -> float:
     """Linear-in-n divergence bound (3 - 2*sqrt(2))(n-1) + 1 - sqrt(2);
     strictly weaker than c7 but explicit."""
+    require_integers("divergence_line", n=n)
     if n < 2:
         raise ValueError("divergence_line requires n >= 2")
     return CAP_SLOPE * (n - 1) + 1.0 - SQRT2

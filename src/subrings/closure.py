@@ -185,7 +185,7 @@ def extract_conditions(
     substitutions maps an entry slot (i, j) to k, rescaling that variable
     to p^k times a fresh variable (only sound when the raw conditions force
     the corresponding divisibility, which is how the hand-simplified
-    forms arise).
+    forms arise).  A slot whose range is forced to 0 accepts only k = 0.
     Conditions with denominator exponent 0 are omitted.
     """
     parts = composition(alpha)
@@ -200,18 +200,15 @@ def extract_conditions(
         entries[(i, i)] = ((), parts[i - 1])
         for j in range(i + 1, m + 1):
             est = parts[i - 1] - 1
-            if est <= 0:
-                entries[(i, j)] = None  # range [0, p^0): forced 0
-                continue
             k = subs.pop((i, j), 0)
             if type(k) is bool or not isinstance(k, int):
                 raise ValueError(f"substitution for slot ({i},{j}) must be an int, got {k!r}")
             if k < 0 or k > est:
                 raise ValueError(f"substitution p^{k} out of range for slot ({i},{j})")
-            var = (i, j, 1 if k else 0)
             if est - k <= 0:
-                entries[(i, j)] = None
+                entries[(i, j)] = None  # range [0, p^0): forced 0
                 continue
+            var = (i, j, 1 if k else 0)
             ranges[var] = est - k
             entries[(i, j)] = (((var, 1),), 1 + k)
     if subs:

@@ -88,6 +88,8 @@ def test_minorant_divergence_boundary():
         (partial_sum, (3.0, 2, 1, 4), "n"),
         (partial_sum, (3, 2, 1, 4.0), "E"),
         (partial_sum, (6, 2, 1, 8, 1.0), "d"),
+        # divergence_line(2.5) used to return -0.157
+        (divergence_line, (2.5,), "n"),
     ],
 )
 def test_bound_and_zeta_entry_points_refuse_non_integers(call, args, arg):

@@ -105,6 +105,16 @@ def test_bad_substitution_rejected():
         extract_conditions((2, 1), {(1, 2): 5})
 
 
+def test_forced_zero_slot_substitutions():
+    # row 2 of (2, 1, 1) has pivot p^1, so slot (2, 3) ranges over
+    # [0, p^0) and is forced to 0: k = 0 used to be reported as a
+    # substitution for an unknown slot
+    assert extract_conditions((2, 1, 1), {(2, 3): 0}) == extract_conditions((2, 1, 1))
+    for k in (1, -1):
+        with pytest.raises(ValueError, match=rf"substitution p\^{k} out of range for slot \(2,3\)"):
+            extract_conditions((2, 1, 1), {(2, 3): k})
+
+
 @pytest.mark.parametrize("k", [True, 1.5, 1.0, "1"])
 def test_non_int_substitution_refused(k):
     # True used to be taken as p^1, and 1.5 was reported as out of range

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subrings import limits
+from subrings import limits, subgroups
 from subrings.counting import ResourceLimitError
 from subrings.partitions import conjugate, partitions_of
 from subrings.polyp import ONE, PolyP, gaussian_binomial
@@ -132,6 +132,21 @@ def test_walk_outcomes_pinned():
     )
 
 
+def test_audit_outcomes_pinned():
+    """Every audit outcome (its rows, or its overrun's message, nodes,
+    budget and partial count) at (5, 4) and (6, 3), at every 200th budget
+    up to the node total and unbudgeted, by digest.  Pinned before each
+    column's closure was tested once per walk prefix."""
+    digest = hashlib.sha256()
+    for (n, m), total in {(5, 4): 4806, (6, 3): 6584}.items():
+        for budget in [*range(0, total + 1, 200), None]:
+            out = outcome(lambda *a: sandwich_subring_audit(*a).rows, n, m, budget)
+            digest.update(repr(((n, m), budget, out)).encode())
+    assert digest.hexdigest() == (
+        "4610aa91bad6d010b322efbc2082403ac0bdd40a923af100d220f231728b848c"
+    )
+
+
 def test_bulk_row_outcomes_at_every_budget():
     """Every budget from 0 to the exact node total, on shapes whose last
     column has a row 1 above its pivot, so each batch of that row is met
@@ -251,6 +266,31 @@ def test_sandwich_hnf_matches_hnf_from_generators():
         assert agreeing == walked, (n, m)
         checked += walked
     assert checked == 2818
+
+
+def test_sandwich_audit_failing_prefixes(monkeypatch):
+    """No sandwich lattice fails closure, so a stub closure test stands in
+    for one that does: column c fails when c is odd and its row-0 entry
+    is nonzero.  The audit tests each column once per walk prefix and
+    fails every lattice below a failing column; a recount applies the
+    stub to every column of each full matrix."""
+
+    def stub(rows, c):
+        return not (c % 2 and rows[0][c])
+
+    monkeypatch.setattr(subgroups, "_column_closed", stub)
+    failing = 0
+    for n, m in [(3, 4), (4, 4), (4, 9), (5, 2), (5, 3)]:
+        recount: dict[int, int] = {}
+        for rows, kappa in iter_sublattices_containing(n - 1, *_prime_power(m)):
+            full = [[m * a for a in row] + [1] for row in rows] + [[0] * (n - 1) + [1]]
+            bad = not all(stub(full, c) for c in range(n - 1))
+            recount[kappa] = recount.get(kappa, 0) + bad
+        audit = sandwich_subring_audit(n, m)
+        assert {r.order_exponent: r.violations for r in audit.rows} == recount, (n, m)
+        assert audit.all_counts_match
+        failing += audit.total_violations
+    assert failing > 0
 
 
 def test_sandwich_audit_rank3():
