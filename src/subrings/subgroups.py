@@ -8,8 +8,8 @@ one diagonal at a time, drawn from partitions.bounded_compositions.  A
 subgroup G with Z + m^2 Z^n <= G <= Z + m Z^n is automatically a
 subring, which the audit checks matrix by matrix.  Each G is
 m L + Z(1,...,1) + m^2 Z^n for such an L with m = p^t, and its HNF,
-[[m B, 1], [0, 1]] for L's basis B, is written column by column as the
-walk completes L's columns, each column's closure tested once per prefix.
+[[m B, 1], [0, 1]] for L's basis B, is written column by column, each
+column's closure tested once for the lattices that share the prefix.
 """
 
 from __future__ import annotations
@@ -68,12 +68,9 @@ def count_subgroups_of_order(n: int, t: int, k: int) -> PolyP:
     return total
 
 
-def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit, on_column=None) -> None:
+def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
     """Call visit(rows) on the HNF basis rows of every sublattice L of Z^m
     with p^t Z^m <= L and diagonal p^diag[0], ..., p^diag[m-1].
-    on_column(rows, j), if given, is called when column j of L is
-    complete, before the walk descends into column j + 1, so work on a
-    prefix of columns is done once for every lattice that shares it.
 
     Output-sensitive: instead of scanning entry boxes and filtering,
     column j is built from the containment solve of p^t e_j.  With
@@ -83,8 +80,7 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit, on_column=No
     chosen and one per column completed.  rows is reused: visit must copy
     what it keeps.
 
-    With visit=None the lattices are only counted, into budget.count, and
-    on_column is not used.
+    With visit=None the lattices are only counted, into budget.count.
     Then the last entry of the last column, a_0(m-1), is not enumerated:
     each of its g values completes one lattice at one node, so the walk
     spends and counts all g at once (_Budget.spend_leaves), with the same
@@ -118,8 +114,6 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit, on_column=No
     def entry(j, i, x):
         budget.spend()
         if i < 0:
-            if on_column is not None:
-                on_column(rows, j)
             column(j + 1)
             return
         row = rows[i]
@@ -269,12 +263,12 @@ class SandwichAudit:
         return all(r.match for r in self.rows)
 
 
-def _walk_sandwiches(n: int, p: int, t: int, diag, budget: _Budget, visit) -> None:
-    """Call visit(rows, A, ok) on every G = Z(1,...,1) + m L + m^2 Z^n,
-    m = p^t, for the sublattices L of Z^(n-1) with p^t Z^(n-1) <= L and
-    diagonal p^diag[0], ..., p^diag[n-2].  rows is L's HNF basis, reused
-    as in _walk_sublattices; A is G's HNFMatrix; ok is True iff A is
-    closed under componentwise products of its columns.
+def _iter_sandwiches(n: int, p: int, t: int, budget: _Budget):
+    """Yield (rows, kappa, A, ok) for every G = Z(1,...,1) + m L + m^2 Z^n,
+    m = p^t, with L running over iter_sublattices_containing(n - 1, p, t)
+    in its order: rows is L's HNF basis, p^kappa its index, A is G's
+    HNFMatrix, and ok is True iff A is closed under componentwise
+    products of its columns.
 
     G's HNF is [[m B, 1], [0, 1]] for L's HNF basis B.  The columns m B_j
     and (1,...,1) span G, since m^2 Z^(n-1) <= m L and m^2 e_n is then
@@ -282,73 +276,77 @@ def _walk_sandwiches(n: int, p: int, t: int, diag, budget: _Budget, visit) -> No
     m a_ij < m a_ii, and 1 < m a_ii as m >= 2.
 
     One n x n buffer holds G's HNF, its last column fixed to (1,...,1).
-    When the walk completes column c of L, m times it is written into
-    column c of the buffer and that column's pairs are tested once
-    (_column_closed reads only the leading block), for every lattice
-    sharing the prefix: ok[c+1] = ok[c] and the test.  The pairs with
-    the last column, the ring identity, hold and are not solved, as in
-    is_closed.  Each leaf builds A from the buffer and its known diagonal
-    exponents t + f_i and 0; the HNFMatrix constructor still validates
-    every entry.  p is not checked for primality here: the callers check
-    it once.
+    The walk is depth first, column by column, so consecutive lattices
+    share their leading columns.  Only the columns from the first one
+    that differs from the previous lattice's are written into the buffer,
+    m times L's column, and tested: ok[c+1] = ok[c] and _column_closed,
+    which reads only the leading block.  So each column's pairs are
+    solved once for every run of lattices sharing the prefix.  The pairs
+    with the last column, the ring identity, hold and are not solved, as
+    in is_closed.  A is built from the buffer and its diagonal exponents
+    t + f_i, where a_ii = p^(f_i), and 0; the HNFMatrix constructor still
+    validates every entry.  p is not checked for primality here: the
+    walk checks it once.
     """
     m = p**t
     last = n - 1
+    shifted = {p**f: t + f for f in range(t + 1)}  # L's pivots are p^f, f <= t
     buf = [[0] * last + [1] for _ in range(n)]
-    exps = tuple(t + f for f in diag) + (0,)
+    exps = [0] * n
     ok = [True] * n  # ok[c]: the pairs of columns 0..c-1 of buf hold
-
-    def column_done(rows, c):
-        for i in range(c + 1):
-            buf[i][c] = m * rows[i][c]
-        ok[c + 1] = ok[c] and _column_closed(buf, c)
-
-    def leaf(rows):
-        visit(rows, HNFMatrix(n, p, exps, tuple(map(tuple, buf))), ok[last])
-
-    _walk_sublattices(p, t, diag, budget, leaf, column_done)
+    prev = [None] * last
+    for rows, kappa in iter_sublattices_containing(last, p, t, budget):
+        cols = tuple(zip(*rows))
+        first = 0
+        while first < last and cols[first] == prev[first]:
+            first += 1
+        for c in range(first, last):
+            col = cols[c]
+            for i in range(c + 1):
+                buf[i][c] = m * col[i]
+            exps[c] = shifted[col[c]]
+            ok[c + 1] = ok[c] and _column_closed(buf, c)
+        prev = cols
+        yield rows, kappa, HNFMatrix(n, p, tuple(exps), tuple(map(tuple, buf))), ok[last]
 
 
 def _sandwich_hnf_agreement(n: int, m: int, node_budget: int | None = None) -> tuple[int, int]:
-    """Oracle for _walk_sandwiches: (lattices G the audit at (n, m) walks,
+    """Oracle for _iter_sandwiches: (lattices G the audit at (n, m) walks,
     those whose HNF, as the audit builds it, equals generic elimination
     of G's defining generators (1,...,1), m times each column of L, and
-    m^2 e_j)."""
+    m^2 e_j).  An overrun's partial count is the number of lattices
+    compared before it."""
     p, t = _prime_power(m)
     budget = _Budget(f"_sandwich_hnf_agreement(n={n}, m={m})", node_budget)
-    tally = [0, 0]  # lattices walked, agreeing
-
-    def compare(rows, A, ok):
+    agreeing = 0
+    for rows, _, A, _ in _iter_sandwiches(n, p, t, budget):
         gens = [[1] * n]
         gens += [[m * row[j] for row in rows] + [0] for j in range(n - 1)]
         gens += [[m * m if i == j else 0 for i in range(n)] for j in range(n)]
-        tally[0] += 1
-        tally[1] += A == hnf_from_generators(p, gens)
-
-    for diag in itertools.product(range(t + 1), repeat=n - 1):
-        _walk_sandwiches(n, p, t, diag, budget, compare)
-    return tally[0], tally[1]
+        budget.count += 1
+        agreeing += A == hnf_from_generators(p, gens)
+    return budget.count, agreeing
 
 
 def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> SandwichAudit:
     """Enumerate every subgroup G of Z^n with Z + m^2 Z^n <= G <= Z + m Z^n,
-    build its HNF matrix column by column as the walk completes the
-    columns of L (_walk_sandwiches), and check the subring conditions.
+    build its HNF matrix column by column, testing each column's closure
+    once per prefix (_iter_sandwiches), and check the subring conditions.
 
     m must be a prime power p^t.  G at index m^(n-1) * p^kappa corresponds
     to a subgroup of index p^kappa in (Z/mZ)^(n-1).  The lattices are
-    walked once, one diagonal of L at a time under one budget, and the
-    count at each index is compared with the product formula's count of
-    order p^kappa, equal to it by subgroup self-duality.  The size cap
-    compares the number of lattices the walk will produce, the sum of
-    those counts, with 10^8.  A diagonal's lattices are added to the
-    counts once its walk returns, so an overrun's partial count is the
-    number of lattices of the diagonals audited before it.
+    walked once, under one budget, and the count at each index is
+    compared with the product formula's count of order p^kappa, equal to
+    it by subgroup self-duality.  The size cap compares the number of
+    lattices the walk will produce, the sum of those counts, with 10^8.
+    An overrun's partial count is the number of lattices audited before
+    it: the walk yields a diagonal's lattices once that diagonal is done.
 
-    p is checked for primality once, when m is split into p^t
-    (_prime_power), not per matrix.  Each lattice still gets its own
-    validated HNFMatrix, its det checked and identity_in_span, which
-    solves nothing for the identity column every matrix ends in.
+    p is checked for primality per audit, when m is split into p^t
+    (_prime_power) and when the walk starts, not per matrix.  Each
+    lattice still gets its own validated HNFMatrix, its det checked and
+    identity_in_span, which solves nothing for the identity column every
+    matrix ends in.
     """
     require_integers("sandwich_subring_audit", n=n, m=m)
     if n < 1:
@@ -365,25 +363,18 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
         )
     per_kappa_count = [0] * (t * mm + 1)
     per_kappa_violations = [0] * (t * mm + 1)
-    for diag in itertools.product(range(t + 1), repeat=mm):
-        kappa = sum(diag)  # index of L in Z^(n-1) = index of the subgroup image
-        # holds by construction, as A's diagonal exponents are t + diag
+    # kappa: index of L in Z^(n-1) = index of the subgroup image
+    for _, kappa, A, ok in _iter_sandwiches(n, p, t, budget):
+        # holds by construction, as A's diagonal exponents are t + f_i
         # and 0; _sandwich_hnf_agreement is the construction's real check
         expected_det = m**mm * p**kappa
-        tally = [0, 0]  # lattices and violations of this diagonal
-
-        def check(rows, A, ok):
-            if A.det != expected_det:
-                raise AssertionError(
-                    f"sandwich lattice index {A.det} != expected {expected_det}"
-                )
-            tally[0] += 1
-            tally[1] += not (identity_in_span(A) and ok)
-
-        _walk_sandwiches(n, p, t, diag, budget, check)
-        per_kappa_count[kappa] += tally[0]
-        per_kappa_violations[kappa] += tally[1]
-        budget.count += tally[0]
+        if A.det != expected_det:
+            raise AssertionError(
+                f"sandwich lattice index {A.det} != expected {expected_det}"
+            )
+        per_kappa_count[kappa] += 1
+        per_kappa_violations[kappa] += not (identity_in_span(A) and ok)
+        budget.count += 1
     out = tuple(
         SandwichRow(
             order_exponent=kappa,

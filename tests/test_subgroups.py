@@ -268,6 +268,36 @@ def test_sandwich_hnf_matches_hnf_from_generators():
     assert checked == 2818
 
 
+def test_sandwich_oracle_overrun_reports_lattices_compared():
+    # the oracle walks the audit's lattices under the same budget, so an
+    # overrun reports the same partial count (it used to report 0)
+    for budget in (0, 150, 300):
+        partials = []
+        for run in (sandwich_subring_audit, _sandwich_hnf_agreement):
+            with pytest.raises(ResourceLimitError) as err:
+                run(4, 4, budget)
+            partials.append(err.value.partial_count)
+        assert partials[0] == partials[1], budget
+    assert partials[1] > 0
+
+
+def test_sandwich_audit_walks_the_sublattice_generator(monkeypatch):
+    # the audit's lattices are the items of iter_sublattices_containing,
+    # which the benchmark's traced runs count as subgroups.sublattices
+    items = [0]
+    walk = subgroups.iter_sublattices_containing
+
+    def counted(*args):
+        for item in walk(*args):
+            items[0] += 1
+            yield item
+
+    monkeypatch.setattr(subgroups, "iter_sublattices_containing", counted)
+    audit = sandwich_subring_audit(5, 4)
+    assert items[0] == sum(r.sandwich_count for r in audit.rows) == 1983
+    assert audit.all_counts_match and audit.total_violations == 0
+
+
 def test_sandwich_audit_failing_prefixes(monkeypatch):
     """No sandwich lattice fails closure, so a stub closure test stands in
     for one that does: column c fails when c is odd and its row-0 entry
