@@ -19,8 +19,6 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from mpmath.libmp import isprime
-
 from . import __version__
 from .bounds import bound_report, c7, minorant_divergence
 from .closure import count_solutions, extract_conditions
@@ -36,6 +34,7 @@ from .counting import (
     scan_subrings,
 )
 from .hnf import identity_in_span, is_closed, is_irreducible
+from .limits import is_prime
 from .partitions import compositions
 from .paths import family_count, family_matrices, path_area_identity_check, two_value_compositions
 from .polyp import PolyP
@@ -73,7 +72,7 @@ def _prime(text: str) -> int:
         p = int(text)
     except ValueError:
         p = None
-    if p is None or not isprime(p):
+    if p is None or not is_prime(p):
         raise argparse.ArgumentTypeError(f"not a prime: {text!r}")
     return p
 

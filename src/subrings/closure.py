@@ -35,7 +35,8 @@ once per shape, in a per-process LRU cache of 256 entries, room for
 every shape that a round of interleaved composition families comes back
 to; the node budget is an argument too, so diagonals of the same
 structure, the same diagonal at other primes and every call of a budget
-sweep share one compile.  A node is one value tried for one variable.
+sweep share one compile.  A node is one value of one scanned variable's
+box, as the full scan would try it, whether or not it is tried.
 
 A term c*x*... of a condition mod p^r reads x only mod p^r / p^v_p(c), so
 each scanned variable has a period, at most its width: values a period
@@ -277,7 +278,8 @@ def count_solutions(
     read only mod a power of p below its width, the first period is
     scanned and the rest of the width charged and counted in bulk, so the
     count, the nodes and any overrun are those of the full scan.
-    node_budget bounds the nodes, the values tried over all variables.
+    node_budget bounds the nodes: the values of every scanned variable's
+    box that the full scan would try, including those charged in bulk.
     """
     require_prime(p)
     budget = _Budget(f"count_solutions(alpha={system.alpha}, p={p})", node_budget)

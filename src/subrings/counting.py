@@ -353,6 +353,7 @@ def interpolate_count(
         # fit passes through by construction
         if q in primes[:i]:
             raise ValueError(f"primes must be distinct, got {q} twice in {primes}")
+    require_integers("interpolate_count", degree_cap=degree_cap)
     if degree_cap < 0:
         raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
     if len(primes) < degree_cap + 2:

@@ -82,18 +82,49 @@ class _Budget:
 
 def require_integers(caller: str, **values) -> None:
     """ValueError naming the first of the keyword arguments that is not an
-    int (3.0 is refused)."""
+    int (3.0 and True are refused)."""
     for arg, value in values.items():
-        if not isinstance(value, int):
+        if type(value) is bool or not isinstance(value, int):
             raise ValueError(f"{caller} requires an integer {arg}, got {value!r}")
+
+
+# the primes up to 47: trial divisors, then strong-test bases
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def is_prime(n: int) -> bool:
+    """Whether the int n is prime: trial division by the primes up to 47,
+    then a strong (Miller-Rabin) test to each of them as a base.
+
+    Exact below 3,317,044,064,679,887,385,961,981, where the bases 2..41
+    first admit a strong pseudoprime (Sorenson and Webster, "Strong
+    pseudoprimes to twelve prime bases", Math. Comp. 2017).  The bases
+    include each witness set of mpmath.libmp.isprime ({2, 3}, {2..17} and
+    {3..47}), so above that bound too nothing is accepted that mpmath
+    refuses.
+    """
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    m = n - 1
+    s = (m & -m).bit_length() - 1  # m = d * 2^s with d odd
+    d = m >> s
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == m:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == m:
+                break
+        else:
+            return False
+    return True
 
 
 def require_prime(p: int) -> None:
     """ValueError unless p is a prime (an int: 2.0 is refused)."""
-    # imported on first use: importing mpmath here, in the middle of the
-    # package's own imports rather than with zeta, raises the process's
-    # peak RSS by about 1 MiB
-    from mpmath.libmp import isprime
-
-    if not isinstance(p, int) or not isprime(p):
+    if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"p must be a prime, got {p!r}")

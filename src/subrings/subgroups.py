@@ -20,7 +20,7 @@ from math import gcd
 from operator import mul
 from typing import Iterator
 
-from .limits import ResourceLimitError, _Budget, require_integers, require_prime
+from .limits import ResourceLimitError, _Budget, is_prime, require_integers, require_prime
 from .hnf import HNFMatrix, _column_closed, hnf_from_generators, identity_in_span
 from .partitions import bounded_compositions, conjugate, partition, partitions_of
 from .polyp import ONE, PolyP, gaussian_binomial
@@ -392,14 +392,11 @@ def _prime_power(m: int) -> tuple[int, int]:
     """(p, t) with m = p^t, p prime and t >= 1.  As p >= 2, t <= log2(m),
     and for each such t the one candidate p is the integer t-th root of
     m, so the cost is polylogarithmic in m, not linear."""
-    # imported on first use, like limits.require_prime's isprime
-    from mpmath.libmp import isprime
-
     if m < 2:
         raise ValueError("modulus must be >= 2")
     for t in range(1, m.bit_length()):
         p = _integer_root(m, t)
-        if p**t == m and isprime(p):
+        if p**t == m and is_prime(p):
             return p, t
     raise ValueError(f"modulus {m} is not a prime power")
 

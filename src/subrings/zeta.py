@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .bounds import bound_b_exponent, c7
 from .limits import require_integers, require_prime
 from .polyp import ONE, PolyP, series_expand_rational
@@ -99,6 +97,10 @@ def partial_sum(n: int, p: int, s, E: int, d: int | None = None) -> PartialSum:
         raise ValueError("E must be nonnegative")
     if d is not None and not 0 <= d <= n - 1:
         raise ValueError(f"d must lie in [0, n-1] = [0, {n - 1}], got {d}")
+    # imported on first use: nothing else in the package needs mpmath, and
+    # importing it costs every process about 25 ms and 3 MiB at start-up
+    import mpmath
+
     if n <= 4:
         coeffs = local_coefficients(n, E)
         with mpmath.workprec(100):

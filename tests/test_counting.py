@@ -5,6 +5,8 @@ of (Z/p^e)^n before being committed.
 The production counters (congruence solve and recurrence) are checked
 against the HNF scan oracles, never against themselves."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -444,6 +446,28 @@ def test_interpolate_rejects_negative_degree_cap():
     for irreducible in (False, True):
         with pytest.raises(ValueError, match="degree_cap"):
             interpolate_count(3, 2, (2, 3, 5), -1, irreducible=irreducible)
+
+
+@pytest.mark.parametrize("cap", [2.5, "2", True])
+def test_interpolate_refuses_a_non_integer_degree_cap(cap):
+    # 2.5 returned the fit p^2 + 13*p + 20, and "2" raised a TypeError
+    with pytest.raises(ValueError, match=re.escape(f"integer degree_cap, got {cap!r}")):
+        interpolate_count(4, 4, (2, 3, 5, 7, 11), cap)
+
+
+def test_bool_arguments_refused():
+    # count_subrings(True, 3, 2) returned 0, counting at n = 1
+    calls = [
+        (lambda: count_subrings(True, 3, 2), "n, got True"),
+        (lambda: count_irreducible(3, False, 2), "e, got False"),
+        (lambda: scan_subrings(3, True, 2), "e, got True"),
+        (lambda: brute_force_subgroups(True, 1, 1, 2), "n, got True"),
+        (lambda: sandwich_subring_audit(3, True), "m, got True"),
+        (lambda: count_subgroups_of_order(3, 1, True), "k, got True"),
+    ]
+    for call, got in calls:
+        with pytest.raises(ValueError, match=f"requires an integer {got}"):
+            call()
 
 
 def test_compositions_drive_irreducible_sum():
