@@ -13,32 +13,23 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .limits import require_integers
+from .limits import require_index, require_integers
 from .subgroups import bound_h_exponent
 
 SQRT2 = math.sqrt(2.0)
 CAP_SLOPE = 3.0 - 2.0 * SQRT2  # limit of the exponent-to-(n-1)e ratio
 
 
-def _require_index(caller: str, n: int, e: int) -> None:
-    """The domain of every exponent of f_n(p^e): ints n >= 2, e >= n-1."""
-    require_integers(caller, n=n, e=e)
-    if n < 2:
-        raise ValueError(f"{caller} requires n >= 2")
-    if e < n - 1:
-        raise ValueError(f"{caller} needs e >= n-1, got e={e}")
-
-
 def cap_value(n: int, e: int) -> float:
     """CAP_SLOPE * (n-1) * e, which no exponent of f_n(p^e) exceeds."""
-    _require_index("cap_value", n, e)
+    require_index("cap_value", n, e)
     return CAP_SLOPE * (n - 1) * e
 
 
 def bound_b_exponent(n: int, e: int, with_argmax: bool = False):
     """Matrix-family exponent: max over d in [0, n-1] of
     floor(e/(n-1+d)) * d(n-1-d).  f_n(p^e) >= p^b."""
-    _require_index("bound_b_exponent", n, e)
+    require_index("bound_b_exponent", n, e)
     best, best_d = 0, 0
     for d in range(0, n):
         v = (e // (n - 1 + d)) * d * (n - 1 - d)
@@ -56,7 +47,7 @@ def bound_c_exponent(n: int, e: int, with_argmax: bool = False):
     """Continuous relaxation of the matrix-family bound: maximum over
     C in [0, 1] of the smooth objective, to absolute tolerance 1e-9
     (grid of 10^4 points, then golden-section on the best cell)."""
-    _require_index("bound_c_exponent", n, e)
+    require_index("bound_c_exponent", n, e)
     grid = 10**4
     best_i, best_v = 0, -math.inf
     for i in range(grid + 1):

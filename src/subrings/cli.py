@@ -463,7 +463,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as err:
+    except (ValueError, OSError) as err:  # OSError: an unwritable --output
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     return code

@@ -56,6 +56,7 @@ from typing import NamedTuple
 
 from .limits import ResourceLimitError, _Budget, require_prime
 from .partitions import composition
+from .polyp import PolyP
 
 # a variable is (row, col, ticks): the HNF entry slot plus the number of
 # rescaling substitutions applied to it
@@ -89,50 +90,34 @@ def _mono_mul(m1, m2):
     return tuple(sorted(exp.items()))
 
 
-def _laurent_text(lau: dict) -> str:
-    parts = []
-    for k in sorted(lau, reverse=True):
-        c = lau[k]
-        if k == 0:
-            parts.append(f"{c}")
-        else:
-            base = "p" if k == 1 else f"p^{k}"
-            if c == 1:
-                parts.append(base)
-            elif c == -1:
-                parts.append(f"-{base}")
-            else:
-                parts.append(f"{c}*{base}")
-    txt = " + ".join(parts).replace("+ -", "- ")
-    return txt
-
-
 def _poly_text(terms: dict) -> str:
     """Canonical rendering of a polynomial given term by term: monomials
     sorted by variable name, integer coefficients written as polynomials
-    in p, signs folded into the joining operators."""
+    in p (every p-exponent is >= 0), signs folded into the joining
+    operators."""
     if not terms:
         return "0"
-    laurents: dict = {}
+    # each monomial's coefficient {k: c}, a polynomial in p
+    coeffs: dict = {}
     for (mono, k), c in terms.items():
-        laurents.setdefault(mono, {})[k] = c
+        coeffs.setdefault(mono, {})[k] = c
     rendered = []
-    for mono, lau in laurents.items():
+    for mono, coeff in coeffs.items():
         mono_txt = "*".join(
             var_name(v) + (f"^{d}" if d > 1 else "")
             for v, d in sorted(mono, key=lambda t: var_name(t[0]))
         )
-        rendered.append((mono_txt, lau))
+        rendered.append((mono_txt, coeff))
     rendered.sort(key=lambda t: t[0])
     pieces = []
-    for mono_txt, lau in rendered:
+    for mono_txt, coeff in rendered:
         negative = False
-        if len(lau) == 1:
-            ((k, c),) = lau.items()
+        if len(coeff) == 1:
+            ((k, c),) = coeff.items()
             if c < 0:
                 negative = True
-                lau = {k: -c}
-        body = _laurent_text(lau)
+                coeff = {k: -c}
+        body = str(PolyP([coeff.get(k, 0) for k in range(max(coeff) + 1)]))
         if " " in body:
             body = f"({body})"
         if not mono_txt:

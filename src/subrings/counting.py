@@ -15,9 +15,15 @@ scan_subrings).  It walks the candidates column by column and tests the
 closure pairs (i, j) the moment column j completes, using only the
 leading i x i block, so dead branches are cut as early as possible.  The
 (1,...,1)-in-span condition forces the last diagonal entry to be 1 and,
-once the interior columns are fixed, determines the last column uniquely,
-so it is solved for rather than scanned.  With pruned=False it scans the
-full box instead and tests every condition at the end.
+once the interior columns are fixed, determines the last column uniquely.
+That column is neither scanned nor tested, because it is always closed:
+if 1 = (1,...,1) is in the span L and every product c_i o c_j of the
+columns c_0..c_(n-2) is in L, then L is closed.  Row n-1 of A x = 1
+gives x_(n-1) = 1, so c_(n-1) = 1 - sum_(j<n-1) x_j c_j; then
+c_i o c_(n-1) = c_i - sum x_j c_i o c_j is in L, and so, by that case,
+is c_(n-1) o c_(n-1) = c_(n-1) - sum x_j c_j o c_(n-1).  So each closed
+interior counts one subring matrix.  With pruned=False it scans the full
+box instead, last column included, and tests every condition at the end.
 
 A node budget covers the whole public call that takes it.
 """
@@ -42,39 +48,15 @@ from .partitions import bounded_compositions, composition, compositions
 from .polyp import PolyP, lagrange_coefficients
 
 
-def _derived_last_column(rows, diag, n):
-    """The unique last column making (1,...,1) solvable.
-
-    Solving A x = (1,...,1) bottom-up: row n-1 forces a_(n-1,n-1) = 1,
-    which the callers' diagonal always ends with; at row i the entry a_in
-    is the unique representative mod p^(e_i) making the division exact.
-    """
-    col = [0] * n
-    x = [0] * n
-    col[n - 1] = 1
-    x[n - 1] = 1
-    for i in range(n - 2, -1, -1):
-        s = 1
-        row = rows[i]
-        for j in range(i + 1, n - 1):
-            if x[j]:
-                s -= row[j] * x[j]
-        d = diag[i]
-        a = s % d
-        col[i] = a
-        x[i] = (s - a) // d
-    return col
-
-
-def _scan_interior(rows, n, col_values, budget, on_complete):
+def _scan_interior(rows, n, col_values, budget):
     """Fill columns 1..n-2 (0-based) left to right, cutting a branch as soon
     as a completed column fails its closure pairs.  Every survivor counts
-    on_complete() accepted matrices, or one when on_complete is None."""
+    one accepted matrix."""
 
     def fill(j):
         if j == n - 1:
             budget.spend()
-            budget.count += 1 if on_complete is None else on_complete()
+            budget.count += 1
             return
         values = col_values[j]
 
@@ -99,8 +81,9 @@ def _count_with_diag(p, diag, budget, pruned, irreducible):
 
     diag lists the actual diagonal entries p^(e_i) (length n).  In the
     irreducible case off-diagonal entries run over multiples of p and the
-    last column is all ones; otherwise the last column is derived from the
-    identity solve.
+    last column is all ones; otherwise the pruned scan leaves the last
+    column unfilled, as it is closed whenever the interior is (the module
+    docstring).
     """
     n = len(diag)
     rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
@@ -108,15 +91,6 @@ def _count_with_diag(p, diag, budget, pruned, irreducible):
     col_values = [
         [range(0, diag[i], step) for i in range(j)] for j in range(n)
     ]
-
-    def finish_general():
-        col = _derived_last_column(rows, diag, n)
-        for i in range(n - 1):
-            rows[i][n - 1] = col[i]
-        ok = _column_closed(rows, n - 1)
-        for i in range(n - 1):
-            rows[i][n - 1] = 0
-        return 1 if ok else 0
 
     if irreducible:
         # ones column is fixed; closure involving it holds automatically
@@ -127,7 +101,7 @@ def _count_with_diag(p, diag, budget, pruned, irreducible):
     if not pruned:
         return _count_unpruned(rows, diag, n, col_values, budget, irreducible)
 
-    _scan_interior(rows, n, col_values, budget, None if irreducible else finish_general)
+    _scan_interior(rows, n, col_values, budget)
     return budget.count
 
 

@@ -43,7 +43,7 @@ class _Budget:
     __slots__ = ("context", "limit", "nodes", "count")
 
     def __init__(self, context: str, limit: int | None):
-        if limit is not None and (type(limit) is bool or not isinstance(limit, int)):
+        if limit is not None and not _is_int(limit):
             raise ValueError(f"node_budget must be an int, got {limit!r} in {context}")
         if limit is not None and limit < 0:
             raise ValueError(f"node_budget must be >= 0, got {limit} in {context}")
@@ -52,22 +52,10 @@ class _Budget:
         self.nodes = 0
         self.count = 0
 
-    def spend(self, k: int = 1):
-        self.nodes += k
+    def spend(self):
+        self.nodes += 1
         if self.nodes > self.limit:
             raise ResourceLimitError(self.context, self.nodes, self.limit, self.count)
-
-    def spend_leaves(self, k: int):
-        """k leaves of one node each, spent and counted at once: the same
-        nodes, count and overrun as k calls of spend() each followed by
-        count += 1.  Needs nodes <= limit on entry, as after any spend()."""
-        room = self.limit - self.nodes
-        if k > room:
-            self.nodes = self.limit + 1
-            self.count += room
-            raise ResourceLimitError(self.context, self.nodes, self.limit, self.count)
-        self.nodes += k
-        self.count += k
 
     def spend_batch(self, k: int, count: int) -> bool:
         """Spend k nodes and count count at once, if the k nodes fit in
@@ -80,12 +68,26 @@ class _Budget:
         return True
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int and not a bool."""
+    return isinstance(value, int) and type(value) is not bool
+
+
 def require_integers(caller: str, **values) -> None:
     """ValueError naming the first of the keyword arguments that is not an
     int (3.0 and True are refused)."""
     for arg, value in values.items():
-        if type(value) is bool or not isinstance(value, int):
+        if not _is_int(value):
             raise ValueError(f"{caller} requires an integer {arg}, got {value!r}")
+
+
+def require_index(caller: str, n: int, e: int) -> None:
+    """The domain of every exponent of f_n(p^e): ints n >= 2, e >= n-1."""
+    require_integers(caller, n=n, e=e)
+    if n < 2:
+        raise ValueError(f"{caller} requires n >= 2")
+    if e < n - 1:
+        raise ValueError(f"{caller} needs e >= n-1, got e={e}")
 
 
 # the primes up to 47: trial divisors, then strong-test bases

@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator, Sequence
 
-from .limits import require_integers
+from .limits import _is_int, require_integers
 
 
 def partition(parts: Sequence[int]) -> tuple[int, ...]:
@@ -68,11 +68,11 @@ def _partitions(remaining, largest, length_left, prefix):
 
 
 def composition(alpha: Sequence[int]) -> tuple[int, ...]:
-    """alpha as a tuple, refused unless every part is an int >= 1: the
-    diagonal exponents (e_1, ..., e_(n-1)) of an irreducible subring
-    matrix."""
+    """alpha as a tuple, refused unless every part is an int >= 1 (True is
+    refused): the diagonal exponents (e_1, ..., e_(n-1)) of an irreducible
+    subring matrix."""
     parts = tuple(alpha)
-    if any(not isinstance(x, int) or x < 1 for x in parts):
+    if any(not _is_int(x) or x < 1 for x in parts):
         raise ValueError(f"composition parts must be integers >= 1: {parts}")
     return parts
 

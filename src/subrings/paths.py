@@ -59,7 +59,9 @@ def path_from_composition(alpha, k: int, l: int) -> tuple[str, ...]:
 
 
 def two_value_compositions(n: int, d: int, k: int, l: int) -> Iterator[tuple[int, ...]]:
-    """All arrangements of d parts k and (n-1-d) parts l."""
+    """All arrangements of d parts k and (n-1-d) parts l.  The arguments
+    are checked when the first composition is drawn."""
+    require_integers("two_value_compositions", n=n, d=d, k=k, l=l)
     if k == l:
         raise ValueError("the two part values must differ")
     if not 0 <= d <= n - 1:
@@ -68,7 +70,8 @@ def two_value_compositions(n: int, d: int, k: int, l: int) -> Iterator[tuple[int
         yield tuple(k if i in pos else l for i in range(n - 1))
 
 
-def _family_check(alpha_parts, k, l):
+def _family_check(caller, alpha_parts, k, l):
+    require_integers(caller, k=k, l=l)
     if k == l:
         raise ValueError("the two part values must differ")
     if l < -(-k // 2):
@@ -83,7 +86,7 @@ def family_matrices(alpha, k: int, l: int, p: int) -> Iterator[HNFMatrix]:
     with i < j, every other off-diagonal entry is 0, and the last column is
     all ones.  Every yielded matrix is an irreducible subring matrix."""
     parts = tuple(alpha)
-    _family_check(parts, k, l)
+    _family_check("family_matrices", parts, k, l)
     require_prime(p)
     half = -(-k // 2)
     m = len(parts)
@@ -106,7 +109,7 @@ def family_matrices(alpha, k: int, l: int, p: int) -> Iterator[HNFMatrix]:
 def family_count(alpha, k: int, l: int) -> PolyP:
     """p^((k - ceil(k/2)) * Area(P_alpha)) as a PolyP monomial."""
     parts = tuple(alpha)
-    _family_check(parts, k, l)
+    _family_check("family_count", parts, k, l)
     return PolyP.monomial((k - (-(-k // 2))) * area(path_from_composition(parts, k, l)))
 
 

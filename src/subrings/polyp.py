@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .limits import require_integers
+
 NEG_INF = float("-inf")
 
 
@@ -97,37 +99,6 @@ class PolyP:
 
     __rmul__ = __mul__
 
-    def exact_div(self, other: "PolyP") -> "PolyP":
-        """Exact quotient self/other; raises ArithmeticError on any remainder.
-
-        The only divisions performed in this package come from product
-        formulas that guarantee exactness, so a remainder signals a bug.
-        """
-        other = _coerce(other)
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.coeffs
-        dn = len(d) - 1
-        if len(rem) - 1 < dn:
-            if any(rem):
-                raise ArithmeticError(f"inexact polynomial division {self} / {other}")
-            return PolyP()
-        q = [0] * (len(rem) - dn)
-        for k in range(len(rem) - 1, dn - 1, -1):
-            lead = rem[k]
-            if lead == 0:
-                continue
-            if lead % d[dn] != 0:
-                raise ArithmeticError(f"inexact polynomial division {self} / {other}")
-            f = lead // d[dn]
-            q[k - dn] = f
-            for i, di in enumerate(d):
-                rem[k - dn + i] -= f * di
-        if any(rem):
-            raise ArithmeticError(f"inexact polynomial division {self} / {other}")
-        return PolyP(q)
-
     def __call__(self, p):
         """Evaluate at a concrete value (int, Fraction, float)."""
         out = 0
@@ -173,20 +144,20 @@ ONE = PolyP(1)
 def gaussian_binomial(m: int, r: int) -> PolyP:
     """Gaussian binomial [m r]_p as an exact PolyP of degree r(m-r).
 
-    Built as the usual telescoping product, dividing exactly at every step:
-    [a+1 r+1] = [a r] * (p^(a+1) - 1) / (p^(r+1) - 1).
+    Built row by row with no division, by the rule
+    [a s] = p^s [a-1 s] + [a-1 s-1].
     """
+    require_integers("gaussian_binomial", m=m, r=r)
     if m < 0 or r < 0:
         raise ValueError("gaussian_binomial needs nonnegative arguments")
     if r > m:
         raise ValueError(f"gaussian_binomial({m}, {r}): r exceeds m")
     r = min(r, m - r)
-    result = ONE
-    for i in range(1, r + 1):
-        num = PolyP.monomial(m - r + i) - ONE
-        den = PolyP.monomial(i) - ONE
-        result = (result * num).exact_div(den)
-    return result
+    row = [ONE] + [ZERO] * r  # [a s] for s = 0..r, at a = 0
+    for a in range(1, m + 1):
+        for s in range(min(a, r), 0, -1):
+            row[s] = PolyP.monomial(s) * row[s] + row[s - 1]
+    return row[r]
 
 
 def lagrange_coefficients(points: Sequence[tuple[int, int]]) -> list[Fraction]:
@@ -228,11 +199,13 @@ def series_expand_rational(
     series ring; its reciprocal is the geometric series sum_j c^j x^(jk),
     folded in by one convolution pass per factor.
     """
+    require_integers("series_expand_rational", order=order)
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     out = [c if isinstance(c, PolyP) else PolyP(c) for c in list(numerator)[: order + 1]]
     out += [ZERO] * (order + 1 - len(out))
     for c, k in denominator_factors:
+        require_integers("series_expand_rational", k=k)
         if k < 1:
             raise ValueError("denominator factor exponent k must be >= 1")
         c = c if isinstance(c, PolyP) else PolyP(c)

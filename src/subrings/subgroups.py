@@ -20,7 +20,9 @@ from math import gcd
 from operator import mul
 from typing import Iterator
 
-from .limits import ResourceLimitError, _Budget, is_prime, require_integers, require_prime
+from .limits import (
+    ResourceLimitError, _Budget, is_prime, require_index, require_integers, require_prime,
+)
 from .hnf import HNFMatrix, _column_closed, hnf_from_generators, identity_in_span
 from .partitions import bounded_compositions, conjugate, partition, partitions_of
 from .polyp import ONE, PolyP, gaussian_binomial
@@ -81,11 +83,12 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
     what it keeps.
 
     With visit=None the lattices are only counted, into budget.count.
-    Then the last entry of the last column, a_0(m-1), is not enumerated:
-    each of its g values completes one lattice at one node, so the walk
-    spends and counts all g at once (_Budget.spend_leaves), with the same
-    nodes and the same partial count on an overrun.  Row 1 of the last
-    column, a_1(m-1), is counted in bulk too when m >= 3: along its
+    Then the last entry of the last column, a_0(m-1), is not enumerated
+    when its g values fit in the budget: each completes one lattice at one
+    node, so the walk spends g nodes and counts g lattices at once
+    (_Budget.spend_batch).  When they do not fit, the values are walked
+    one at a time, with the same nodes and partial count.  Row 1 of the
+    last column, a_1(m-1), is counted in bulk too when m >= 3: along its
     progression x_1 moves by -lam/g per step, so row 0's sum is linear in
     the step index k, and the q values that pass row 0's gcd test are the
     solutions of one linear congruence, counted at once.  The batch costs
@@ -101,7 +104,7 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
 
     def column(j):
         if j == m:
-            if visit is None:  # m <= 1: no last column with a row 0 above its pivot
+            if visit is None:  # m <= 1, or a_0(m-1) taken one value at a time
                 budget.count += 1
             else:
                 visit(rows)
@@ -122,8 +125,7 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
         g = lam if lam < di else di  # gcd of two powers of p
         if s % g:
             return
-        if i == 0 and j == last:
-            budget.spend_leaves(g)
+        if i == 0 and j == last and budget.spend_batch(g, g):
             return
         step = di // g
         a0 = (-(s // g) * pow(lam // g, -1, step)) % step if step > 1 else 0
@@ -219,11 +221,7 @@ def bound_h_exponent(n: int, e: int, with_argmax: bool = False):
     h = max over t in [ceil(e/2(n-1)), floor(e/(n-1))] of the balanced
     degree for order exponent k = e - t(n-1).  Never negative: the trivial
     bound f >= 1 is reported as 0."""
-    require_integers("bound_h_exponent", n=n, e=e)
-    if n < 2:
-        raise ValueError("bound_h_exponent requires n >= 2")
-    if e < n - 1:
-        raise ValueError(f"bound_h_exponent needs e >= n-1, got e={e}")
+    require_index("bound_h_exponent", n, e)
     lo = -(-e // (2 * (n - 1)))
     hi = e // (n - 1)
     best, best_t = 0, None

@@ -215,6 +215,15 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["f"] == 1
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    # used to end in a FileNotFoundError traceback
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "bounds", "--n", "3", "--e", "2", "--output", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert not target.exists()
+
+
 def test_byte_determinism(capsys):
     _, out1, _ = run(capsys, "closure", "--alpha", "3,2,1,1", "--p", "3")
     _, out2, _ = run(capsys, "closure", "--alpha", "3,2,1,1", "--p", "3")

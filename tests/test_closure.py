@@ -91,6 +91,24 @@ def test_condition_texts_pinned():
     )
 
 
+def test_multi_term_coefficient_text():
+    """No extracted condition has a coefficient of two or more powers of p,
+    so the pinned texts above never meet one.  These texts were taken from
+    the printer that came before PolyP wrote the coefficients."""
+    x, y = (1, 2, 0), (1, 3, 0)
+    cases = {
+        "(-3*p + 1)*a12 ≡ 0 mod p^2": {(((x, 1),), 0): 1, (((x, 1),), 1): -3},
+        "2 + (-p^2 - 1)*a12 - 2*p*a12*a13^2 ≡ 0 mod p^2": {
+            (((x, 1),), 2): -1, (((x, 1),), 0): -1, ((), 0): 2, (((x, 1), (y, 2)), 1): -2,
+        },
+        "-5*a12 + (p^3 - 1)*a13 ≡ 0 mod p^2": {
+            (((y, 1),), 0): -1, (((y, 1),), 3): 1, (((x, 1),), 0): -5,
+        },
+    }
+    for text, terms in cases.items():
+        assert CongruenceCondition(terms, 2).text() == text
+
+
 def test_conditions_serialize_deterministically():
     a = extract_conditions((3, 2, 1, 1)).texts()
     b = extract_conditions((3, 2, 1, 1)).texts()

@@ -5,6 +5,8 @@ of (Z/p^e)^n before being committed.
 The production counters (congruence solve and recurrence) are checked
 against the HNF scan oracles, never against themselves."""
 
+import hashlib
+import itertools
 import re
 
 import pytest
@@ -25,8 +27,8 @@ from subrings.counting import (
     scan_by_diagonal,
     scan_subrings,
 )
-from subrings.hnf import HNFMatrix, hnf_from_generators
-from subrings.partitions import compositions
+from subrings.hnf import HNFMatrix, _column_closed, hnf_from_generators, is_closed
+from subrings.partitions import bounded_compositions, compositions
 from subrings.paths import family_matrices
 from subrings.polyp import PolyP
 from subrings.subgroups import (
@@ -92,6 +94,57 @@ def test_pruned_equals_unpruned():
         for p in (2, 3):
             unpruned = scan_by_diagonal(alpha, p, pruned=False)
             assert unpruned == scan_by_diagonal(alpha, p) == count_by_diagonal(alpha, p)
+
+
+def scan_outcome(n, e, p, budget):
+    """A scan's count, or its overrun as (message, nodes, budget, partial)."""
+    try:
+        return scan_subrings(n, e, p, budget)
+    except ResourceLimitError as err:
+        return (str(err), err.nodes, err.budget, err.partial_count)
+
+
+def test_scan_outcomes_at_every_budget():
+    """Every outcome of the pruned scan at each budget from 0 to the node
+    total and unbudgeted, by digest.  Pinned while the scan still derived
+    the last column from the identity solve and tested its closure."""
+    totals = {(3, 3, 3): 47, (4, 4, 2): 338, (4, 3, 3): 322, (5, 3, 2): 494, (4, 5, 2): 820}
+    digest = hashlib.sha256()
+    for q, total in totals.items():
+        for budget in [*range(total + 1), None]:
+            digest.update(repr((q, budget, scan_outcome(*q, budget))).encode())
+        assert isinstance(scan_outcome(*q, total), int)  # the total suffices
+    assert digest.hexdigest() == (
+        "94c6cd9fd65baa5cfc658ff9b5ab5322c05be544284b33504da13c54bfde6258"
+    )
+
+
+def test_closed_interior_with_identity_is_closed():
+    """The lemma that lets the pruned scan skip the last column: when the
+    span of an HNF matrix holds (1,...,1) and every product of two of its
+    columns 0..n-2 lies in it, the span is closed.  Checked on every such
+    interior with n <= 4, e <= 4, p in {2, 3}: the HNF of those columns
+    with (1,...,1) added keeps them, and passes every closure pair."""
+    seen = derived = 0
+    for p in (2, 3):
+        for n in range(2, 5):
+            for e in range(5):
+                for weak in bounded_compositions(e, n - 1, e):
+                    diag = [p**t for t in weak] + [1]
+                    slots = [(i, j) for j in range(1, n - 1) for i in range(j)]
+                    for vals in itertools.product(*(range(diag[i]) for i, _ in slots)):
+                        rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+                        for (i, j), v in zip(slots, vals):
+                            rows[i][j] = v
+                        if not all(_column_closed(rows, j) for j in range(n - 1)):
+                            continue
+                        columns = [[rows[i][j] for i in range(n)] for j in range(n - 1)]
+                        A = hnf_from_generators(p, columns + [[1] * n])
+                        assert [[A.rows[i][j] for i in range(n)] for j in range(n - 1)] == columns
+                        assert is_closed(A)
+                        seen += 1
+                        derived += any(row[-1] != 1 for row in A.rows)
+    assert seen == 274 and derived > 0
 
 
 def irreducible_box(parts, p):

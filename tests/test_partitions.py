@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from subrings.closure import extract_conditions
+from subrings.counting import count_by_diagonal, scan_by_diagonal
 from subrings.partitions import (
     bounded_compositions,
     composition,
@@ -52,11 +54,16 @@ def test_partition_validation():
          "partitions_of requires an integer max_length,"),
         (lambda *a: list(compositions(*a)), (3.0, 4), "compositions requires an integer n,"),
         (lambda *a: list(compositions(*a)), (3, 4.0), "compositions requires an integer e,"),
+        (composition, ((True, 1),), "composition parts must be integers >= 1: (True, 1)"),
+        (count_by_diagonal, ((True, 1), 2), "composition parts must be integers >= 1"),
+        (scan_by_diagonal, ((True, 1), 2), "composition parts must be integers >= 1"),
+        (extract_conditions, ((True, 1),), "composition parts must be integers >= 1"),
     ],
 )
 def test_shape_entry_points_refuse_non_integers(call, args, message):
     # each used to fail with a TypeError from range or from multiplying a
-    # sequence by a float
+    # sequence by a float, except (True, 1): it was taken as the
+    # composition (1, 1), and both counts returned 1
     with pytest.raises(ValueError, match=re.escape(message)):
         call(*args)
 

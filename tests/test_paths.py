@@ -125,6 +125,26 @@ def test_iter_paths_refuses_bad_endpoints(args, message):
         next(iter_paths(*args))
 
 
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (lambda *a: list(two_value_compositions(*a)), (3, 1, 2.0, 1),
+         "two_value_compositions requires an integer k, got 2.0"),
+        (lambda *a: list(two_value_compositions(*a)), (3.0, 1, 2, 1),
+         "two_value_compositions requires an integer n, got 3.0"),
+        (family_count, ((2, 1), 2.0, 1), "family_count requires an integer k, got 2.0"),
+        (family_count, ((2, 1), 2, True), "family_count requires an integer l, got True"),
+        (lambda *a: list(family_matrices(*a)), ((2, 1), 2.0, 1, 2),
+         "family_matrices requires an integer k, got 2.0"),
+    ],
+)
+def test_family_entry_points_refuse_non_integers(call, args, message):
+    # (3, 1, 2.0, 1) used to give [(2.0, 1), (1, 2.0)]; the others raised a
+    # TypeError from range or from a float exponent
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(*args)
+
+
 def test_path_area_identity():
     assert path_area_identity_check(1, 1, 2)
     assert path_area_identity_check(0, 5, 7)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb
 
@@ -28,12 +29,6 @@ def test_arithmetic_basics():
     assert a + b == PolyP([0, 2])
     assert a - a == PolyP()
     assert (a * b)(3) == 8
-    assert PolyP([2, 4]).exact_div(PolyP(2)) == PolyP([1, 2])
-
-
-def test_exact_div_raises_on_remainder():
-    with pytest.raises(ArithmeticError):
-        PolyP([1, 1, 1]).exact_div(PolyP([1, 1]))
 
 
 def test_str_rendering():
@@ -52,6 +47,25 @@ def test_gaussian_binomial_small():
 def test_gaussian_binomial_domain_error():
     with pytest.raises(ValueError):
         gaussian_binomial(3, 4)
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (gaussian_binomial, (4.0, 2), "gaussian_binomial requires an integer m, got 4.0"),
+        (gaussian_binomial, (True, 1), "gaussian_binomial requires an integer m, got True"),
+        (gaussian_binomial, (4, 2.0), "gaussian_binomial requires an integer r, got 2.0"),
+        (series_expand_rational, ([1], [(1, 1)], 2.0),
+         "series_expand_rational requires an integer order, got 2.0"),
+        (series_expand_rational, ([1], [(1, 1.5)], 2),
+         "series_expand_rational requires an integer k, got 1.5"),
+    ],
+)
+def test_non_integer_arguments_refused(call, args, message):
+    # gaussian_binomial(True, 1) returned PolyP([1]); the others raised a
+    # TypeError from range
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(*args)
 
 
 @given(st.integers(0, 12), st.integers(0, 12))

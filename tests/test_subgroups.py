@@ -377,9 +377,9 @@ def test_sandwich_audit_spends_one_budget(monkeypatch):
     spent = []
     spend = limits._Budget.spend
 
-    def counted(self, k=1):
-        spent.append(k)
-        spend(self, k)
+    def counted(self):
+        spent.append(1)
+        spend(self)
 
     monkeypatch.setattr(limits._Budget, "spend", counted)
     # the walk at (4, 4) takes 340 nodes
