@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .limits import require_prime
+from .limits import _is_int, require_prime
 
 
 @dataclass(frozen=True)
@@ -25,23 +25,14 @@ class HNFMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n, p = self.n, self.prime
+        n = self.n
         if len(self.diag_exponents) != n or len(self.rows) != n:
             raise ValueError("dimension mismatch")
-        for i, row in enumerate(self.rows):
-            if len(row) != n:
-                raise ValueError("rows must have length n")
-            e = self.diag_exponents[i]
-            if not isinstance(e, int) or e < 0:
-                raise ValueError(f"diagonal exponent {i} must be an int >= 0, got {e!r}")
-            d = p**e
-            if row[i] != d:
-                raise ValueError(f"diagonal entry ({i},{i}) must be p^e_i = {d}")
-            if any(row[:i]):
-                raise ValueError("matrix must be upper triangular")
-            right = row[i + 1:]
-            if right and not (0 <= min(right) and max(right) < d):
-                raise ValueError(f"row {i} entries must lie in [0, {d})")
+        if any(len(row) != n for row in self.rows):
+            raise ValueError("rows must have length n")
+        require_prime(self.prime)
+        for c, e in enumerate(self.diag_exponents):
+            _check_column(self.rows, c, self.prime, e)
 
     @classmethod
     def from_rows(cls, prime: int, rows: Sequence[Sequence[int]]) -> "HNFMatrix":
@@ -64,6 +55,28 @@ class HNFMatrix:
     @property
     def det(self) -> int:
         return self.prime ** sum(self.diag_exponents)
+
+
+def _check_column(rows, c: int, p: int, e) -> None:
+    """The one HNF check, of column c of the square matrix rows, whose
+    columns 0..c-1 have passed it: ValueError unless e is an int >= 0, the
+    pivot a_cc is p^e, every entry above it an int in [0, pivot of its
+    row), and every entry below it 0.  HNFMatrix runs it on each column;
+    the sandwich audit runs it on each column it writes."""
+    if not _is_int(e) or e < 0:
+        raise ValueError(f"diagonal exponent {c} must be an int >= 0, got {e!r}")
+    d = p**e
+    pivot = rows[c][c]
+    if not _is_int(pivot) or pivot != d:
+        raise ValueError(f"diagonal entry ({c},{c}) must be p^e_{c} = {d}, got {pivot!r}")
+    for i in range(c):
+        a = rows[i][c]
+        if not (_is_int(a) and 0 <= a < rows[i][i]):
+            raise ValueError(f"entry ({i},{c}) must be an int in [0, {rows[i][i]}), got {a!r}")
+    for i in range(c + 1, len(rows)):
+        a = rows[i][c]
+        if not (_is_int(a) and a == 0):
+            raise ValueError(f"matrix must be upper triangular, got {a!r} at ({i},{c})")
 
 
 def _back_substitute(rows, x, size: int, top: int) -> bool:

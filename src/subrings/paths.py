@@ -62,6 +62,7 @@ def two_value_compositions(n: int, d: int, k: int, l: int) -> Iterator[tuple[int
     """All arrangements of d parts k and (n-1-d) parts l.  The arguments
     are checked when the first composition is drawn."""
     require_integers("two_value_compositions", n=n, d=d, k=k, l=l)
+    _require_positive_parts("two_value_compositions", k, l)
     if k == l:
         raise ValueError("the two part values must differ")
     if not 0 <= d <= n - 1:
@@ -70,8 +71,16 @@ def two_value_compositions(n: int, d: int, k: int, l: int) -> Iterator[tuple[int
         yield tuple(k if i in pos else l for i in range(n - 1))
 
 
+def _require_positive_parts(caller, k, l):
+    """ValueError unless the part values k and l, diagonal exponents, are
+    both >= 1."""
+    if k < 1 or l < 1:
+        raise ValueError(f"{caller} requires part values k, l >= 1, got k={k}, l={l}")
+
+
 def _family_check(caller, alpha_parts, k, l):
     require_integers(caller, k=k, l=l)
+    _require_positive_parts(caller, k, l)
     if k == l:
         raise ValueError("the two part values must differ")
     if l < -(-k // 2):

@@ -9,7 +9,8 @@ subgroup G with Z + m^2 Z^n <= G <= Z + m Z^n is automatically a
 subring, which the audit checks matrix by matrix.  Each G is
 m L + Z(1,...,1) + m^2 Z^n for such an L with m = p^t, and its HNF,
 [[m B, 1], [0, 1]] for L's basis B, is written column by column, each
-column's closure tested once for the lattices that share the prefix.
+column's HNF conditions and closure checked once for the lattices that
+share the prefix.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator
 from .limits import (
     ResourceLimitError, _Budget, is_prime, require_index, require_integers, require_prime,
 )
-from .hnf import HNFMatrix, _column_closed, hnf_from_generators, identity_in_span
+from .hnf import HNFMatrix, _check_column, _column_closed, _ends_in_identity, hnf_from_generators
 from .partitions import bounded_compositions, conjugate, partition, partitions_of
 from .polyp import ONE, PolyP, gaussian_binomial
 
@@ -78,9 +79,12 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
     column j is built from the containment solve of p^t e_j.  With
     x_j = p^(t - f_j), row i of that solve forces
     a_ij * x_j == -S (mod p^(f_i)), whose solutions form an arithmetic
-    progression that is enumerated directly.  One node is spent per entry
-    chosen and one per column completed.  rows is reused: visit must copy
-    what it keeps.
+    progression that is enumerated directly.  In column j, x_j is fixed,
+    so each row's gcd g = gcd(x_j, p^(f_i)), its step p^(f_i)/g and the
+    inverse of x_j/g modulo the step depend only on the diagonal: they
+    are computed once per call, not at every node.  One node is spent per
+    entry chosen and one per column completed.  rows is reused: visit must
+    copy what it keeps.
 
     With visit=None the lattices are only counted, into budget.count.
     Then the last entry of the last column, a_0(m-1), is not enumerated
@@ -99,6 +103,13 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
     m = len(diag)
     d = [p**f for f in diag]
     lams = [p ** (t - f) for f in diag]
+    # steps[j][i] = (g, step, inverse) of row i < j of column j; g is a
+    # power of p, so the smaller of the two; the inverse modulo 1 is 0
+    steps = [[] for _ in range(m)]
+    for j, lam in enumerate(lams):
+        for di in d[:j]:
+            g = lam if lam < di else di
+            steps[j].append((g, di // g, pow(lam // g, -1, di // g)))
     rows = [[d[i] if i == j else 0 for j in range(m)] for i in range(m)]
     last = m - 1 if visit is None else -1  # rows 0 and 1 of this column are counted in bulk
 
@@ -121,14 +132,13 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
             return
         row = rows[i]
         s = sum(map(mul, row[i + 1:j], x[i + 1:j])) if i + 1 < j else 0
-        lam, di = x[j], d[i]
-        g = lam if lam < di else di  # gcd of two powers of p
+        g, step, inv = steps[j][i]
         if s % g:
             return
         if i == 0 and j == last and budget.spend_batch(g, g):
             return
-        step = di // g
-        a0 = (-(s // g) * pow(lam // g, -1, step)) % step if step > 1 else 0
+        lam, di = x[j], d[i]
+        a0 = (-(s // g) * inv) % step
         if i == 1 and j == last:
             # x_1 of a = a0 + k step is x_1(a0) - k lam/g, so row 0's sum is
             # s0 - k c with c = a_01 lam/g, and its gcd test s0 == k c
@@ -140,7 +150,7 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
             row0 = rows[0]
             x[1] = -(s + a0 * lam) // di
             s0 = sum(map(mul, row0[1:j], x[1:j]))
-            g0 = lam if lam < d[0] else d[0]
+            g0 = steps[j][0][0]
             h = gcd(row0[1] * (lam // g), g0)
             lattices = 0 if s0 % h else g * h
             if budget.spend_batch(g + lattices, lattices):
@@ -165,6 +175,8 @@ def iter_sublattices_containing(
     (perfbench/spans.py) count the lattices it yields only for a
     generator function."""
     require_integers("iter_sublattices_containing", m=m, t=t)
+    if m < 0:
+        raise ValueError(f"iter_sublattices_containing requires m >= 0, got m={m}")
     _require_exponent("iter_sublattices_containing", t)
     require_prime(p)
     if budget is None:
@@ -206,6 +218,8 @@ def max_degree_order_count(n: int, t: int, k: int) -> int:
     is balanced, with i = t*ceil(k/t) - k parts floor(k/t) and the rest
     ceil(k/t), giving k(n-1) - sum of squared parts."""
     require_integers("max_degree_order_count", n=n, t=t, k=k)
+    if n < 1:
+        raise ValueError(f"max_degree_order_count requires n >= 1, got n={n}")
     _require_exponent("max_degree_order_count", t)
     if not 0 <= k <= t * (n - 1):
         raise ValueError(f"order exponent {k} outside [0, {t * (n - 1)}]")
@@ -262,11 +276,13 @@ class SandwichAudit:
 
 
 def _iter_sandwiches(n: int, p: int, t: int, budget: _Budget):
-    """Yield (rows, kappa, A, ok) for every G = Z(1,...,1) + m L + m^2 Z^n,
-    m = p^t, with L running over iter_sublattices_containing(n - 1, p, t)
-    in its order: rows is L's HNF basis, p^kappa its index, A is G's
-    HNFMatrix, and ok is True iff A is closed under componentwise
-    products of its columns.
+    """Yield (rows, kappa, buf, exps, ok) for every G = Z(1,...,1) + m L
+    + m^2 Z^n, m = p^t, with L running over
+    iter_sublattices_containing(n - 1, p, t) in its order: rows is L's HNF
+    basis, p^kappa its index, buf the rows of G's HNF and exps its
+    diagonal exponents, and ok is True iff buf is closed under
+    componentwise products of its columns.  buf and exps are reused:
+    the caller copies what it keeps.
 
     G's HNF is [[m B, 1], [0, 1]] for L's HNF basis B.  The columns m B_j
     and (1,...,1) span G, since m^2 Z^(n-1) <= m L and m^2 e_n is then
@@ -277,20 +293,26 @@ def _iter_sandwiches(n: int, p: int, t: int, budget: _Budget):
     The walk is depth first, column by column, so consecutive lattices
     share their leading columns.  Only the columns from the first one
     that differs from the previous lattice's are written into the buffer,
-    m times L's column, and tested: ok[c+1] = ok[c] and _column_closed,
-    which reads only the leading block.  So each column's pairs are
-    solved once for every run of lattices sharing the prefix.  The pairs
-    with the last column, the ring identity, hold and are not solved, as
-    in is_closed.  A is built from the buffer and its diagonal exponents
-    t + f_i, where a_ii = p^(f_i), and 0; the HNFMatrix constructor still
-    validates every entry.  p is not checked for primality here: the
-    walk checks it once.
+    m times L's column, and checked, once for every run of lattices
+    sharing the prefix: the HNF check (hnf._check_column) of the pivot
+    p^(t + f), where a_cc = p^f with 0 <= f <= t, and of every entry of
+    the column, then ok[c+1] = ok[c] and _column_closed, which reads only
+    the leading block.  Column c's check reads the pivots of the rows
+    above it, which belong to columns already checked, and columns past
+    c are not read, so every column of every yielded matrix has passed
+    it.  The identity column is checked once, against pivots m: every
+    pivot written later is p^(t + f) >= m, so its entries 1 stay below
+    them.  The pairs with the last column, the ring identity, hold and
+    are not solved, as in is_closed.  p is not checked for primality
+    here: the walk checks it once.
     """
     m = p**t
     last = n - 1
     shifted = {p**f: t + f for f in range(t + 1)}  # L's pivots are p^f, f <= t
-    buf = [[0] * last + [1] for _ in range(n)]
-    exps = [0] * n
+    buf = [[m if i == j else 0 for j in range(last)] + [1] for i in range(n)]
+    exps = [t] * last + [0]
+    for c in range(n):
+        _check_column(buf, c, p, exps[c])
     ok = [True] * n  # ok[c]: the pairs of columns 0..c-1 of buf hold
     prev = [None] * last
     for rows, kappa in iter_sublattices_containing(last, p, t, budget):
@@ -302,22 +324,27 @@ def _iter_sandwiches(n: int, p: int, t: int, budget: _Budget):
             col = cols[c]
             for i in range(c + 1):
                 buf[i][c] = m * col[i]
-            exps[c] = shifted[col[c]]
+            e = shifted.get(col[c])
+            if e is None:
+                raise ValueError(f"pivot {col[c]} of column {c} of L is not p^f, 0 <= f <= {t}")
+            exps[c] = e
+            _check_column(buf, c, p, e)
             ok[c + 1] = ok[c] and _column_closed(buf, c)
         prev = cols
-        yield rows, kappa, HNFMatrix(n, p, tuple(exps), tuple(map(tuple, buf))), ok[last]
+        yield rows, kappa, buf, exps, ok[last]
 
 
 def _sandwich_hnf_agreement(n: int, m: int, node_budget: int | None = None) -> tuple[int, int]:
     """Oracle for _iter_sandwiches: (lattices G the audit at (n, m) walks,
-    those whose HNF, as the audit builds it, equals generic elimination
-    of G's defining generators (1,...,1), m times each column of L, and
-    m^2 e_j).  An overrun's partial count is the number of lattices
-    compared before it."""
+    those whose HNF, as the audit builds it and as a validated HNFMatrix,
+    equals generic elimination of G's defining generators (1,...,1), m
+    times each column of L, and m^2 e_j).  An overrun's partial count is
+    the number of lattices compared before it."""
     p, t = _prime_power(m)
     budget = _Budget(f"_sandwich_hnf_agreement(n={n}, m={m})", node_budget)
     agreeing = 0
-    for rows, _, A, _ in _iter_sandwiches(n, p, t, budget):
+    for rows, _, buf, exps, _ in _iter_sandwiches(n, p, t, budget):
+        A = HNFMatrix(n, p, tuple(exps), tuple(map(tuple, buf)))
         gens = [[1] * n]
         gens += [[m * row[j] for row in rows] + [0] for j in range(n - 1)]
         gens += [[m * m if i == j else 0 for i in range(n)] for j in range(n)]
@@ -328,8 +355,9 @@ def _sandwich_hnf_agreement(n: int, m: int, node_budget: int | None = None) -> t
 
 def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> SandwichAudit:
     """Enumerate every subgroup G of Z^n with Z + m^2 Z^n <= G <= Z + m Z^n,
-    build its HNF matrix column by column, testing each column's closure
-    once per prefix (_iter_sandwiches), and check the subring conditions.
+    write its HNF column by column, checking each column's HNF conditions
+    and closure once per prefix (_iter_sandwiches), and check the subring
+    conditions.
 
     m must be a prime power p^t.  G at index m^(n-1) * p^kappa corresponds
     to a subgroup of index p^kappa in (Z/mZ)^(n-1).  The lattices are
@@ -341,10 +369,10 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     it: the walk yields a diagonal's lattices once that diagonal is done.
 
     p is checked for primality per audit, when m is split into p^t
-    (_prime_power) and when the walk starts, not per matrix.  Each
-    lattice still gets its own validated HNFMatrix, its det checked and
-    identity_in_span, which solves nothing for the identity column every
-    matrix ends in.
+    (_prime_power) and when the walk starts, not per matrix.  No
+    HNFMatrix is built: each lattice's det is taken from the checked
+    diagonal exponents, and its last column is checked to be the
+    identity (1,...,1), which puts the identity in the span.
     """
     require_integers("sandwich_subring_audit", n=n, m=m)
     if n < 1:
@@ -362,16 +390,14 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     per_kappa_count = [0] * (t * mm + 1)
     per_kappa_violations = [0] * (t * mm + 1)
     # kappa: index of L in Z^(n-1) = index of the subgroup image
-    for _, kappa, A, ok in _iter_sandwiches(n, p, t, budget):
-        # holds by construction, as A's diagonal exponents are t + f_i
+    for _, kappa, buf, exps, ok in _iter_sandwiches(n, p, t, budget):
+        # holds by construction, as G's diagonal exponents are t + f_i
         # and 0; _sandwich_hnf_agreement is the construction's real check
-        expected_det = m**mm * p**kappa
-        if A.det != expected_det:
-            raise AssertionError(
-                f"sandwich lattice index {A.det} != expected {expected_det}"
-            )
+        det, expected_det = p ** sum(exps), m**mm * p**kappa
+        if det != expected_det:
+            raise AssertionError(f"sandwich lattice index {det} != expected {expected_det}")
         per_kappa_count[kappa] += 1
-        per_kappa_violations[kappa] += not (identity_in_span(A) and ok)
+        per_kappa_violations[kappa] += not (ok and _ends_in_identity(buf))
         budget.count += 1
     out = tuple(
         SandwichRow(

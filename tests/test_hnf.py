@@ -115,6 +115,23 @@ def test_diagonal_exponent_must_be_a_non_negative_int(exponent, entry):
         HNFMatrix(1, 2, (exponent,), ((entry,),))
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, 2, (1, 0), ((2, 0.5), (0, 1))), r"entry \(0,1\) must be an int in \[0, 2\), got 0.5"),
+        ((2, 2, (1, 0), ((2.0, 0), (0, 1))), r"diagonal entry \(0,0\) must be p\^e_0 = 2, got 2.0"),
+        ((2, 2, (1, 0), ((2, 1), (0.0, 1))), r"matrix must be upper triangular, got 0.0"),
+        ((2, 2, (1, True), ((2, 0), (0, 2))), r"diagonal exponent 1 must be an int >= 0, got True"),
+        ((2, 4, (1, 0), ((4, 0), (0, 1))), r"p must be a prime, got 4"),
+        ((2, 2.0, (1, 0), ((2, 0), (0, 1))), r"p must be a prime, got 2.0"),
+    ],
+)
+def test_hnf_matrix_refuses_non_int_entries_and_non_prime_p(args, message):
+    # all six used to be accepted
+    with pytest.raises(ValueError, match=message):
+        HNFMatrix(*args)
+
+
 @given(
     st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
     st.data(),

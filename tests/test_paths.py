@@ -136,6 +136,17 @@ def test_iter_paths_refuses_bad_endpoints(args, message):
         (family_count, ((2, 1), 2, True), "family_count requires an integer l, got True"),
         (lambda *a: list(family_matrices(*a)), ((2, 1), 2.0, 1, 2),
          "family_matrices requires an integer k, got 2.0"),
+        # family_count((-2, -1), -2, -1) used to return 1, and
+        # two_value_compositions(3, 1, -2, -1) to yield negative parts
+        (family_count, ((-2, -1), -2, -1),
+         "family_count requires part values k, l >= 1, got k=-2, l=-1"),
+        (family_count, ((2, 0), 2, 0), "family_count requires part values k, l >= 1, got k=2, l=0"),
+        (lambda *a: list(family_matrices(*a)), ((1, 0), 1, 0, 2),
+         "family_matrices requires part values k, l >= 1, got k=1, l=0"),
+        (lambda *a: list(two_value_compositions(*a)), (3, 1, -2, -1),
+         "two_value_compositions requires part values k, l >= 1, got k=-2, l=-1"),
+        (lambda *a: list(two_value_compositions(*a)), (3, 1, 0, 1),
+         "two_value_compositions requires part values k, l >= 1, got k=0, l=1"),
     ],
 )
 def test_family_entry_points_refuse_non_integers(call, args, message):

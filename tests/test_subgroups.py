@@ -147,6 +147,20 @@ def test_audit_outcomes_pinned():
     )
 
 
+def test_benchmark_audit_outcomes_pinned():
+    """The same digest over the other two benchmark audits, (4, 16) and
+    (5, 5).  Pinned before the audit stopped building an HNFMatrix per
+    lattice and validated each column once per walk prefix."""
+    digest = hashlib.sha256()
+    for (n, m), total in {(4, 16): 6416, (5, 5): 2000}.items():
+        for budget in [*range(0, total + 1, 200), None]:
+            out = outcome(lambda *a: sandwich_subring_audit(*a).rows, n, m, budget)
+            digest.update(repr(((n, m), budget, out)).encode())
+    assert digest.hexdigest() == (
+        "a1e8280f2c5d809de5adade72a8a921de9aea1295408ba4391eac8163efb4bd7"
+    )
+
+
 def test_bulk_row_outcomes_at_every_budget():
     """Every budget from 0 to the exact node total, on shapes whose last
     column has a row 1 above its pivot, so each batch of that row is met
@@ -196,6 +210,15 @@ def test_subgroup_entry_points_refuse_negative_t(call, args):
     # silently yielded nothing
     with pytest.raises(ValueError, match=r"requires t >= 0, got t=-"):
         call(*args)
+
+
+def test_subgroup_entry_points_name_a_bad_rank():
+    # the walk raised itertools' "repeat argument cannot be negative", and
+    # max_degree_order_count said "order exponent 0 outside [0, -1]"
+    with pytest.raises(ValueError, match=r"iter_sublattices_containing requires m >= 0, got m=-1"):
+        next(iter_sublattices_containing(-1, 2, 1))
+    with pytest.raises(ValueError, match=r"max_degree_order_count requires n >= 1, got n=0"):
+        max_degree_order_count(0, 1, 0)
 
 
 def test_sublattice_iteration_refuses_non_prime_p():
@@ -321,6 +344,33 @@ def test_sandwich_audit_failing_prefixes(monkeypatch):
         assert audit.all_counts_match
         failing += audit.total_violations
     assert failing > 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ((1, 0, 0), (0, 2, 2), (0, 0, 4)),  # a_12 = 2 at the pivot of row 1
+        ((1, 0, 3), (0, 1, 0), (0, 0, 2)),  # a_02 = 3 above the pivot 1
+        ((1, 0, -1), (0, 1, 0), (0, 0, 2)),  # a negative entry
+        ((1, 0, 0), (0, 1, 0), (0, 0, 3)),  # a pivot that is not a power of 2
+        ((1, 0, 0), (0, 1, 0), (0, 0, 8)),  # a pivot past p^t = 4
+        ((2, 0, 0), (0, 1, 0), (0, 0, 1.0)),  # a float pivot
+    ],
+)
+def test_sandwich_audit_checks_every_column_it_writes(monkeypatch, bad):
+    """The audit checks each column of G's HNF when it writes it, not per
+    lattice, so a walk that yields a malformed basis of L must still fail
+    it.  A valid lattice comes first, so the bad column is written as a
+    changed column of a later lattice, and in the first case it is not
+    the first column that changes."""
+
+    def walk(m, p, t, budget=None):
+        yield ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 0
+        yield bad, 3
+
+    monkeypatch.setattr(subgroups, "iter_sublattices_containing", walk)
+    with pytest.raises(ValueError, match=r"pivot|entry"):
+        sandwich_subring_audit(4, 4)
 
 
 def test_sandwich_audit_rank3():
