@@ -20,13 +20,19 @@ count is g_alpha(p): counting.count_by_diagonal is extract_conditions
 followed by count_solutions, and the HNF scan in counting is the oracle
 it is checked against.
 
-The exhaustion runs as Python generated for one system at one prime: one
-nested `for` loop per scanned variable, each condition tested in the loop
-of its last variable by Horner's rule, with its coefficients in that
-variable computed (and reduced mod p^r) as soon as the outer variables
-they use are assigned.  A plan per (system, p) holds the box widths, the
-periods and the per-depth checks.  The counter is cut into functions of a
-few loops each, and the text of a function depends only on its shape:
+The exhaustion has two tiers, chosen from the plan of one system at one
+prime (box widths, periods and per-depth checks): a plan whose scan can
+try at most _INTERPRETED_VALUES values is counted by a recursive
+function that reads the plan (_count_plan), and a larger one by Python
+generated for it, which costs a compile but runs each value far faster.
+Both charge the same nodes and give the same counts and overruns.
+
+The generated counter has one nested `for` loop per scanned variable,
+each condition tested in the loop of its last variable by Horner's rule,
+with its coefficients in that variable computed (and reduced mod p^r) as
+soon as the outer variables they use are assigned.  It is cut into
+functions of a few loops each, and the text of a function depends only
+on its shape:
 its loops, which of them have a period step, and the factors of each
 check's nonzero terms.  The widths, periods, repeat counts, moduli and
 reduced coefficients are its literals, bound to its last parameters as
@@ -252,17 +258,22 @@ def count_solutions(
     condition involves, contributes a free multiplicative factor.
     Conditions are tested as soon as their last variable is assigned.
 
-    The scan is a nested-loop counter generated for this system and p: a
-    condition's coefficients in its last variable are computed outside
-    that variable's loop, so the innermost loops only evaluate one
-    polynomial in one variable per condition.  Each function of the
-    counter is compiled once per shape (its loops, their period steps and
-    the factors of each check's terms) in a bounded cache, and run with
-    the widths, periods, moduli and coefficients of this system and p.
-    Every node is charged; each period runs once: where a variable is
-    read only mod a power of p below its width, the first period is
-    scanned and the rest of the width charged and counted in bulk, so the
-    count, the nodes and any overrun are those of the full scan.
+    A scan that can try at most _INTERPRETED_VALUES values (the sum over
+    the scanned variables of the product of the periods up to it) is run
+    by a recursive function over the plan of this system and p.  A larger
+    one is a nested-loop counter generated for them: a condition's
+    coefficients in its last variable are computed outside that
+    variable's loop, so the innermost loops only evaluate one polynomial
+    in one variable per condition.  Each function of the counter is
+    compiled once per shape (its loops, their period steps and the
+    factors of each check's terms) in a bounded cache, and run with the
+    widths, periods, moduli and coefficients of this system and p.
+
+    Both tiers charge every node, and run each period once: where a
+    variable is read only mod a power of p below its width, the first
+    period is scanned and the rest of the width charged and counted in
+    bulk, so the count, the nodes and any overrun are those of the full
+    scan.
     node_budget bounds the nodes: the values of every scanned variable's
     box that the full scan would try, including those charged in bulk.
     """
@@ -299,6 +310,21 @@ def _count_solutions(system: ClosureSystem, p: int, budget: _Budget) -> int:
     def overrun(nodes: int, count: int):
         raise ResourceLimitError(budget.context, nodes, budget.limit, count)
 
+    try:
+        if _value_bound(plan) <= _INTERPRETED_VALUES:
+            xs = [0] * len(plan.box)
+            budget.nodes, budget.count = _count_plan(
+                plan, 0, xs, budget.nodes, 0, budget.limit, overrun)
+        else:
+            budget.nodes, budget.count = _run_compiled(plan, budget, overrun)
+    except ResourceLimitError as err:
+        budget.nodes, budget.count = err.nodes, err.partial_count
+        raise err.with_partial(err.partial_count * plan.free_factor) from None
+    return budget.count * plan.free_factor
+
+
+def _run_compiled(plan: _Plan, budget: _Budget, overrun) -> tuple[int, int]:
+    """(nodes, count) of plan's generated counter, run from budget.nodes."""
     # a fresh namespace per solve: overrun raises for this budget, and the
     # count<s> functions call each other through it.  Each is built from
     # its shape's compiled code with this solve's literals as the defaults
@@ -313,13 +339,82 @@ def _count_solutions(system: ClosureSystem, p: int, budget: _Budget) -> int:
         for shape, literals in _functions(plan):
             namespace[f"count{shape[0]}"] = FunctionType(
                 _compiled_function(shape), namespace, None, literals)
-        budget.nodes, budget.count = namespace["count0"](budget.nodes, 0, budget.limit)
-    except ResourceLimitError as err:
-        budget.nodes, budget.count = err.nodes, err.partial_count
-        raise err.with_partial(err.partial_count * plan.free_factor) from None
+        return namespace["count0"](budget.nodes, 0, budget.limit)
     finally:
         namespace.clear()
-    return budget.count * plan.free_factor
+
+
+# The most values a plan's scan may try (_value_bound) for _count_plan to
+# count it; larger plans are compiled.  Per solve of the benchmark's
+# congruence workload (seeds 2 and 3, two-core host, Python 3.11), the
+# interpreted count took 0.09 ms on plans of at most 64 values against
+# 0.76 ms to compile and run the counter (0.11 ms with its code cached),
+# 1.5 ms against 2.8 ms (0.6 ms) on plans of 1,025-4,096 values, and
+# 3.8 ms against 1.9 ms (0.8 ms) on plans of 16,385-65,536.  The median
+# solve there tries 54 values.  Fresh-process rounds of that workload
+# (seeds 2-4, 24 rounds per bound) took 0.90, 0.90, 0.89 and 0.95 times
+# as long as with every plan compiled at bounds 1024, 4096, 16384 and
+# 65536 (medians of the paired ratios): the best value is broad.  At 4096
+# a round compiles 26 shapes instead of 131.
+_INTERPRETED_VALUES = 4096
+
+
+def _value_bound(plan: _Plan) -> int:
+    """The most values a scan of plan tries while its period batches fit
+    the budget: sum over d of periods[0] * ... * periods[d]."""
+    total, prefixes = 0, 1
+    for period in plan.periods:
+        prefixes *= period
+        total += prefixes
+    return total
+
+
+def _count_plan(plan: _Plan, d: int, xs: list, nodes: int, count: int,
+                limit: int, overrun) -> tuple[int, int]:
+    """The loops over x<d>, x<d+1>, ... of plan, interpreted, with x0 ..
+    x<d-1> in xs: the updated (nodes, count), under the node rules of the
+    generated counter (_counter_source).  A value of a loop that is not
+    the last costs one node before its tests; at x<d> == period the
+    period's nodes and count are repeated for the rest of the width when
+    they fit in the budget.  The last loop charges the values the budget
+    allows at once and tries one period when its whole width fits."""
+    width, period, checks = plan.box[d], plan.periods[d], plan.checks[d]
+    repeats = width // period - 1
+    if d == len(plan.box) - 1:
+        tried = min(limit - nodes, width)
+        nodes += tried
+        start = count
+        for x in range(period if tried == width else tried):
+            xs[d] = x
+            count += _passes(checks, xs)
+        if tried < width:
+            overrun(nodes + 1, count)
+        return nodes, count + (count - start) * repeats
+    start_nodes, start = nodes, count
+    for x in range(width):
+        if x == period and (nodes - start_nodes) * repeats <= limit - nodes:
+            return (nodes + (nodes - start_nodes) * repeats,
+                    count + (count - start) * repeats)
+        nodes += 1
+        if nodes > limit:
+            overrun(nodes, count)
+        xs[d] = x
+        if _passes(checks, xs):
+            nodes, count = _count_plan(plan, d + 1, xs, nodes, count, limit, overrun)
+    return nodes, count
+
+
+def _passes(checks: tuple, xs: list) -> bool:
+    """Whether the values in xs solve every condition of checks."""
+    for mod, terms in checks:
+        value = 0
+        for coeff, factors in terms:
+            for vi in factors:
+                coeff *= xs[vi]
+            value += coeff
+        if value % mod:
+            return False
+    return True
 
 
 def _plan(system: ClosureSystem, p: int) -> _Plan | None:
@@ -425,13 +520,15 @@ def _functions(plan: _Plan) -> list[tuple[tuple, tuple[int, ...]]]:
 # How many compiled functions one process keeps, least recently used
 # dropped first.  A function depends only on its shape, which recurs across
 # diagonals of the same structure, across primes and across the calls of a
-# budget sweep.  The size holds a whole working set: a round of the
-# benchmark's congruence workload (seeds 1-5) runs 503 functions of 131
-# distinct shapes, interleaving five composition families, and the shapes
-# of g over (5,7), (6,8), (6,9), (7,9), (8,10), (7,8), (5,9), (4,10) and
-# (6,7) at p = 2, 3, 5, 7 and 11 number 159.  With 256 entries a round
-# compiles each of its 131 shapes once, where 48 entries evicted shapes
-# that came back and compiled 196-216.  An entry holds about 1.75 KiB of
+# budget sweep.  The size holds a whole working set: with every plan
+# compiled, a round of the benchmark's congruence workload (seeds 1-5,
+# 287 solves) runs 503 functions of 131 distinct shapes, interleaving
+# five composition families, and the shapes of g over (5,7), (6,8),
+# (6,9), (7,9), (8,10), (7,8), (5,9), (4,10) and (6,7) at p = 2, 3, 5, 7
+# and 11 number 159.  With 256 entries a round compiles each of its 131
+# shapes once, where 48 entries evicted shapes that came back and
+# compiled 196-216.  With the small plans interpreted, the round runs 38
+# functions of 26 shapes.  An entry holds about 1.75 KiB of
 # code and 1.25 KiB of shape key (tracemalloc), so a full cache about
 # 0.75 MiB; the round's peak RSS rose by about 0.12 MiB (0.6 %).
 _FUNCTION_CACHE_SIZE = 256

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
 from typing import Iterator
 
 from .limits import (
@@ -27,6 +26,12 @@ from .limits import (
 from .hnf import HNFMatrix, _check_column, _column_closed, _ends_in_identity, hnf_from_generators
 from .partitions import bounded_compositions, conjugate, partition, partitions_of
 from .polyp import ONE, PolyP, gaussian_binomial
+
+
+def _require_rank(caller: str, n: int) -> None:
+    """ValueError naming n unless the rank n is >= 1."""
+    if n < 1:
+        raise ValueError(f"{caller} requires n >= 1, got n={n}")
 
 
 def _require_exponent(caller: str, t: int) -> None:
@@ -59,8 +64,7 @@ def count_subgroups_of_order(n: int, t: int, k: int) -> PolyP:
     types (parts <= t, length <= n-1).  At t = 0 the group is trivial,
     of the empty type, with its one subgroup."""
     require_integers("count_subgroups_of_order", n=n, t=t, k=k)
-    if n < 1:
-        raise ValueError("count_subgroups_of_order requires n >= 1")
+    _require_rank("count_subgroups_of_order", n)
     _require_exponent("count_subgroups_of_order", t)
     if not 0 <= k <= t * (n - 1):
         raise ValueError(f"order exponent {k} outside [0, {t * (n - 1)}]")
@@ -131,7 +135,9 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
             column(j + 1)
             return
         row = rows[i]
-        s = sum(map(mul, row[i + 1:j], x[i + 1:j])) if i + 1 < j else 0
+        s = 0
+        for k in range(i + 1, j):
+            s += row[k] * x[k]
         g, step, inv = steps[j][i]
         if s % g:
             return
@@ -149,7 +155,9 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
             # completes g0 lattices at g0 nodes after its own node.
             row0 = rows[0]
             x[1] = -(s + a0 * lam) // di
-            s0 = sum(map(mul, row0[1:j], x[1:j]))
+            s0 = 0
+            for k in range(1, j):
+                s0 += row0[k] * x[k]
             g0 = steps[j][0][0]
             h = gcd(row0[1] * (lam // g), g0)
             lattices = 0 if s0 % h else g * h
@@ -197,6 +205,7 @@ def brute_force_subgroups(
     containing p^t Z^(n-1).  An overrun's partial count is the number of
     sublattices counted before it."""
     require_integers("brute_force_subgroups", n=n, t=t, k=k)
+    _require_rank("brute_force_subgroups", n)
     _require_exponent("brute_force_subgroups", t)
     require_prime(p)
     budget = _Budget(f"brute_force_subgroups(n={n}, t={t}, k={k}, p={p})", node_budget)
@@ -218,8 +227,7 @@ def max_degree_order_count(n: int, t: int, k: int) -> int:
     is balanced, with i = t*ceil(k/t) - k parts floor(k/t) and the rest
     ceil(k/t), giving k(n-1) - sum of squared parts."""
     require_integers("max_degree_order_count", n=n, t=t, k=k)
-    if n < 1:
-        raise ValueError(f"max_degree_order_count requires n >= 1, got n={n}")
+    _require_rank("max_degree_order_count", n)
     _require_exponent("max_degree_order_count", t)
     if not 0 <= k <= t * (n - 1):
         raise ValueError(f"order exponent {k} outside [0, {t * (n - 1)}]")
@@ -340,6 +348,8 @@ def _sandwich_hnf_agreement(n: int, m: int, node_budget: int | None = None) -> t
     equals generic elimination of G's defining generators (1,...,1), m
     times each column of L, and m^2 e_j).  An overrun's partial count is
     the number of lattices compared before it."""
+    require_integers("_sandwich_hnf_agreement", n=n, m=m)
+    _require_rank("_sandwich_hnf_agreement", n)
     p, t = _prime_power(m)
     budget = _Budget(f"_sandwich_hnf_agreement(n={n}, m={m})", node_budget)
     agreeing = 0
@@ -375,8 +385,7 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     identity (1,...,1), which puts the identity in the span.
     """
     require_integers("sandwich_subring_audit", n=n, m=m)
-    if n < 1:
-        raise ValueError("sandwich_subring_audit requires n >= 1")
+    _require_rank("sandwich_subring_audit", n)
     p, t = _prime_power(m)
     budget = _Budget(f"sandwich_subring_audit(n={n}, m={m})", node_budget)
     mm = n - 1

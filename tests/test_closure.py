@@ -2,10 +2,15 @@ import gc
 import hashlib
 import io
 import itertools
+import math
+import random
 import re
 import tokenize
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from subrings import closure
 from subrings.closure import (
@@ -19,6 +24,9 @@ from subrings.counting import ResourceLimitError, count_by_diagonal, scan_by_dia
 from subrings.hnf import HNFMatrix, is_closed
 from subrings.limits import _Budget
 from subrings.partitions import compositions
+
+# values of closure._INTERPRETED_VALUES that send every plan to one tier
+COMPILED, INTERPRETED = 0, math.inf
 
 
 def test_trivial_diagonal_has_no_conditions():
@@ -289,7 +297,8 @@ def test_twenty_one_scanned_variables():
 
 
 def record_compiles(monkeypatch) -> list:
-    """Empty the counter cache and record every compile closure makes."""
+    """Empty the counter cache and record every compile closure makes,
+    with every plan sent to the compiled tier."""
     compiled = []
 
     def counted(*args):
@@ -297,6 +306,7 @@ def record_compiles(monkeypatch) -> list:
         return compile(*args)
 
     monkeypatch.setattr(closure, "compile", counted, raising=False)
+    monkeypatch.setattr(closure, "_INTERPRETED_VALUES", COMPILED)
     closure._compiled_function.cache_clear()
     return compiled
 
@@ -509,3 +519,127 @@ def test_periodic_last_loop_against_evaluation():
         for a in range(p**2) for b in range(p**2)
     )
     assert count_solutions(system, p) == solutions
+
+
+def tier_outcome(values, system, p, budget):
+    """metered_outcome with the plans that try at most `values` values
+    interpreted and the rest compiled."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(closure, "_INTERPRETED_VALUES", values)
+        return metered_outcome(system, p, budget)
+
+
+def test_tiers_agree():
+    """Every diagonal with n <= 5, e <= 7 at p = 2, 3, 5 and 7, and the
+    substituted (3, 2, 1, 1): the interpreted and the compiled counter give
+    the same count and nodes, or the same overrun, at budgets 0, 1, T - 1,
+    T, two random ones and none, T being the node total.  The default bound
+    sends some of these plans to each tier."""
+    rng = random.Random(0)
+    systems = [extract_conditions(alpha)
+               for n in range(2, 6) for e in range(n - 1, 8) for alpha in compositions(n, e)]
+    systems.append(extract_conditions((3, 2, 1, 1), {(1, 2): 1}))
+    interpreted = set()
+    for system in systems:
+        for p in (2, 3, 5, 7):
+            plan = closure._plan(system, p)
+            if plan is not None and plan.box:
+                interpreted.add(closure._value_bound(plan) <= closure._INTERPRETED_VALUES)
+            _, total = tier_outcome(COMPILED, system, p, None)
+            budgets = [0, 1, total - 1, total, None, rng.randint(0, total), rng.randint(0, total)]
+            for budget in budgets:
+                if budget is None or budget >= 0:
+                    expected = tier_outcome(COMPILED, system, p, budget)
+                    assert tier_outcome(INTERPRETED, system, p, budget) == expected, (
+                        system.alpha, p, budget)
+    assert interpreted == {True, False}
+
+
+class LiteralOverrun(Exception):
+    pass
+
+
+def scanned_boxes(system, p):
+    """The variables that a condition involves, in (col, row, ticks)
+    order, and their boxes p^min(range, max modulus exponent of their
+    conditions)."""
+    rmax = {}
+    for cond in system.conditions:
+        for mono, _ in cond.numerator:
+            for v, _ in mono:
+                rmax[v] = max(rmax.get(v, 0), cond.modulus_exponent)
+    order = sorted(rmax, key=lambda v: (v[1], v[0], v[2]))
+    return order, [p ** min(system.variable_ranges[v], rmax[v]) for v in order]
+
+
+def literal_scan(system, p, limit=None):
+    """The scan that count_solutions documents, run value by value, as
+    metered_outcome reports it: (count, nodes), or ("overrun", limit + 1,
+    partial count).  Each condition is tested once the last of its
+    variables in the scan order is assigned; one value tried is one node,
+    depth first.  The unscanned rest of the ranges multiplies the count."""
+    order, boxes = scanned_boxes(system, p)
+    free = p ** sum(system.variable_ranges.values()) // math.prod(boxes)
+    tested_at = {}
+    for cond in system.conditions:
+        variables = [v for mono, _ in cond.numerator for v, _ in mono]
+        tested_at.setdefault(max(map(order.index, variables), default=-1), []).append(cond)
+    values, nodes, count = {}, 0, 0
+
+    def passes(d):
+        return all(evaluate(cond.numerator, p, values) % p**cond.modulus_exponent == 0
+                   for cond in tested_at.get(d, []))
+
+    def scan(d):
+        nonlocal nodes, count
+        if d == len(order):
+            count += 1
+            return
+        for value in range(boxes[d]):
+            nodes += 1
+            if limit is not None and nodes > limit:
+                raise LiteralOverrun
+            values[order[d]] = value
+            if passes(d):
+                scan(d + 1)
+
+    try:
+        if passes(-1):
+            scan(0)
+    except LiteralOverrun:
+        return "overrun", nodes, count * free
+    return count * free, nodes
+
+
+@st.composite
+def closure_systems(draw):
+    """(system, p): 1-9 variables of ranges 1-3, 1-14 conditions of 1-4
+    terms of degree <= 3 with p-exponents 0-2, moduli p^1..p^3, and at
+    most 2*10^4 values in the scanned box."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    slots = st.tuples(st.integers(1, 4), st.integers(2, 6), st.integers(0, 1))
+    variables = draw(st.lists(slots, min_size=1, max_size=9, unique=True))
+    ranges = {v: draw(st.integers(1, 3)) for v in variables}
+    monomials = st.lists(st.sampled_from(variables), max_size=3).map(
+        lambda vs: tuple(sorted(Counter(vs).items())))
+    numerators = st.dictionaries(
+        st.tuples(monomials, st.integers(0, 2)),
+        st.integers(-6, 6).filter(bool), min_size=1, max_size=4)
+    conditions = draw(st.lists(
+        st.builds(CongruenceCondition, numerators, st.integers(1, 3)), min_size=1, max_size=14))
+    system = ClosureSystem((1,), conditions, ranges)
+    assume(math.prod(scanned_boxes(system, p)[1]) <= 2 * 10**4)
+    return system, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(closure_systems(), st.data())
+def test_literal_scan_agrees_with_both_tiers(case, data):
+    system, p = case
+    count, total = literal_scan(system, p)
+    for budget in (None, 0, total - 1, total, data.draw(st.integers(0, total))):
+        if budget is not None and budget < 0:
+            continue
+        expected = (count, total) if budget is None else literal_scan(system, p, budget)
+        for tier in (COMPILED, INTERPRETED):
+            assert tier_outcome(tier, system, p, budget) == expected, (tier, budget)

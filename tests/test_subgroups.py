@@ -219,6 +219,11 @@ def test_subgroup_entry_points_name_a_bad_rank():
         next(iter_sublattices_containing(-1, 2, 1))
     with pytest.raises(ValueError, match=r"max_degree_order_count requires n >= 1, got n=0"):
         max_degree_order_count(0, 1, 0)
+    # these named count_subgroups_of_order and iter_sublattices_containing
+    with pytest.raises(ValueError, match=r"^brute_force_subgroups requires n >= 1, got n=0"):
+        brute_force_subgroups(0, 0, 0, 2)
+    with pytest.raises(ValueError, match=r"^_sandwich_hnf_agreement requires n >= 1, got n=0"):
+        _sandwich_hnf_agreement(0, 2)
 
 
 def test_sublattice_iteration_refuses_non_prime_p():
