@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .limits import require_index, require_integers
+from .limits import require_index, require_integers, require_rank
 from .subgroups import bound_h_exponent
 
 SQRT2 = math.sqrt(2.0)
@@ -79,9 +79,7 @@ def bound_c_exponent(n: int, e: int, with_argmax: bool = False):
 def c7(n: int, with_argmax: bool = False):
     """Divergence abscissa of the local factors from the matrix-family
     route: max over integer d of d(n-1-d)/(n-1+d), as an exact Fraction."""
-    require_integers("c7", n=n)
-    if n < 2:
-        raise ValueError("c7 requires n >= 2")
+    require_rank("c7", n, 2)
     best, best_d = Fraction(0), 0
     for d in range(0, n):
         v = Fraction(d * (n - 1 - d), n - 1 + d)
@@ -93,18 +91,14 @@ def c7(n: int, with_argmax: bool = False):
 def a_exponent(n: int) -> Fraction:
     """Growth exponent for the subring count: max over integer d of
     (d(n-1-d) + 1)/(n-1+d), exact."""
-    require_integers("a_exponent", n=n)
-    if n < 2:
-        raise ValueError("a_exponent requires n >= 2")
+    require_rank("a_exponent", n, 2)
     return max(Fraction(d * (n - 1 - d) + 1, n - 1 + d) for d in range(n))
 
 
 def divergence_line(n: int) -> float:
     """Linear-in-n divergence bound (3 - 2*sqrt(2))(n-1) + 1 - sqrt(2);
     strictly weaker than c7 but explicit."""
-    require_integers("divergence_line", n=n)
-    if n < 2:
-        raise ValueError("divergence_line requires n >= 2")
+    require_rank("divergence_line", n, 2)
     return CAP_SLOPE * (n - 1) + 1.0 - SQRT2
 
 
@@ -132,9 +126,8 @@ def minorant_divergence(d: int, n: int, s) -> bool:
 
     Exact for int/Fraction s; floats are compared as floats.
     """
-    require_integers("minorant_divergence", n=n, d=d)
-    if n < 2:
-        raise ValueError("minorant_divergence requires n >= 2")
+    require_rank("minorant_divergence", n, 2)
+    require_integers("minorant_divergence", d=d)
     if not 0 <= d <= n - 1:
         raise ValueError("d must lie in [0, n-1]")
     threshold = Fraction(d * (n - 1 - d), n - 1 + d)

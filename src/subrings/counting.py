@@ -43,7 +43,7 @@ from .closure import (
     extract_conditions,
 )
 from .hnf import _column_closed, solve_upper_triangular
-from .limits import ResourceLimitError, _Budget, require_integers, require_prime
+from .limits import ResourceLimitError, _Budget, require_integers, require_prime, require_rank
 from .partitions import bounded_compositions, composition, compositions
 from .polyp import PolyP, lagrange_coefficients
 
@@ -148,9 +148,7 @@ def scan_subrings(
 ) -> int:
     """Oracle for f_n(p^e): scan every HNF subring matrix of index p^e.
     Uncached."""
-    require_integers("scan_subrings", n=n, e=e)
-    if n < 1 or e < 0:
-        raise ValueError("scan_subrings requires n >= 1, e >= 0")
+    _require_rank("scan_subrings", n, e, 1)
     require_prime(p)
     budget = _Budget(f"scan_subrings(n={n}, e={e}, p={p})", node_budget)
     if n == 1:
@@ -254,18 +252,18 @@ def _f_n(n: int, e: int, p: int, call: _Call) -> int:
     return total
 
 
-def _require_rank(n: int, e: int, irreducible: bool) -> None:
-    least = 2 if irreducible else 1
-    name = "count_irreducible" if irreducible else "count_subrings"
-    require_integers(name, n=n, e=e)
-    if n < least or e < 0:
-        raise ValueError(f"{name} requires n >= {least}, e >= 0")
+def _require_rank(caller: str, n: int, e: int, least: int) -> None:
+    """ValueError unless n is an int >= least and e an int >= 0."""
+    require_rank(caller, n, least)
+    require_integers(caller, e=e)
+    if e < 0:
+        raise ValueError(f"{caller} requires e >= 0, got e={e}")
 
 
 def count_subrings(n: int, e: int, p: int, node_budget: int | None = None) -> int:
     """f_n(p^e): subrings of Z^n of index p^e, by the recurrence over the
     irreducible counts."""
-    _require_rank(n, e, irreducible=False)
+    _require_rank("count_subrings", n, e, 1)
     require_prime(p)
     return _f_n(n, e, p, _Call(f"count_subrings(n={n}, e={e}, p={p})", node_budget))
 
@@ -287,7 +285,7 @@ def count_by_diagonal(alpha, p: int, node_budget: int | None = None) -> int:
 
 def count_irreducible(n: int, e: int, p: int, node_budget: int | None = None) -> int:
     """g_n(p^e): irreducible subrings, summed over diagonal compositions."""
-    _require_rank(n, e, irreducible=True)
+    _require_rank("count_irreducible", n, e, 2)
     require_prime(p)
     return _g_n(n, e, p, _Call(f"count_irreducible(n={n}, e={e}, p={p})", node_budget))
 
@@ -334,7 +332,7 @@ def interpolate_count(
         raise ValueError(
             f"need at least degree_cap + 2 = {degree_cap + 2} primes, got {len(primes)}"
         )
-    _require_rank(n, e, irreducible)
+    _require_rank("interpolate_count", n, e, 2 if irreducible else 1)
     # one budget for every prime; the memo tables are keyed by p, and the
     # primes share each diagonal's closure system
     call = _Call(f"interpolate_count(n={n}, e={e}, primes={primes})", node_budget)

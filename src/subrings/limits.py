@@ -81,11 +81,17 @@ def require_integers(caller: str, **values) -> None:
             raise ValueError(f"{caller} requires an integer {arg}, got {value!r}")
 
 
+def require_rank(caller: str, n: int, least: int) -> None:
+    """ValueError naming n unless the rank n is an int >= least."""
+    require_integers(caller, n=n)
+    if n < least:
+        raise ValueError(f"{caller} requires n >= {least}, got n={n}")
+
+
 def require_index(caller: str, n: int, e: int) -> None:
     """The domain of every exponent of f_n(p^e): ints n >= 2, e >= n-1."""
-    require_integers(caller, n=n, e=e)
-    if n < 2:
-        raise ValueError(f"{caller} requires n >= 2")
+    require_rank(caller, n, 2)
+    require_integers(caller, e=e)
     if e < n - 1:
         raise ValueError(f"{caller} needs e >= n-1, got e={e}")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator, Sequence
 
-from .limits import _is_int, require_integers
+from .limits import _is_int, require_integers, require_rank
 
 
 def partition(parts: Sequence[int]) -> tuple[int, ...]:
@@ -90,18 +90,13 @@ def bounded_compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int
             yield (first,) + rest
 
 
-def _require_dimension(caller: str, n: int, e: int) -> None:
-    require_integers(caller, n=n, e=e)
-    if n < 2:
-        raise ValueError(f"{caller} requires n >= 2")
-
-
 def compositions(n: int, e: int) -> Iterator[tuple[int, ...]]:
     """Every composition of e into exactly n-1 positive parts, in
     lexicographic order: the weak compositions of e - (n-1), each part
     shifted up by one.  Empty stream when e < n-1.  The arguments are
     checked at the call, not at the first item."""
-    _require_dimension("compositions", n, e)
+    require_rank("compositions", n, 2)
+    require_integers("compositions", e=e)
     slack = e - (n - 1)
     return (tuple([x + 1 for x in weak]) for weak in bounded_compositions(slack, n - 1, slack))
 
@@ -109,7 +104,8 @@ def compositions(n: int, e: int) -> Iterator[tuple[int, ...]]:
 def composition_count(n: int, e: int) -> int:
     """binomial(e-1, n-2) compositions of e into n-1 positive parts, 0
     when e < n-1.  Refuses what compositions refuses."""
-    _require_dimension("composition_count", n, e)
+    require_rank("composition_count", n, 2)
+    require_integers("composition_count", e=e)
     if e < n - 1:
         return 0
     return comb(e - 1, n - 2)

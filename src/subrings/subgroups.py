@@ -22,16 +22,11 @@ from typing import Iterator
 
 from .limits import (
     ResourceLimitError, _Budget, is_prime, require_index, require_integers, require_prime,
+    require_rank,
 )
 from .hnf import HNFMatrix, _check_column, _column_closed, _ends_in_identity, hnf_from_generators
 from .partitions import bounded_compositions, conjugate, partition, partitions_of
 from .polyp import ONE, PolyP, gaussian_binomial
-
-
-def _require_rank(caller: str, n: int) -> None:
-    """ValueError naming n unless the rank n is >= 1."""
-    if n < 1:
-        raise ValueError(f"{caller} requires n >= 1, got n={n}")
 
 
 def _require_exponent(caller: str, t: int) -> None:
@@ -63,8 +58,8 @@ def count_subgroups_of_order(n: int, t: int, k: int) -> PolyP:
     """Subgroups of order p^k in (Z/p^t Z)^(n-1), summed over admissible
     types (parts <= t, length <= n-1).  At t = 0 the group is trivial,
     of the empty type, with its one subgroup."""
-    require_integers("count_subgroups_of_order", n=n, t=t, k=k)
-    _require_rank("count_subgroups_of_order", n)
+    require_rank("count_subgroups_of_order", n, 1)
+    require_integers("count_subgroups_of_order", t=t, k=k)
     _require_exponent("count_subgroups_of_order", t)
     if not 0 <= k <= t * (n - 1):
         raise ValueError(f"order exponent {k} outside [0, {t * (n - 1)}]")
@@ -204,8 +199,8 @@ def brute_force_subgroups(
     the bijection with sublattices of Z^(n-1) of index p^(t(n-1)-k)
     containing p^t Z^(n-1).  An overrun's partial count is the number of
     sublattices counted before it."""
-    require_integers("brute_force_subgroups", n=n, t=t, k=k)
-    _require_rank("brute_force_subgroups", n)
+    require_rank("brute_force_subgroups", n, 1)
+    require_integers("brute_force_subgroups", t=t, k=k)
     _require_exponent("brute_force_subgroups", t)
     require_prime(p)
     budget = _Budget(f"brute_force_subgroups(n={n}, t={t}, k={k}, p={p})", node_budget)
@@ -226,8 +221,8 @@ def max_degree_order_count(n: int, t: int, k: int) -> int:
     """Degree in p of count_subgroups_of_order(n, t, k): the conjugate type
     is balanced, with i = t*ceil(k/t) - k parts floor(k/t) and the rest
     ceil(k/t), giving k(n-1) - sum of squared parts."""
-    require_integers("max_degree_order_count", n=n, t=t, k=k)
-    _require_rank("max_degree_order_count", n)
+    require_rank("max_degree_order_count", n, 1)
+    require_integers("max_degree_order_count", t=t, k=k)
     _require_exponent("max_degree_order_count", t)
     if not 0 <= k <= t * (n - 1):
         raise ValueError(f"order exponent {k} outside [0, {t * (n - 1)}]")
@@ -348,8 +343,8 @@ def _sandwich_hnf_agreement(n: int, m: int, node_budget: int | None = None) -> t
     equals generic elimination of G's defining generators (1,...,1), m
     times each column of L, and m^2 e_j).  An overrun's partial count is
     the number of lattices compared before it."""
-    require_integers("_sandwich_hnf_agreement", n=n, m=m)
-    _require_rank("_sandwich_hnf_agreement", n)
+    require_rank("_sandwich_hnf_agreement", n, 1)
+    require_integers("_sandwich_hnf_agreement", m=m)
     p, t = _prime_power(m)
     budget = _Budget(f"_sandwich_hnf_agreement(n={n}, m={m})", node_budget)
     agreeing = 0
@@ -384,8 +379,8 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     diagonal exponents, and its last column is checked to be the
     identity (1,...,1), which puts the identity in the span.
     """
-    require_integers("sandwich_subring_audit", n=n, m=m)
-    _require_rank("sandwich_subring_audit", n)
+    require_rank("sandwich_subring_audit", n, 1)
+    require_integers("sandwich_subring_audit", m=m)
     p, t = _prime_power(m)
     budget = _Budget(f"sandwich_subring_audit(n={n}, m={m})", node_budget)
     mm = n - 1

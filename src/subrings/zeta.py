@@ -1,6 +1,9 @@
 """Closed-form local factors of the subring zeta function for n <= 4,
 partial-sum diagnostics, and the bound comparison table.
 
+The partial sums run at 60 significant digits on the standard library's
+decimal module, so the package needs nothing outside it.
+
 With x = p^(-s) the local factors expand as rational series whose x^e
 coefficient is the polynomial f_n(p^e).  The cubic factor
 (1 - x^2)^2 / ((1 - x)^3 (1 - p x^3)) is the local factor of the closed
@@ -11,11 +14,16 @@ enumerator reproduces its coefficients at small primes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
+from decimal import (
+    MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation,
+    localcontext,
+)
 from fractions import Fraction
 
 from .bounds import bound_b_exponent, c7
-from .limits import require_integers, require_prime
+from .limits import _is_int, require_integers, require_prime
 from .polyp import ONE, PolyP, series_expand_rational
 from .subgroups import bound_h_exponent
 
@@ -79,60 +87,77 @@ class PartialSum:
 
 
 _RATIO_TOL = 1e-12
+# the float's exact value; from_float, unlike Decimal(), raises no
+# FloatOperation flag in the importing thread's context
+_GROWING = Decimal.from_float(1 - _RATIO_TOL)
+
+# Every partial sum runs in a copy of this context, whatever the caller's
+# decimal context is.  Its exponent range reaches far past the floats', and
+# a term beyond even that becomes inf or 0 (overflow and underflow are not
+# trapped), as the float it is returned as would.
+_CONTEXT = Context(
+    prec=60,
+    rounding=ROUND_HALF_EVEN,
+    Emin=MIN_EMIN,
+    Emax=MAX_EMAX,
+    traps=[InvalidOperation, DivisionByZero],
+)
 
 
-def partial_sum(n: int, p: int, s, E: int, d: int | None = None) -> PartialSum:
+def _decimal(x: Fraction) -> Decimal:
+    """x rounded once to the current context."""
+    return Decimal(x.numerator) / x.denominator
+
+
+def partial_sum(
+    n: int, p: int, s: int | float | Fraction, E: int, d: int | None = None
+) -> PartialSum:
     """Sum the first E+1 terms of the local factor at real s.
 
     For n <= 4 the exact coefficients are used.  For larger n the
     geometric minorant with parameter d (default: the c7 argmax) supplies
     lower-bound terms p^(e * rho - d(n-1-d)) with rho = d(n-1-d)/(n-1+d),
-    supported on e >= n-1.  Evaluation runs at 100-bit precision.
+    supported on e >= n-1.  s is an int (not a bool), a finite float or a
+    Fraction, taken exactly.  Evaluation runs at 60 significant digits in
+    a decimal context of its own: the caller's context neither changes
+    the result nor is changed.
     """
     require_integers("partial_sum", n=n, E=E)
     if d is not None:
         require_integers("partial_sum", d=d)
     require_prime(p)
+    if not (_is_int(s) or isinstance(s, Fraction) or isinstance(s, float) and math.isfinite(s)):
+        raise ValueError(
+            f"partial_sum requires s to be an int, a finite float or a Fraction, got {s!r}"
+        )
     if E < 0:
         raise ValueError("E must be nonnegative")
     if d is not None and not 0 <= d <= n - 1:
         raise ValueError(f"d must lie in [0, n-1] = [0, {n - 1}], got {d}")
-    # imported on first use: nothing else in the package needs mpmath, and
-    # importing it costs every process about 25 ms and 3 MiB at start-up
-    import mpmath
-
-    if n <= 4:
-        coeffs = local_coefficients(n, E)
-        with mpmath.workprec(100):
-            terms = [
-                mpmath.mpf(c(p)) * mpmath.power(p, -mpmath.mpf(e) * s)
-                for e, c in enumerate(coeffs)
-            ]
-            total = mpmath.fsum(terms)
-            ratio = terms[E] / terms[E - 1] if E >= 1 else mpmath.inf
-            return PartialSum(
-                float(total), float(ratio), bool(ratio >= 1 - _RATIO_TOL)
-            )
-    if d is None:
-        _, d = c7(n, with_argmax=True)
-    rho = Fraction(d * (n - 1 - d), n - 1 + d)
-    shift = d * (n - 1 - d)
-    with mpmath.workprec(100):
-        if isinstance(s, Fraction):
-            s_mp = mpmath.mpf(s.numerator) / s.denominator
+    with localcontext(_CONTEXT):
+        if n <= 4:
+            coeffs = [c(p) for c in local_coefficients(n, E)]
+            q = Decimal(p) ** -_decimal(Fraction(s))
+            total, power = Decimal(0), Decimal(1)
+            for c in coeffs:
+                total += c * power
+                power *= q
+            ratio = q * coeffs[E] / coeffs[E - 1] if E >= 1 else Decimal("Infinity")
+            growing = ratio >= _GROWING
         else:
-            s_mp = mpmath.mpf(s)
-        rho_mp = mpmath.mpf(rho.numerator) / rho.denominator
-        ratio = mpmath.power(p, rho_mp - s_mp)
-        terms = [
-            mpmath.power(p, mpmath.mpf(e) * (rho_mp - s_mp) - shift)
-            for e in range(n - 1, E + 1)
-        ]
-        total = mpmath.fsum(terms) if terms else mpmath.mpf(0)
-        if isinstance(s, (Fraction, int)):
-            growing = Fraction(s) <= rho
-        else:
-            growing = bool(ratio >= 1 - _RATIO_TOL)
+            if d is None:
+                _, d = c7(n, with_argmax=True)
+            rho = Fraction(d * (n - 1 - d), n - 1 + d)
+            ratio = Decimal(p) ** _decimal(rho - Fraction(s))
+            term = Decimal(p) ** -(d * (n - 1 - d)) * ratio ** (n - 1)
+            total = Decimal(0)
+            for _ in range(n - 1, E + 1):
+                total += term
+                term *= ratio
+            if isinstance(s, float):
+                growing = ratio >= _GROWING
+            else:
+                growing = Fraction(s) <= rho
         return PartialSum(float(total), float(ratio), growing)
 
 

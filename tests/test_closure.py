@@ -391,9 +391,14 @@ def test_counter_source_holds_only_literals_and_fixed_names(monkeypatch):
         return sources[-1]
 
     monkeypatch.setattr(closure, "_counter_source", recording)
+    # (3, 2, 1, 1) at p = 3 tries at most 1,089 values, which the
+    # interpreted tier would count without generating any source
+    monkeypatch.setattr(closure, "_INTERPRETED_VALUES", COMPILED)
     closure._compiled_function.cache_clear()
     count_solutions(extract_conditions((3, 2, 1, 1)), 3)
+    from_diagonal = len(sources)
     count_solutions(chain_system(25), 2)
+    assert 0 < from_diagonal < len(sources)
     assert len(sources) > 2
     allowed = re.compile(
         r"(x|c|count)\d*|[nkL]\d+|nodes|limit|width|overrun|range"

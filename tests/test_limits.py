@@ -1,8 +1,9 @@
-"""The local primality test, and the counting paths' independence of mpmath.
+"""The local primality test, and the package's independence of mpmath.
 
-mpmath serves zeta.partial_sum alone; every other entry point checks its
+No module of the package imports mpmath: every entry point checks its
 primes with limits.is_prime, which is checked here against mpmath's own
-test."""
+test, and zeta.partial_sum runs on the standard library's decimal.  The
+tests keep mpmath as an oracle."""
 
 import json
 import os
@@ -68,10 +69,11 @@ def test_is_prime_accepts_nothing_mpmath_refuses():
     assert accepted > 0
 
 
-# the entry points of the benchmark's workloads, the CLI's --p and
-# verify, all run where importing mpmath raises
+# the entry points of the benchmark's workloads, partial_sum, the CLI's
+# --p and verify, all run where importing mpmath raises
 _BLOCKED = """
 import contextlib, io, json, sys
+from dataclasses import astuple
 sys.modules["mpmath"] = None
 import subrings as S
 from subrings import cli
@@ -83,22 +85,13 @@ out = {
     "audit": S.sandwich_subring_audit(3, 4).total_violations,
     "brute": S.brute_force_subgroups(3, 2, 2, 3),
     "interp": str(S.interpolate_count(3, 3, (2, 3, 5), 1)),
+    "sums": [astuple(S.partial_sum(3, 2, 1.5, 12)), astuple(S.partial_sum(6, 3, 2.0, 9))],
 }
 with contextlib.redirect_stdout(io.StringIO()):
     out["count_exit"] = cli.main(["count", "--n", "3", "--e", "2", "--p", "2"])
     out["verify_exit"] = cli.main(["verify"])
 print(json.dumps(out))
 """
-
-_FRESH = """
-import json, sys
-from dataclasses import astuple
-import subrings as S
-imported = "mpmath" in sys.modules
-sums = [astuple(S.partial_sum(3, 2, 1.5, 12)), astuple(S.partial_sum(6, 3, 2.0, 9))]
-print(json.dumps([imported, *sums]))
-"""
-
 
 def _run(code: str):
     src = str(Path(subrings.__file__).resolve().parent.parent)
@@ -120,13 +113,10 @@ def test_counting_paths_run_without_mpmath():
         "audit": 0,
         "brute": subrings.brute_force_subgroups(3, 2, 2, 3),
         "interp": str(subrings.interpolate_count(3, 3, (2, 3, 5), 1)),
+        "sums": [
+            list(astuple(subrings.partial_sum(3, 2, 1.5, 12))),
+            list(astuple(subrings.partial_sum(6, 3, 2.0, 9))),
+        ],
         "count_exit": 0,
         "verify_exit": 0,
     }
-
-
-def test_partial_sum_imports_mpmath_on_first_use():
-    imported, cubic, minorant = _run(_FRESH)
-    assert not imported
-    assert cubic == list(astuple(subrings.partial_sum(3, 2, 1.5, 12)))
-    assert minorant == list(astuple(subrings.partial_sum(6, 3, 2.0, 9)))

@@ -1,12 +1,18 @@
+import decimal
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from subrings.bounds import c7
 from subrings.counting import count_subrings
+from subrings.limits import require_integers, require_prime
 from subrings.polyp import ONE, PolyP
 from subrings.zeta import (
+    _RATIO_TOL,
     TABLE1_PRINTED,
+    PartialSum,
     local_coefficients,
     partial_sum,
     table1,
@@ -100,6 +106,100 @@ def test_minorant_boundary_ratios():
         below = partial_sum(n, 2, rho - Fraction(1, 10), 40, d=d)
         assert below.still_growing
         assert below.last_term_ratio > 1
+
+
+def mpmath_partial_sum(n: int, p: int, s, E: int, d: int | None = None) -> PartialSum:
+    """partial_sum as it was written on mpmath at 100-bit precision: the
+    oracle for the decimal version."""
+    require_integers("partial_sum", n=n, E=E)
+    if d is not None:
+        require_integers("partial_sum", d=d)
+    require_prime(p)
+    if E < 0:
+        raise ValueError("E must be nonnegative")
+    if d is not None and not 0 <= d <= n - 1:
+        raise ValueError(f"d must lie in [0, n-1] = [0, {n - 1}], got {d}")
+    if n <= 4:
+        coeffs = local_coefficients(n, E)
+        with mpmath.workprec(100):
+            terms = [
+                mpmath.mpf(c(p)) * mpmath.power(p, -mpmath.mpf(e) * s)
+                for e, c in enumerate(coeffs)
+            ]
+            total = mpmath.fsum(terms)
+            ratio = terms[E] / terms[E - 1] if E >= 1 else mpmath.inf
+            return PartialSum(
+                float(total), float(ratio), bool(ratio >= 1 - _RATIO_TOL)
+            )
+    if d is None:
+        _, d = c7(n, with_argmax=True)
+    rho = Fraction(d * (n - 1 - d), n - 1 + d)
+    shift = d * (n - 1 - d)
+    with mpmath.workprec(100):
+        if isinstance(s, Fraction):
+            s_mp = mpmath.mpf(s.numerator) / s.denominator
+        else:
+            s_mp = mpmath.mpf(s)
+        rho_mp = mpmath.mpf(rho.numerator) / rho.denominator
+        ratio = mpmath.power(p, rho_mp - s_mp)
+        terms = [
+            mpmath.power(p, mpmath.mpf(e) * (rho_mp - s_mp) - shift)
+            for e in range(n - 1, E + 1)
+        ]
+        total = mpmath.fsum(terms) if terms else mpmath.mpf(0)
+        if isinstance(s, (Fraction, int)):
+            growing = Fraction(s) <= rho
+        else:
+            growing = bool(ratio >= 1 - _RATIO_TOL)
+        return PartialSum(float(total), float(ratio), growing)
+
+
+def oracle_calls():
+    """A seeded grid over n 2-9, p <= 11, E <= 40, with d given or not and
+    s a float in [-1, 4), a Fraction in [-20, 80] or an int in [-1, 4];
+    then criterion 14's calls on the c7 boundary."""
+    rng = random.Random(20261020)
+    for _ in range(600):
+        n, p, E = rng.randint(2, 9), rng.choice((2, 3, 5, 7, 11)), rng.randint(0, 40)
+        s = rng.choice((
+            rng.uniform(-1, 4),
+            Fraction(rng.randint(-2000, 8000), 100),
+            rng.randint(-1, 4),
+        ))
+        d = rng.choice((None, rng.randint(0, n - 1))) if n > 4 else None
+        yield n, p, s, E, d
+    for n in (6, 10):
+        rho, d = c7(n, with_argmax=True)
+        for j in range(-5, 6):
+            yield n, 2, rho + Fraction(j, 1000), 60, d
+
+
+def test_partial_sum_matches_mpmath_oracle():
+    for call in oracle_calls():
+        got, want = partial_sum(*call), mpmath_partial_sum(*call)
+        assert [repr(x) for x in (got.value, got.last_term_ratio, got.still_growing)] == [
+            repr(x) for x in (want.value, want.last_term_ratio, want.still_growing)
+        ], call
+
+
+@pytest.mark.parametrize("s", [float("inf"), float("-inf"), float("nan"), "1.5", True, None])
+@pytest.mark.parametrize("n, E", [(3, 5), (6, 9)])
+def test_partial_sum_refuses_s_that_is_not_a_finite_real(n, E, s):
+    # inf raised ZeroDivisionError, NaN gave NaN in every field, True was
+    # taken as s = 1, and "1.5" was parsed at n = 6 but not at n = 3
+    with pytest.raises(ValueError, match=r"partial_sum requires s to be an int, a finite float"):
+        partial_sum(n, 2, s, E)
+
+
+def test_partial_sum_ignores_and_keeps_the_callers_decimal_context():
+    calls = [(3, 2, 1.5, 12), (4, 3, Fraction(7, 3), 20), (6, 3, 2.0, 9), (10, 2, Fraction(20, 13), 60)]
+    expected = [partial_sum(*call) for call in calls]
+    caller = decimal.Context(prec=5, rounding=decimal.ROUND_FLOOR)
+    state = repr(caller)
+    with decimal.localcontext(caller) as current:
+        assert [partial_sum(*call) for call in calls] == expected
+        assert decimal.getcontext() is current
+        assert repr(current) == state  # precision, rounding, traps and no flags raised
 
 
 def test_table1_reports_exactly_one_mismatch():
