@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .limits import require_index, require_integers, require_rank
+from .limits import require_index, require_integers, require_rank, require_real
 from .subgroups import bound_h_exponent
 
 SQRT2 = math.sqrt(2.0)
@@ -124,12 +124,14 @@ def minorant_divergence(d: int, n: int, s) -> bool:
     """True iff the geometric minorant with parameter d diverges at s,
     i.e. s <= d(n-1-d)/(n-1+d) (boundary included: term ratio exactly 1).
 
-    Exact for int/Fraction s; floats are compared as floats.
+    Exact for int/Fraction s; floats are compared as floats.  s must be
+    an int (not a bool), a finite float or a Fraction.
     """
     require_rank("minorant_divergence", n, 2)
     require_integers("minorant_divergence", d=d)
     if not 0 <= d <= n - 1:
         raise ValueError("d must lie in [0, n-1]")
+    require_real("minorant_divergence", s)
     threshold = Fraction(d * (n - 1 - d), n - 1 + d)
     if isinstance(s, float):
         return s <= float(threshold)

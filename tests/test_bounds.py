@@ -99,6 +99,14 @@ def test_bound_and_zeta_entry_points_refuse_non_integers(call, args, arg):
         call(*args)
 
 
+@pytest.mark.parametrize("s", ["0.5", True, float("nan"), float("inf"), None])
+def test_minorant_divergence_refuses_s_that_is_not_a_finite_real(s):
+    # "0.5" was parsed and gave True, True was taken as s = 1, NaN and inf
+    # gave False, and None raised TypeError
+    with pytest.raises(ValueError, match=r"minorant_divergence requires s to be an int, a finite"):
+        minorant_divergence(2, 6, s)
+
+
 def test_minorant_divergence_rejects_rank_below_two():
     # n = 1 left d = 0 in range and divided 0 by 0
     for n in (1, 0, -1):

@@ -177,6 +177,43 @@ def test_bulk_row_outcomes_at_every_budget():
     )
 
 
+def test_single_valued_walk_outcomes_pinned(monkeypatch):
+    """Walks made mostly of entries with one value (t = 1): every
+    brute-force outcome at every budget from 0 to the node total, and the
+    items of two sublattice iterations, by digest.  Unbudgeted, each
+    brute force makes one _Budget.spend call per node not spent in bulk,
+    and its spend_batch calls.  The digest and the call counts were taken
+    before single-valued entries and completed columns were walked in a
+    loop instead of by a call each."""
+    totals = {(6, 1, 2, 2): 648, (5, 1, 1, 3): 134}
+    digest = hashlib.sha256()
+    for q, total in totals.items():
+        for budget in range(total + 1):
+            digest.update(repr((q, budget, outcome(brute_force_subgroups, *q, budget))).encode())
+    for args in [(5, 2, 1), (4, 3, 1)]:
+        digest.update(repr((args, list(iter_sublattices_containing(*args)))).encode())
+    assert digest.hexdigest() == (
+        "5320f7949acbb645a318fc48312a048bff35e140ddc9bbb348dc7b874b476691"
+    )
+
+    calls = {"spend": 0, "spend_batch": 0}
+    spend, spend_batch = limits._Budget.spend, limits._Budget.spend_batch
+
+    def counted_spend(self):
+        calls["spend"] += 1
+        spend(self)
+
+    def counted_batch(self, k, count):
+        calls["spend_batch"] += 1
+        return spend_batch(self, k, count)
+
+    monkeypatch.setattr(limits._Budget, "spend", counted_spend)
+    monkeypatch.setattr(limits._Budget, "spend_batch", counted_batch)
+    for q, expected in {(6, 1, 2, 2): (155, 394, 71), (5, 1, 1, 3): (40, 72, 16)}.items():
+        calls.update(spend=0, spend_batch=0)
+        assert (brute_force_subgroups(*q), calls["spend"], calls["spend_batch"]) == expected, q
+
+
 @given(
     st.integers(1, 5), st.integers(1, 2), st.sampled_from((2, 3, 5)), st.data(),
     st.integers(0, 3000),

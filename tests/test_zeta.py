@@ -94,6 +94,15 @@ def test_partial_sum_rejects_minorant_parameter_outside_range():
         assert partial_sum(6, 2, 1, 3, d=d).value >= 0
 
 
+def test_partial_sum_refuses_minorant_parameter_at_small_rank():
+    # for n <= 4 the exact coefficients are summed and d was ignored:
+    # partial_sum(3, 2, 1, 4, d=1) equalled partial_sum(3, 2, 1, 4)
+    for n, d in ((3, 1), (4, 0)):
+        with pytest.raises(ValueError, match=r"d selects the geometric minorant, .* n > 4"):
+            partial_sum(n, 2, 1, 4, d=d)
+        assert partial_sum(n, 2, 1, 4).value > 0
+
+
 def test_minorant_boundary_ratios():
     for n in (6, 10):
         rho, d = c7(n, with_argmax=True)
