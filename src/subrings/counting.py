@@ -45,7 +45,7 @@ from .closure import (
 from .hnf import _column_closed, solve_upper_triangular
 from .limits import ResourceLimitError, _Budget, require_integers, require_prime, require_rank
 from .partitions import bounded_compositions, composition, compositions
-from .polyp import PolyP, lagrange_coefficients
+from .polyp import PolyP, _gaussian_binomial, lagrange_coefficients
 
 
 def _scan_interior(rows, n, col_values, budget):
@@ -174,14 +174,15 @@ _GA_CACHE: dict[tuple[tuple[int, ...], int], int] = {}
 
 def clear_caches() -> None:
     """Empty the per-process memo tables of f_n, g_n and g_alpha, the
-    cache of compiled congruence counter functions and that of monomial
-    products.  Counts do not change; the next unbudgeted call recomputes
-    (and recompiles) what it needs."""
+    cache of compiled congruence counter functions, that of monomial
+    products and that of Gaussian binomials.  Counts do not change; the
+    next unbudgeted call recomputes (and recompiles) what it needs."""
     _F_CACHE.clear()
     _G_CACHE.clear()
     _GA_CACHE.clear()
     _compiled_function.cache_clear()
     _mono_mul.cache_clear()
+    _gaussian_binomial.cache_clear()
 
 
 class _Call:

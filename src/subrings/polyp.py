@@ -9,6 +9,7 @@ floating point is used anywhere in this module.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -145,14 +146,21 @@ def gaussian_binomial(m: int, r: int) -> PolyP:
     """Gaussian binomial [m r]_p as an exact PolyP of degree r(m-r).
 
     Built row by row with no division, by the rule
-    [a s] = p^s [a-1 s] + [a-1 s-1].
+    [a s] = p^s [a-1 s] + [a-1 s-1], and memoised (_gaussian_binomial,
+    emptied by counting.clear_caches) behind the argument checks: True
+    hashes as 1, so a bool would otherwise find the entry of 1.
     """
     require_integers("gaussian_binomial", m=m, r=r)
     if m < 0 or r < 0:
         raise ValueError("gaussian_binomial needs nonnegative arguments")
     if r > m:
         raise ValueError(f"gaussian_binomial({m}, {r}): r exceeds m")
-    r = min(r, m - r)
+    return _gaussian_binomial(m, min(r, m - r))
+
+
+@functools.lru_cache(maxsize=1024)
+def _gaussian_binomial(m: int, r: int) -> PolyP:
+    """[m r]_p for checked ints 0 <= r <= m - r."""
     row = [ONE] + [ZERO] * r  # [a s] for s = 0..r, at a = 0
     for a in range(1, m + 1):
         for s in range(min(a, r), 0, -1):

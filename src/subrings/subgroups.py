@@ -8,9 +8,9 @@ one diagonal at a time, drawn from partitions.bounded_compositions.  A
 subgroup G with Z + m^2 Z^n <= G <= Z + m Z^n is automatically a
 subring, which the audit checks matrix by matrix.  Each G is
 m L + Z(1,...,1) + m^2 Z^n for such an L with m = p^t, and its HNF,
-[[m B, 1], [0, 1]] for L's basis B, is written column by column, each
-column's HNF conditions and closure checked once for the lattices that
-share the prefix.
+[[m B, 1], [0, 1]] for L's basis B, is written column by column where
+the walk completes each column of L, each column's HNF conditions and
+closure checked once for the lattices that share the prefix.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def count_subgroups_of_order(n: int, t: int, k: int) -> PolyP:
     return total
 
 
-def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
+def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit, column=None) -> None:
     """Call visit(rows) on the HNF basis rows of every sublattice L of Z^m
     with p^t Z^m <= L and diagonal p^diag[0], ..., p^diag[m-1].
 
@@ -104,6 +104,15 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
     g + q g0 nodes and completes q g0 lattices (_Budget.spend_batch); when
     it does not fit in the budget the values are walked one at a time, so
     an overrun still reports the exact nodes and partial count.
+
+    column(j, rows), when given, is called where column j of L is
+    complete, at that column's node: for column 0 at the walk's first
+    node, and for every later column in the while loop, so once for each
+    prefix of columns 0..j the walk reaches, in depth-first order, and
+    before visit sees any lattice with that prefix.  The sandwich audit
+    writes and checks G's columns there (_sandwich_walk).  walk refers to
+    itself through its cell; the finally clause breaks that cycle, so a
+    walk leaves nothing for the cycle collector.
     """
     m = len(diag)
     d = [p**f for f in diag]
@@ -125,6 +134,8 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
         while True:
             spend()
             if i < 0:
+                if column is not None:
+                    column(j, rows)
                 j += 1
                 if j == m:
                     if visit is None:  # m == 1, or a_0(m-1) taken one value at a time
@@ -176,13 +187,16 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit) -> None:
                 walk(j, i - 1, x)
             return
 
-    if m:
-        walk(0, -1, [lams[0]])
-    # Z^0 is its own one sublattice, found at no node
-    elif visit is None:
-        budget.count += 1
-    else:
-        visit(rows)
+    try:
+        if m:
+            walk(0, -1, [lams[0]])
+        # Z^0 is its own one sublattice, found at no node
+        elif visit is None:
+            budget.count += 1
+        else:
+            visit(rows)
+    finally:
+        walk = None
 
 
 def iter_sublattices_containing(
@@ -296,14 +310,18 @@ class SandwichAudit:
         return all(r.match for r in self.rows)
 
 
-def _iter_sandwiches(n: int, p: int, t: int, budget: _Budget):
-    """Yield (rows, kappa, buf, exps, ok) for every G = Z(1,...,1) + m L
-    + m^2 Z^n, m = p^t, with L running over
-    iter_sublattices_containing(n - 1, p, t) in its order: rows is L's HNF
-    basis, p^kappa its index, buf the rows of G's HNF and exps its
-    diagonal exponents, and ok is True iff buf is closed under
-    componentwise products of its columns.  buf and exps are reused:
-    the caller copies what it keeps.
+def _sandwich_walk(n: int, p: int, t: int, budget: _Budget, lattice) -> None:
+    """Call lattice(rows, kappa, buf, exps, subring) for every
+    G = Z(1,...,1) + m L + m^2 Z^n, m = p^t, with L running over the
+    sublattices of Z^(n-1) containing m Z^(n-1), in the order of
+    iter_sublattices_containing: rows is L's HNF basis, p^kappa its index,
+    buf the rows of G's HNF and exps its diagonal exponents, and subring
+    is True iff buf is closed under componentwise products of its columns
+    and its last column is the identity (1,...,1), which puts the identity
+    in the span.  rows, buf and exps are reused: the caller copies what it
+    keeps.  A diagonal's lattices are added to budget.count once its walk
+    is done, so an overrun's partial count is the number of lattices in
+    the diagonals already finished.
 
     G's HNF is [[m B, 1], [0, 1]] for L's HNF basis B.  The columns m B_j
     and (1,...,1) span G, since m^2 Z^(n-1) <= m L and m^2 e_n is then
@@ -311,75 +329,100 @@ def _iter_sandwiches(n: int, p: int, t: int, budget: _Budget):
     m a_ij < m a_ii, and 1 < m a_ii as m >= 2.
 
     One n x n buffer holds G's HNF, its last column fixed to (1,...,1).
-    The walk is depth first, column by column, so consecutive lattices
-    share their leading columns.  Only the columns from the first one
-    that differs from the previous lattice's are written into the buffer,
-    m times L's column, and checked, once for every run of lattices
-    sharing the prefix: the HNF check (hnf._check_column) of the pivot
-    p^(t + f), where a_cc = p^f with 0 <= f <= t, and of every entry of
-    the column, then ok[c+1] = ok[c] and _column_closed, which reads only
-    the leading block.  Column c's check reads the pivots of the rows
-    above it, which belong to columns already checked, and columns past
-    c are not read, so every column of every yielded matrix has passed
-    it.  The identity column is checked once, against pivots m: every
-    pivot written later is p^(t + f) >= m, so its entries 1 stay below
-    them.  The pairs with the last column, the ring identity, hold and
-    are not solved, as in is_closed.  p is not checked for primality
-    here: the walk checks it once.
+    The walk (_walk_sublattices) calls column(c, rows) where it completes
+    column c of L, once for each prefix of columns 0..c it reaches, and
+    before any lattice with that prefix.  There m times L's column is
+    written into the buffer and checked: the HNF check (hnf._check_column)
+    of the pivot p^(t + f), where a_cc = p^f with 0 <= f <= t, and of
+    every entry of the column, then ok[c+1] = ok[c] and _column_closed,
+    which reads only the leading block.  Column c's check reads the pivots
+    of the rows above it, which belong to columns already checked, and
+    columns past c are not read, so every column of every visited matrix
+    has passed it.  The identity column is checked once, against pivots
+    m: every pivot written later is p^(t + f) >= m, so its entries 1 stay
+    below them.  The pairs with the last column, the ring identity, hold
+    and are not solved, as in is_closed.  Per lattice, the det
+    p^sum(exps) is compared with m^(n-1) p^kappa by exponent, and the
+    last column is read.  p is not checked for primality here: the
+    caller checks it once.
     """
     m = p**t
     last = n - 1
+    top = t * last  # m^(n-1) = p^top
     shifted = {p**f: t + f for f in range(t + 1)}  # L's pivots are p^f, f <= t
     buf = [[m if i == j else 0 for j in range(last)] + [1] for i in range(n)]
     exps = [t] * last + [0]
     for c in range(n):
         _check_column(buf, c, p, exps[c])
     ok = [True] * n  # ok[c]: the pairs of columns 0..c-1 of buf hold
-    prev = [None] * last
-    for rows, kappa in iter_sublattices_containing(last, p, t, budget):
-        cols = tuple(zip(*rows))
-        first = 0
-        while first < last and cols[first] == prev[first]:
-            first += 1
-        for c in range(first, last):
-            col = cols[c]
-            for i in range(c + 1):
-                buf[i][c] = m * col[i]
-            e = shifted.get(col[c])
-            if e is None:
-                raise ValueError(f"pivot {col[c]} of column {c} of L is not p^f, 0 <= f <= {t}")
-            exps[c] = e
-            _check_column(buf, c, p, e)
-            ok[c + 1] = ok[c] and _column_closed(buf, c)
-        prev = cols
-        yield rows, kappa, buf, exps, ok[last]
+
+    def column(c, rows):
+        for i in range(c + 1):
+            buf[i][c] = m * rows[i][c]
+        pivot = rows[c][c]
+        e = shifted.get(pivot)
+        if e is None:
+            raise ValueError(f"pivot {pivot} of column {c} of L is not p^f, 0 <= f <= {t}")
+        exps[c] = e
+        _check_column(buf, c, p, e)
+        ok[c + 1] = ok[c] and _column_closed(buf, c)
+
+    def visit(rows):
+        nonlocal found
+        # holds by construction, as G's diagonal exponents are t + f_i
+        # and 0; _sandwich_hnf_agreement is the construction's real check.
+        # The powers are built only for the message
+        if sum(exps) != top + kappa:
+            raise AssertionError(
+                f"sandwich lattice index {p ** sum(exps)} != expected {m**last * p**kappa}"
+            )
+        found += 1
+        lattice(rows, kappa, buf, exps, ok[last] and _ends_in_identity(buf))
+
+    for diag in itertools.product(range(t + 1), repeat=last):
+        kappa = sum(diag)  # kappa: index of L in Z^(n-1)
+        found = 0
+        _walk_sublattices(p, t, diag, budget, visit, column)
+        budget.count += found
 
 
 def _sandwich_hnf_agreement(n: int, m: int, node_budget: int | None = None) -> tuple[int, int]:
-    """Oracle for _iter_sandwiches: (lattices G the audit at (n, m) walks,
-    those whose HNF, as the audit builds it and as a validated HNFMatrix,
-    equals generic elimination of G's defining generators (1,...,1), m
-    times each column of L, and m^2 e_j).  An overrun's partial count is
-    the number of lattices compared before it."""
+    """Oracle for _sandwich_walk: (lattices G compared at (n, m), those
+    that agree).  The walk's lattices are compared in lockstep with the
+    items of iter_sublattices_containing(n - 1, p, t), run without a
+    budget.  A lattice agrees when its L and kappa are the generator's
+    item at the same position, and its HNF, as the audit writes it and as
+    a validated HNFMatrix, equals generic elimination of G's defining
+    generators (1,...,1), m times each column of L, and m^2 e_j.  So a
+    lattice the walk skips, adds or visits out of order disagrees; an item
+    the generator yields past the walk's end counts as compared and
+    disagreeing.  An overrun's partial count is the number of lattices
+    compared before it, in the diagonals already finished."""
     require_rank("_sandwich_hnf_agreement", n, 1)
     require_integers("_sandwich_hnf_agreement", m=m)
     p, t = _prime_power(m)
     budget = _Budget(f"_sandwich_hnf_agreement(n={n}, m={m})", node_budget)
+    items = iter_sublattices_containing(n - 1, p, t)
     agreeing = 0
-    for rows, _, buf, exps, _ in _iter_sandwiches(n, p, t, budget):
+
+    def lattice(rows, kappa, buf, exps, _):
+        nonlocal agreeing
+        L = tuple(map(tuple, rows))
         A = HNFMatrix(n, p, tuple(exps), tuple(map(tuple, buf)))
         gens = [[1] * n]
-        gens += [[m * row[j] for row in rows] + [0] for j in range(n - 1)]
+        gens += [[m * row[j] for row in L] + [0] for j in range(n - 1)]
         gens += [[m * m if i == j else 0 for i in range(n)] for j in range(n)]
-        budget.count += 1
-        agreeing += A == hnf_from_generators(p, gens)
-    return budget.count, agreeing
+        agreeing += next(items, None) == (L, kappa) and A == hnf_from_generators(p, gens)
+
+    _sandwich_walk(n, p, t, budget, lattice)
+    return budget.count + sum(1 for _ in items), agreeing
 
 
 def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> SandwichAudit:
     """Enumerate every subgroup G of Z^n with Z + m^2 Z^n <= G <= Z + m Z^n,
-    write its HNF column by column, checking each column's HNF conditions
-    and closure once per prefix (_iter_sandwiches), and check the subring
+    write its HNF column by column where the sublattice walk completes
+    each column of L, checking each column's HNF conditions and closure
+    once per walk prefix (_sandwich_walk), and check the subring
     conditions.
 
     m must be a prime power p^t.  G at index m^(n-1) * p^kappa corresponds
@@ -389,14 +432,14 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     it by subgroup self-duality.  The size cap compares the number of
     lattices the walk will produce, the sum of those counts, with 10^8.
     An overrun's partial count is the number of lattices audited before
-    it: the walk yields a diagonal's lattices once that diagonal is done.
+    it, in the diagonals already finished: each diagonal's lattices are
+    added to the count once its walk is done.
 
-    p is checked for primality per audit, when m is split into p^t
-    (_prime_power) and when the walk starts, not per matrix.  No
-    HNFMatrix is built: each lattice's det is compared by its exponent,
-    the sum of the checked diagonal exponents, and its last column is
-    checked to be the identity (1,...,1), which puts the identity in the
-    span.
+    p is checked for primality once per audit, when m is split into p^t
+    (_prime_power), not per matrix.  No HNFMatrix is built: each
+    lattice's det is compared by its exponent, the sum of the checked
+    diagonal exponents, and its last column is checked to be the identity
+    (1,...,1), which puts the identity in the span.
     """
     require_rank("sandwich_subring_audit", n, 1)
     require_integers("sandwich_subring_audit", m=m)
@@ -412,19 +455,12 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
         )
     per_kappa_count = [0] * (t * mm + 1)
     per_kappa_violations = [0] * (t * mm + 1)
-    # kappa: index of L in Z^(n-1) = index of the subgroup image
-    for _, kappa, buf, exps, ok in _iter_sandwiches(n, p, t, budget):
-        # holds by construction, as G's diagonal exponents are t + f_i
-        # and 0; _sandwich_hnf_agreement is the construction's real check.
-        # The det p^sum(exps) is compared with m^(n-1) p^kappa by exponent;
-        # the powers are built only for the message
-        if sum(exps) != t * mm + kappa:
-            raise AssertionError(
-                f"sandwich lattice index {p ** sum(exps)} != expected {m**mm * p**kappa}"
-            )
+
+    def lattice(rows, kappa, buf, exps, subring):
         per_kappa_count[kappa] += 1
-        per_kappa_violations[kappa] += not (ok and _ends_in_identity(buf))
-        budget.count += 1
+        per_kappa_violations[kappa] += not subring
+
+    _sandwich_walk(n, p, t, budget, lattice)
     out = tuple(
         SandwichRow(
             order_exponent=kappa,

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subrings import polyp
+from subrings.counting import clear_caches
 from subrings.polyp import (
     ONE,
     PolyP,
@@ -66,6 +68,20 @@ def test_non_integer_arguments_refused(call, args, message):
     # TypeError from range
     with pytest.raises(ValueError, match=re.escape(message)):
         call(*args)
+
+
+def test_gaussian_binomial_memo_keeps_its_checks():
+    # the memo sits behind the checks: True == 1 and hash(True) == hash(1),
+    # so a cached [1 1] must not answer (True, 1), nor [2 1] answer (2, -1)
+    clear_caches()
+    assert gaussian_binomial(1, 1) == ONE
+    assert gaussian_binomial(4, 1) is gaussian_binomial(4, 3)  # one entry, r <= m - r
+    for args in [(True, 1), (1, True), (4, -1), (-1, 0), (4, 5)]:
+        with pytest.raises(ValueError):
+            gaussian_binomial(*args)
+    assert polyp._gaussian_binomial.cache_info().currsize == 2
+    clear_caches()
+    assert polyp._gaussian_binomial.cache_info().currsize == 0
 
 
 @given(st.integers(0, 12), st.integers(0, 12))

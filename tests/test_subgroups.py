@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import pytest
@@ -346,21 +347,47 @@ def test_sandwich_oracle_overrun_reports_lattices_compared():
     assert partials[1] > 0
 
 
-def test_sandwich_audit_walks_the_sublattice_generator(monkeypatch):
-    # the audit's lattices are the items of iter_sublattices_containing,
-    # which the benchmark's traced runs count as subgroups.sublattices
-    items = [0]
+@pytest.mark.parametrize("change, expected", [
+    ("skip", (129, 44)), ("swap", (129, 127)), ("repeat", (130, 45)),
+])
+def test_sandwich_oracle_checks_the_walk_order(monkeypatch, change, expected):
+    """The oracle compares the audit's walk, lattice by lattice, with the
+    items of iter_sublattices_containing.  A generator that skips,
+    reorders or repeats one of the 129 lattices at (4, 4) fails it: every
+    lattice past the change disagrees, or only the two swapped ones,
+    which have the same index, so only their bases tell them apart."""
     walk = subgroups.iter_sublattices_containing
 
-    def counted(*args):
-        for item in walk(*args):
-            items[0] += 1
-            yield item
+    def changed(*args):
+        items = list(walk(*args))
+        if change == "skip":
+            del items[44]
+        elif change == "swap":
+            assert items[44][1] == items[45][1]
+            items[44], items[45] = items[45], items[44]
+        else:
+            items.insert(44, items[44])
+        yield from items
 
-    monkeypatch.setattr(subgroups, "iter_sublattices_containing", counted)
-    audit = sandwich_subring_audit(5, 4)
-    assert items[0] == sum(r.sandwich_count for r in audit.rows) == 1983
-    assert audit.all_counts_match and audit.total_violations == 0
+    assert _sandwich_hnf_agreement(4, 4) == (129, 129)
+    monkeypatch.setattr(subgroups, "iter_sublattices_containing", changed)
+    assert _sandwich_hnf_agreement(4, 4) == expected
+
+
+def test_sandwich_audit_counts_the_generator_lattices():
+    # the audit walks the lattices itself, not through the generator that
+    # the benchmark's traced runs count as subgroups.sublattices; its
+    # counts per index are the generator's
+    totals = {}
+    for n, m in [(5, 4), (4, 9)]:
+        per_kappa: dict[int, int] = {}
+        for _, kappa in iter_sublattices_containing(n - 1, *_prime_power(m)):
+            per_kappa[kappa] = per_kappa.get(kappa, 0) + 1
+        audit = sandwich_subring_audit(n, m)
+        assert {r.order_exponent: r.sandwich_count for r in audit.rows} == per_kappa, (n, m)
+        assert audit.all_counts_match and audit.total_violations == 0
+        totals[n, m] = sum(per_kappa.values())
+    assert totals == {(5, 4): 1983, (4, 9): 445}
 
 
 def test_sandwich_audit_failing_prefixes(monkeypatch):
@@ -400,17 +427,27 @@ def test_sandwich_audit_failing_prefixes(monkeypatch):
     ],
 )
 def test_sandwich_audit_checks_every_column_it_writes(monkeypatch, bad):
-    """The audit checks each column of G's HNF when it writes it, not per
-    lattice, so a walk that yields a malformed basis of L must still fail
-    it.  A valid lattice comes first, so the bad column is written as a
-    changed column of a later lattice, and in the first case it is not
-    the first column that changes."""
+    """The audit checks each column of G's HNF where the walk completes
+    it, not per lattice, so a walk that completes a malformed basis of L
+    must still fail it.  A valid lattice comes first, and the fake walk
+    then completes only the columns from the first one that changes, as
+    the walk does, so in the first case the bad column is not the first
+    one written."""
 
-    def walk(m, p, t, budget=None):
-        yield ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 0
-        yield bad, 3
+    def walk(p, t, diag, budget, visit, column):
+        if any(diag):  # both lattices are given in the first diagonal
+            return
+        prev = rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        for c in range(3):
+            column(c, rows)
+        visit(rows)
+        rows = [list(row) for row in bad]
+        first = next(c for c in range(3) if any(r[c] != q[c] for r, q in zip(rows, prev)))
+        for c in range(first, 3):
+            column(c, rows)
+        visit(rows)
 
-    monkeypatch.setattr(subgroups, "iter_sublattices_containing", walk)
+    monkeypatch.setattr(subgroups, "_walk_sublattices", walk)
     with pytest.raises(ValueError, match=r"pivot|entry"):
         sandwich_subring_audit(4, 4)
 
@@ -481,6 +518,24 @@ def test_sandwich_audit_spends_one_budget(monkeypatch):
     with pytest.raises(ResourceLimitError) as err:
         sandwich_subring_audit(4, 4, node_budget=339)
     assert err.value.nodes == sum(spent) == 340
+
+
+def test_walks_leave_nothing_for_the_cycle_collector():
+    # the recursive walk refers to itself through its cell; every walk
+    # used to leave that cycle, with its buffers and, in the generator,
+    # the diagonal's lattice list, for the collector (2,681 objects after
+    # the (5, 4) audit)
+    gc.collect()
+    gc.disable()
+    try:
+        brute_force_subgroups(6, 2, 4, 2)
+        sandwich_subring_audit(5, 4)
+        with pytest.raises(ResourceLimitError):
+            sandwich_subring_audit(4, 4, node_budget=150)
+        list(iter_sublattices_containing(3, 2, 2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sandwich_audit_partial_count():
