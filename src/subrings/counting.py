@@ -165,42 +165,30 @@ def scan_subrings(
     return total
 
 
-# Memo tables of exact counts: f_n(p^e) and g_n(p^e) keyed by (n, e, p),
-# g_alpha(p) by (alpha, p).  Only unbudgeted calls read and fill them.
-_F_CACHE: dict[tuple[int, int, int], int] = {}
-_G_CACHE: dict[tuple[int, int, int], int] = {}
-_GA_CACHE: dict[tuple[tuple[int, ...], int], int] = {}
-
-
 def clear_caches() -> None:
-    """Empty the per-process memo tables of f_n, g_n and g_alpha, the
-    cache of compiled congruence counter functions, that of monomial
-    products and that of Gaussian binomials.  Counts do not change; the
-    next unbudgeted call recomputes (and recompiles) what it needs."""
-    _F_CACHE.clear()
-    _G_CACHE.clear()
-    _GA_CACHE.clear()
+    """Empty the cache of compiled congruence counter functions, that of
+    monomial products and that of Gaussian binomials.  None of them
+    changes an output; the next call recompiles what it needs."""
     _compiled_function.cache_clear()
     _mono_mul.cache_clear()
     _gaussian_binomial.cache_clear()
 
 
 class _Call:
-    """The node budget and memo tables of one public call.  An unbudgeted
-    call shares the module tables; a budgeted one keeps its own, so the
-    nodes it spends do not depend on what ran before it.  systems keeps
-    each diagonal's closure congruences, which do not depend on p, until
-    the call ends, so a call at several primes extracts each once."""
+    """The node budget and tables of one public call.  f, g and ga keep
+    the counts the recurrence reuses, and systems each diagonal's closure
+    congruences, which do not depend on p, so a call at several primes
+    extracts each once.  Nothing outlives the call, so what it counts and
+    spends depends only on its arguments."""
 
     __slots__ = ("budget", "f", "g", "ga", "systems")
 
     def __init__(self, context: str, node_budget: int | None):
         self.budget = _Budget(context, node_budget)
+        self.f: dict[tuple[int, int, int], int] = {}
+        self.g: dict[tuple[int, int, int], int] = {}
+        self.ga: dict[tuple[tuple[int, ...], int], int] = {}
         self.systems: dict[tuple[int, ...], ClosureSystem] = {}
-        if node_budget is None:
-            self.f, self.g, self.ga = _F_CACHE, _G_CACHE, _GA_CACHE
-        else:
-            self.f, self.g, self.ga = {}, {}, {}
 
 
 def _g_alpha(parts: tuple[int, ...], p: int, call: _Call) -> int:
@@ -334,8 +322,8 @@ def interpolate_count(
             f"need at least degree_cap + 2 = {degree_cap + 2} primes, got {len(primes)}"
         )
     _require_rank("interpolate_count", n, e, 2 if irreducible else 1)
-    # one budget for every prime; the memo tables are keyed by p, and the
-    # primes share each diagonal's closure system
+    # one budget and one set of tables for every prime: the counts are
+    # keyed by p, and the primes share each diagonal's closure system
     call = _Call(f"interpolate_count(n={n}, e={e}, primes={primes})", node_budget)
     counter = _g_n if irreducible else _f_n
     counts = tuple(counter(n, e, q, call) for q in primes)

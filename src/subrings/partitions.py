@@ -14,10 +14,19 @@ from typing import Iterator, Sequence
 from .limits import _is_int, require_integers, require_rank
 
 
+def _as_tuple(kind: str, value) -> tuple:
+    """value as a tuple, with a ValueError naming it where it is not a
+    sequence (a scalar such as 3)."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{kind} must be a sequence of parts, got {value!r}") from None
+
+
 def partition(parts: Sequence[int]) -> tuple[int, ...]:
-    """parts as a tuple, refused unless positive and weakly decreasing
-    ints."""
-    parts = tuple(parts)
+    """parts as a tuple, refused unless a sequence of positive and weakly
+    decreasing ints."""
+    parts = _as_tuple("partition", parts)
     require_integers("partition", **{f"parts[{i}]": x for i, x in enumerate(parts)})
     if any(x < 1 for x in parts):
         raise ValueError(f"partition parts must be positive: {parts}")
@@ -68,10 +77,10 @@ def _partitions(remaining, largest, length_left, prefix):
 
 
 def composition(alpha: Sequence[int]) -> tuple[int, ...]:
-    """alpha as a tuple, refused unless every part is an int >= 1 (True is
-    refused): the diagonal exponents (e_1, ..., e_(n-1)) of an irreducible
-    subring matrix."""
-    parts = tuple(alpha)
+    """alpha as a tuple, refused unless a sequence whose every part is an
+    int >= 1 (True is refused): the diagonal exponents (e_1, ..., e_(n-1))
+    of an irreducible subring matrix."""
+    parts = _as_tuple("composition", alpha)
     if any(not _is_int(x) or x < 1 for x in parts):
         raise ValueError(f"composition parts must be integers >= 1: {parts}")
     return parts

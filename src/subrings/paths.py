@@ -14,6 +14,7 @@ from typing import Iterator
 
 from .hnf import HNFMatrix
 from .limits import require_integers, require_prime
+from .partitions import composition
 from .polyp import PolyP, gaussian_binomial
 
 NORTH = "N"
@@ -48,8 +49,10 @@ def iter_paths(u: int, v: int) -> Iterator[tuple[str, ...]]:
 
 
 def path_from_composition(alpha, k: int, l: int) -> tuple[str, ...]:
-    """Path with step i north when alpha_i = k and east when alpha_i = l."""
-    parts = tuple(alpha)
+    """Path with step i north when alpha_i = k and east when alpha_i = l.
+    alpha is a composition and k, l are ints."""
+    require_integers("path_from_composition", k=k, l=l)
+    parts = composition(alpha)
     if k == l:
         raise ValueError("the two part values must differ")
     for x in parts:
@@ -78,15 +81,19 @@ def _require_positive_parts(caller, k, l):
         raise ValueError(f"{caller} requires part values k, l >= 1, got k={k}, l={l}")
 
 
-def _family_check(caller, alpha_parts, k, l):
+def _family_check(caller, alpha, k, l) -> tuple[int, ...]:
+    """The composition alpha as a tuple, once alpha, k and l are checked
+    to name a two-exponent family."""
     require_integers(caller, k=k, l=l)
     _require_positive_parts(caller, k, l)
     if k == l:
         raise ValueError("the two part values must differ")
     if l < -(-k // 2):
         raise ValueError(f"need l >= ceil(k/2) = {-(-k // 2)}, got l = {l}")
-    if any(x not in (k, l) for x in alpha_parts):
+    parts = composition(alpha)
+    if any(x not in (k, l) for x in parts):
         raise ValueError("every part must equal k or l")
+    return parts
 
 
 def family_matrices(alpha, k: int, l: int, p: int) -> Iterator[HNFMatrix]:
@@ -94,8 +101,7 @@ def family_matrices(alpha, k: int, l: int, p: int) -> Iterator[HNFMatrix]:
     multiples of p^ceil(k/2) in [0, p^k) when (alpha_i, alpha_j) = (k, l)
     with i < j, every other off-diagonal entry is 0, and the last column is
     all ones.  Every yielded matrix is an irreducible subring matrix."""
-    parts = tuple(alpha)
-    _family_check("family_matrices", parts, k, l)
+    parts = _family_check("family_matrices", alpha, k, l)
     require_prime(p)
     half = -(-k // 2)
     m = len(parts)
@@ -117,13 +123,14 @@ def family_matrices(alpha, k: int, l: int, p: int) -> Iterator[HNFMatrix]:
 
 def family_count(alpha, k: int, l: int) -> PolyP:
     """p^((k - ceil(k/2)) * Area(P_alpha)) as a PolyP monomial."""
-    parts = tuple(alpha)
-    _family_check("family_count", parts, k, l)
+    parts = _family_check("family_count", alpha, k, l)
     return PolyP.monomial((k - (-(-k // 2))) * area(path_from_composition(parts, k, l)))
 
 
 def path_area_identity_check(u: int, v: int, q: int) -> bool:
-    """True iff sum over paths to (u, v) of q^Area equals [u+v, v]_p at q."""
+    """True iff sum over paths to (u, v) of q^Area equals [u+v, v]_p at q,
+    for ints u, v >= 0 and an int q."""
+    require_integers("path_area_identity_check", u=u, v=v, q=q)
     if u < 0 or v < 0:
         raise ValueError("endpoint coordinates must be nonnegative")
     if u + v > 16:

@@ -582,7 +582,12 @@ def literal_scan(system, p, limit=None):
     metered_outcome reports it: (count, nodes), or ("overrun", limit + 1,
     partial count).  Each condition is tested once the last of its
     variables in the scan order is assigned; one value tried is one node,
-    depth first.  The unscanned rest of the ranges multiplies the count."""
+    depth first.  The unscanned rest of the ranges multiplies the count.
+
+    Returned with the survivors S_(-1), S_0, ..., S_(D-1) of the scan so
+    far: S_d is the number of prefixes x_0..x_d that pass every check at
+    depths <= d, and S_(-1) is 1 unless a condition without variables
+    fails."""
     order, boxes = scanned_boxes(system, p)
     free = p ** sum(system.variable_ranges.values()) // math.prod(boxes)
     tested_at = {}
@@ -590,6 +595,7 @@ def literal_scan(system, p, limit=None):
         variables = [v for mono, _ in cond.numerator for v, _ in mono]
         tested_at.setdefault(max(map(order.index, variables), default=-1), []).append(cond)
     values, nodes, count = {}, 0, 0
+    survivors = [0] * (len(order) + 1)  # survivors[d + 1] is S_d
 
     def passes(d):
         return all(evaluate(cond.numerator, p, values) % p**cond.modulus_exponent == 0
@@ -606,14 +612,16 @@ def literal_scan(system, p, limit=None):
                 raise LiteralOverrun
             values[order[d]] = value
             if passes(d):
+                survivors[d + 1] += 1
                 scan(d + 1)
 
     try:
         if passes(-1):
+            survivors[0] = 1
             scan(0)
     except LiteralOverrun:
-        return "overrun", nodes, count * free
-    return count * free, nodes
+        return ("overrun", nodes, count * free), survivors
+    return (count * free, nodes), survivors
 
 
 @st.composite
@@ -641,10 +649,16 @@ def closure_systems(draw):
 @given(closure_systems(), st.data())
 def test_literal_scan_agrees_with_both_tiers(case, data):
     system, p = case
-    count, total = literal_scan(system, p)
+    (count, total), survivors = literal_scan(system, p)
+    # each survivor of depth d - 1 tries the whole box of depth d, and each
+    # of depth D - 1 counts once per value of the unscanned ranges
+    _, boxes = scanned_boxes(system, p)
+    assert total == sum(s * w for s, w in zip(survivors, boxes))
+    free = p ** sum(system.variable_ranges.values()) // math.prod(boxes)
+    assert count == survivors[-1] * free
     for budget in (None, 0, total - 1, total, data.draw(st.integers(0, total))):
         if budget is not None and budget < 0:
             continue
-        expected = (count, total) if budget is None else literal_scan(system, p, budget)
+        expected = (count, total) if budget is None else literal_scan(system, p, budget)[0]
         for tier in (COMPILED, INTERPRETED):
             assert tier_outcome(tier, system, p, budget) == expected, (tier, budget)

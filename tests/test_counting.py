@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subrings import closure, counting
+from subrings import closure, counting, limits
 from subrings.closure import count_solutions, extract_conditions
 from subrings.counting import (
     InterpolationMismatch,
@@ -30,7 +30,7 @@ from subrings.counting import (
 from subrings.hnf import HNFMatrix, _column_closed, hnf_from_generators, is_closed
 from subrings.partitions import bounded_compositions, compositions
 from subrings.paths import family_matrices
-from subrings.polyp import PolyP
+from subrings.polyp import PolyP, _gaussian_binomial
 from subrings.subgroups import (
     brute_force_subgroups,
     count_subgroups_of_order,
@@ -283,7 +283,7 @@ def test_budget_covers_the_whole_call(n, e, p):
 
 def test_budget_ignores_the_memo_tables():
     """A budgeted call spends the same nodes whether or not an unbudgeted
-    call has filled the module memo tables, and agrees with it."""
+    call of the same count has run before it, and agrees with it."""
     before = smallest_budget(count_subrings, 4, 6, 2)
     exact = count_subrings(4, 6, 2)
     assert smallest_budget(count_subrings, 4, 6, 2) == before
@@ -292,17 +292,39 @@ def test_budget_ignores_the_memo_tables():
         count_subrings(4, 6, 2, node_budget=before - 1)
 
 
+def _overrun(count, *args):
+    """(nodes, partial count) of the overrun that count(*args) raises."""
+    with pytest.raises(ResourceLimitError) as info:
+        count(*args)
+    return info.value.nodes, info.value.partial_count
+
+
+def test_unbudgeted_call_keeps_no_state(monkeypatch):
+    """An unbudgeted call runs under the default limit with tables of its
+    own: it overruns the same way fresh, after another call of the same
+    recurrence terms has overrun, and when repeated."""
+    monkeypatch.setattr(limits, "DEFAULT_NODE_BUDGET", 200)
+    assert _overrun(count_subrings, 4, 6, 3) == (201, 199)
+    irreducible = _overrun(count_irreducible, 4, 6, 3)
+    assert _overrun(count_subrings, 4, 6, 3) == (201, 199)
+    assert _overrun(count_subrings, 4, 6, 3) == (201, 199)
+    assert _overrun(count_irreducible, 4, 6, 3) == irreducible
+    diagonal = _overrun(count_by_diagonal, (3, 2, 1, 1), 3)
+    assert _overrun(count_by_diagonal, (3, 2, 1, 1), 3) == diagonal
+
+
 def test_clear_caches_recompiles(monkeypatch):
     # every plan compiled: the interpreted tier would compile nothing here
     monkeypatch.setattr(closure, "_INTERPRETED_VALUES", 0)
     exact = count_irreducible(4, 5, 3)
-    counters = closure._compiled_function.cache_info()
+    misses = closure._compiled_function.cache_info().misses
     assert count_irreducible(4, 5, 3) == exact
-    assert closure._compiled_function.cache_info() == counters  # a memo hit
+    # a second identical call solves again but compiles nothing new
+    assert closure._compiled_function.cache_info().misses == misses
     clear_caches()
-    assert not (counting._F_CACHE or counting._G_CACHE or counting._GA_CACHE)
     assert closure._compiled_function.cache_info().currsize == 0
     assert closure._mono_mul.cache_info().currsize == 0
+    assert _gaussian_binomial.cache_info().currsize == 0
     assert count_irreducible(4, 5, 3) == exact
     assert closure._compiled_function.cache_info().misses > 0
 
@@ -554,8 +576,6 @@ def test_interpolate_rank5_exponent_seven_degree_four(monkeypatch):
         return extract_conditions(parts)
 
     monkeypatch.setattr(counting, "extract_conditions", counted)
-    for table in ("_F_CACHE", "_G_CACHE", "_GA_CACHE"):
-        monkeypatch.setattr(counting, table, {})
     poly = interpolate_count(5, 7, (2, 3, 5, 7, 11, 13), 4, irreducible=True)
     assert poly == PolyP([1, 1, 6, 21, 15])
     assert poly.degree == 4

@@ -17,6 +17,7 @@ from subrings.partitions import (
     partition,
     partitions_of,
 )
+from subrings.paths import family_count, family_matrices, path_from_composition
 from subrings.subgroups import stehling_count
 
 
@@ -166,3 +167,26 @@ def test_composition_fields():
     for parts in ((2.5, 1), (1.9, 1), ("2", 1)):
         with pytest.raises(ValueError, match="integers >= 1"):
             composition(parts)
+
+
+@pytest.mark.parametrize(
+    "call, args, value",
+    [
+        (composition, (3,), 3),
+        (partition, (3,), 3),
+        (count_by_diagonal, (3, 2), 3),
+        (scan_by_diagonal, (3, 2), 3),
+        (extract_conditions, (3,), 3),
+        (stehling_count, (4, (1,)), 4),
+        (stehling_count, ((4,), 1), 1),
+        (family_count, (3, 2, 1), 3),
+        (lambda *a: list(family_matrices(*a)), (3, 2, 1, 2), 3),
+        (path_from_composition, (3, 2, 1), 3),
+    ],
+)
+def test_scalar_for_parts_is_refused_by_name(call, args, value):
+    # each used to raise "'int' object is not iterable"
+    kind = "partition" if call in (partition, stehling_count) else "composition"
+    message = f"{kind} must be a sequence of parts, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(*args)

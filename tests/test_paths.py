@@ -147,10 +147,17 @@ def test_iter_paths_refuses_bad_endpoints(args, message):
          "two_value_compositions requires part values k, l >= 1, got k=-2, l=-1"),
         (lambda *a: list(two_value_compositions(*a)), (3, 1, 0, 1),
          "two_value_compositions requires part values k, l >= 1, got k=0, l=1"),
+        (family_count, ((1.0, 2), 2, 1), "composition parts must be integers >= 1: (1.0, 2)"),
+        (lambda *a: list(family_matrices(*a)), ((2, 1.0), 2, 1, 2),
+         "composition parts must be integers >= 1: (2, 1.0)"),
+        (path_from_composition, ((2.0, 1), 2, 1), "composition parts must be integers >= 1: (2.0, 1)"),
+        (path_from_composition, ((2, 1), 2, True), "path_from_composition requires an integer l, got True"),
+        (path_from_composition, ((2, 1), 2.0, 1), "path_from_composition requires an integer k, got 2.0"),
     ],
 )
 def test_family_entry_points_refuse_non_integers(call, args, message):
-    # (3, 1, 2.0, 1) used to give [(2.0, 1), (1, 2.0)]; the others raised a
+    # (3, 1, 2.0, 1) used to give [(2.0, 1), (1, 2.0)], family_count((1.0,
+    # 2), 2, 1) PolyP([1]), and the last two a path; the others raised a
     # TypeError from range or from a float exponent
     with pytest.raises(ValueError, match=re.escape(message)):
         call(*args)
@@ -162,3 +169,21 @@ def test_path_area_identity():
     assert path_area_identity_check(2, 2, 3)
     # [4 2]_p = p^4 + p^3 + 2p^2 + p + 1 evaluates to 130 at p = 3
     assert sum(3 ** area(P) for P in iter_paths(2, 2)) == 130 == gaussian_binomial(4, 2)(3)
+
+
+@pytest.mark.parametrize(
+    "args, bad",
+    [
+        ((1, 1, float("nan")), "q, got nan"),
+        ((1, 1, 1.5), "q, got 1.5"),
+        ((1, 1, "2"), "q, got '2'"),
+        ((1, 1, True), "q, got True"),
+        (("2", 1, 2), "u, got '2'"),
+        ((1, True, 2), "v, got True"),
+    ],
+)
+def test_path_area_identity_refuses_non_integers(args, bad):
+    # q = NaN used to return False, q = 1.5 and True to return True, and
+    # '2' to raise a TypeError from ** or <
+    with pytest.raises(ValueError, match=re.escape(f"path_area_identity_check requires an integer {bad}")):
+        path_area_identity_check(*args)
