@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .limits import require_index, require_integers, require_rank, require_real
+from .limits import require_at_least, require_index, require_integers, require_real
 from .subgroups import bound_h_exponent
 
 SQRT2 = math.sqrt(2.0)
@@ -79,7 +79,7 @@ def bound_c_exponent(n: int, e: int, with_argmax: bool = False):
 def c7(n: int, with_argmax: bool = False):
     """Divergence abscissa of the local factors from the matrix-family
     route: max over integer d of d(n-1-d)/(n-1+d), as an exact Fraction."""
-    require_rank("c7", n, 2)
+    require_at_least("c7", 2, n=n)
     best, best_d = Fraction(0), 0
     for d in range(0, n):
         v = Fraction(d * (n - 1 - d), n - 1 + d)
@@ -91,14 +91,14 @@ def c7(n: int, with_argmax: bool = False):
 def a_exponent(n: int) -> Fraction:
     """Growth exponent for the subring count: max over integer d of
     (d(n-1-d) + 1)/(n-1+d), exact."""
-    require_rank("a_exponent", n, 2)
+    require_at_least("a_exponent", 2, n=n)
     return max(Fraction(d * (n - 1 - d) + 1, n - 1 + d) for d in range(n))
 
 
 def divergence_line(n: int) -> float:
     """Linear-in-n divergence bound (3 - 2*sqrt(2))(n-1) + 1 - sqrt(2);
     strictly weaker than c7 but explicit."""
-    require_rank("divergence_line", n, 2)
+    require_at_least("divergence_line", 2, n=n)
     return CAP_SLOPE * (n - 1) + 1.0 - SQRT2
 
 
@@ -127,7 +127,7 @@ def minorant_divergence(d: int, n: int, s) -> bool:
     Exact for int/Fraction s; floats are compared as floats.  s must be
     an int (not a bool), a finite float or a Fraction.
     """
-    require_rank("minorant_divergence", n, 2)
+    require_at_least("minorant_divergence", 2, n=n)
     require_integers("minorant_divergence", d=d)
     if not 0 <= d <= n - 1:
         raise ValueError("d must lie in [0, n-1]")

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from types import CodeType, FunctionType
 from typing import NamedTuple
 
-from .limits import ResourceLimitError, _Budget, require_prime
+from .limits import ResourceLimitError, _Budget, require_instance, require_prime
 from .partitions import composition
 from .polyp import PolyP
 
@@ -181,6 +181,8 @@ def extract_conditions(
     Conditions with denominator exponent 0 are omitted.
     """
     parts = composition(alpha)
+    if substitutions is not None:
+        require_instance("extract_conditions", "substitutions", substitutions, dict)
     subs = dict(substitutions or {})
     m = len(parts)
 
@@ -276,7 +278,10 @@ def count_solutions(
     scan.
     node_budget bounds the nodes: the values of every scanned variable's
     box that the full scan would try, including those charged in bulk.
+    The empty diagonal's system, with no variable and no condition,
+    counts 1, as count_by_diagonal(()) does.
     """
+    require_instance("count_solutions", "system", system, ClosureSystem)
     require_prime(p)
     budget = _Budget(f"count_solutions(alpha={system.alpha}, p={p})", node_budget)
     return _count_solutions(system, p, budget)

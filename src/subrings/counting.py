@@ -43,7 +43,7 @@ from .closure import (
     extract_conditions,
 )
 from .hnf import _column_closed, solve_upper_triangular
-from .limits import ResourceLimitError, _Budget, require_integers, require_prime, require_rank
+from .limits import ResourceLimitError, _Budget, require_at_least, require_prime, require_sequence
 from .partitions import bounded_compositions, composition, compositions
 from .polyp import PolyP, _gaussian_binomial, lagrange_coefficients
 
@@ -133,7 +133,8 @@ def scan_by_diagonal(
     alpha, p: int, node_budget: int | None = None, pruned: bool = True
 ) -> int:
     """Oracle for g_alpha(p): scan the irreducible HNF matrices with
-    diagonal alpha.  Uncached."""
+    diagonal alpha.  Uncached.  The empty diagonal () counts 1, the one
+    matrix [1] of g_1(p^0), the recurrence's j = 1 term."""
     parts = composition(alpha)
     require_prime(p)
     budget = _Budget(f"scan_by_diagonal(alpha={parts}, p={p})", node_budget)
@@ -148,7 +149,8 @@ def scan_subrings(
 ) -> int:
     """Oracle for f_n(p^e): scan every HNF subring matrix of index p^e.
     Uncached."""
-    _require_rank("scan_subrings", n, e, 1)
+    require_at_least("scan_subrings", 1, n=n)
+    require_at_least("scan_subrings", 0, e=e)
     require_prime(p)
     budget = _Budget(f"scan_subrings(n={n}, e={e}, p={p})", node_budget)
     if n == 1:
@@ -175,29 +177,26 @@ def clear_caches() -> None:
 
 
 class _Call:
-    """The node budget and tables of one public call.  f, g and ga keep
-    the counts the recurrence reuses, and systems each diagonal's closure
-    congruences, which do not depend on p, so a call at several primes
-    extracts each once.  Nothing outlives the call, so what it counts and
-    spends depends only on its arguments."""
+    """The node budget and tables of one public call.  f and g keep the
+    counts the recurrence reuses (each g_alpha(p) is solved once, for its
+    g entry), and systems each diagonal's closure congruences, which do
+    not depend on p, so a call at several primes extracts each once.
+    Nothing outlives the call, so what it counts and spends depends only
+    on its arguments."""
 
-    __slots__ = ("budget", "f", "g", "ga", "systems")
+    __slots__ = ("budget", "f", "g", "systems")
 
     def __init__(self, context: str, node_budget: int | None):
         self.budget = _Budget(context, node_budget)
         self.f: dict[tuple[int, int, int], int] = {}
         self.g: dict[tuple[int, int, int], int] = {}
-        self.ga: dict[tuple[tuple[int, ...], int], int] = {}
         self.systems: dict[tuple[int, ...], ClosureSystem] = {}
 
 
 def _g_alpha(parts: tuple[int, ...], p: int, call: _Call) -> int:
-    key = (parts, p)
-    if key not in call.ga:
-        if parts not in call.systems:
-            call.systems[parts] = extract_conditions(parts)
-        call.ga[key] = _count_solutions(call.systems[parts], p, call.budget)
-    return call.ga[key]
+    if parts not in call.systems:
+        call.systems[parts] = extract_conditions(parts)
+    return _count_solutions(call.systems[parts], p, call.budget)
 
 
 def _g_n(n: int, e: int, p: int, call: _Call) -> int:
@@ -241,18 +240,11 @@ def _f_n(n: int, e: int, p: int, call: _Call) -> int:
     return total
 
 
-def _require_rank(caller: str, n: int, e: int, least: int) -> None:
-    """ValueError unless n is an int >= least and e an int >= 0."""
-    require_rank(caller, n, least)
-    require_integers(caller, e=e)
-    if e < 0:
-        raise ValueError(f"{caller} requires e >= 0, got e={e}")
-
-
 def count_subrings(n: int, e: int, p: int, node_budget: int | None = None) -> int:
     """f_n(p^e): subrings of Z^n of index p^e, by the recurrence over the
     irreducible counts."""
-    _require_rank("count_subrings", n, e, 1)
+    require_at_least("count_subrings", 1, n=n)
+    require_at_least("count_subrings", 0, e=e)
     require_prime(p)
     return _f_n(n, e, p, _Call(f"count_subrings(n={n}, e={e}, p={p})", node_budget))
 
@@ -265,7 +257,8 @@ def recurrence_f(n: int, e: int, p: int, node_budget: int | None = None) -> int:
 
 def count_by_diagonal(alpha, p: int, node_budget: int | None = None) -> int:
     """g_alpha(p): irreducible subring matrices with diagonal alpha, as
-    the solutions of alpha's closure congruences at p."""
+    the solutions of alpha's closure congruences at p.  The empty diagonal
+    () counts 1, as scan_by_diagonal does."""
     parts = composition(alpha)
     require_prime(p)
     call = _Call(f"count_by_diagonal(alpha={parts}, p={p})", node_budget)
@@ -274,7 +267,8 @@ def count_by_diagonal(alpha, p: int, node_budget: int | None = None) -> int:
 
 def count_irreducible(n: int, e: int, p: int, node_budget: int | None = None) -> int:
     """g_n(p^e): irreducible subrings, summed over diagonal compositions."""
-    _require_rank("count_irreducible", n, e, 2)
+    require_at_least("count_irreducible", 2, n=n)
+    require_at_least("count_irreducible", 0, e=e)
     require_prime(p)
     return _g_n(n, e, p, _Call(f"count_irreducible(n={n}, e={e}, p={p})", node_budget))
 
@@ -307,21 +301,20 @@ def interpolate_count(
     covers all the primes together; an overrun reports the partial count
     of the prime it stopped in.
     """
-    primes = tuple(primes)
+    primes = require_sequence("interpolate_count", "primes", primes)
     for i, q in enumerate(primes):
-        require_prime(q)
+        require_prime(q, f"primes[{i}]")
         # a repeat is a fit point met twice, or a held-out prime that the
         # fit passes through by construction
         if q in primes[:i]:
             raise ValueError(f"primes must be distinct, got {q} twice in {primes}")
-    require_integers("interpolate_count", degree_cap=degree_cap)
-    if degree_cap < 0:
-        raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
+    require_at_least("interpolate_count", 0, degree_cap=degree_cap)
     if len(primes) < degree_cap + 2:
         raise ValueError(
             f"need at least degree_cap + 2 = {degree_cap + 2} primes, got {len(primes)}"
         )
-    _require_rank("interpolate_count", n, e, 2 if irreducible else 1)
+    require_at_least("interpolate_count", 2 if irreducible else 1, n=n)
+    require_at_least("interpolate_count", 0, e=e)
     # one budget and one set of tables for every prime: the counts are
     # keyed by p, and the primes share each diagonal's closure system
     call = _Call(f"interpolate_count(n={n}, e={e}, primes={primes})", node_budget)

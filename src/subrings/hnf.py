@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .limits import _is_int, require_prime
+from .limits import _is_int, require_instance, require_integers, require_prime, require_sequence
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,7 @@ def identity_in_span(A: HNFMatrix) -> bool:
     """True iff (1,...,1)^T has an integer back-substitution solution.
     When the last column is (1,...,1) the solution is e_(n-1), and nothing
     is solved."""
+    require_instance("identity_in_span", "A", A, HNFMatrix)
     rows = A.rows
     return _ends_in_identity(rows) or _back_substitute(rows, [1] * A.n, A.n, A.n)
 
@@ -151,6 +152,7 @@ def is_closed(A: HNFMatrix) -> bool:
     When the last column is (1,...,1), the ring identity, its product with
     any column is that column, so its pairs (i, n-1) hold and are not
     solved, as _column_closed skips pair (0, j)."""
+    require_instance("is_closed", "A", A, HNFMatrix)
     rows = A.rows
     last = A.n - 1 if _ends_in_identity(rows) else A.n
     return all(_column_closed(rows, j) for j in range(last))
@@ -159,6 +161,7 @@ def is_closed(A: HNFMatrix) -> bool:
 def is_irreducible(A: HNFMatrix) -> bool:
     """Irreducible subring-matrix shape: last column all ones and every
     entry of the first n-1 columns divisible by p."""
+    require_instance("is_irreducible", "A", A, HNFMatrix)
     n, p = A.n, A.prime
     if any(A.rows[i][n - 1] != 1 for i in range(n)):
         return False
@@ -171,13 +174,18 @@ def is_irreducible(A: HNFMatrix) -> bool:
 
 def hnf_from_generators(prime: int, vectors: Sequence[Sequence[int]]) -> HNFMatrix:
     """Upper-triangular column-HNF basis of the lattice generated by the
-    given column vectors (full rank required)."""
-    if not vectors:
+    given column vectors of ints (full rank required)."""
+    caller = "hnf_from_generators"
+    vectors = require_sequence(caller, "vectors", vectors)
+    cols = [list(require_sequence(caller, f"vectors[{j}]", v)) for j, v in enumerate(vectors)]
+    require_integers(caller, **{
+        f"vectors[{j}][{i}]": x for j, v in enumerate(cols) for i, x in enumerate(v)
+    })
+    if not cols:
         raise ValueError("hnf_from_generators needs at least one generator")
-    n = len(vectors[0])
-    if any(len(v) != n for v in vectors):
+    n = len(cols[0])
+    if any(len(v) != n for v in cols):
         raise ValueError("generators must all have the same length")
-    cols = [list(v) for v in vectors]
     basis: list[list[int] | None] = [None] * n
     # eliminate from the bottom row up, keeping every remainder column in
     # the pool so no lattice content is lost

@@ -1,7 +1,9 @@
-"""Node budgets and the argument checks shared by the counting modules.
+"""Node budgets, and the argument checks of every public entry point.
 
-A leaf module: counting, closure and subgroups all import it, and it
-imports none of them.
+Every module checks its arguments with these helpers, once per public
+call and never per node; each refusal is a ValueError naming the
+argument.  A leaf module: every other module imports it, and it imports
+none of them.
 """
 
 from __future__ import annotations
@@ -79,16 +81,32 @@ def _is_int(value) -> bool:
 def require_integers(caller: str, **values) -> None:
     """ValueError naming the first of the keyword arguments that is not an
     int (3.0 and True are refused)."""
+    require_at_least(caller, -math.inf, **values)
+
+
+def require_at_least(caller: str, least: float, **values) -> None:
+    """ValueError naming the first of the keyword arguments that is not an
+    int (3.0 and True are refused) or is below least."""
     for arg, value in values.items():
         if not _is_int(value):
             raise ValueError(f"{caller} requires an integer {arg}, got {value!r}")
+        if value < least:
+            raise ValueError(f"{caller} requires {arg} >= {least}, got {arg}={value}")
 
 
-def require_rank(caller: str, n: int, least: int) -> None:
-    """ValueError naming n unless the rank n is an int >= least."""
-    require_integers(caller, n=n)
-    if n < least:
-        raise ValueError(f"{caller} requires n >= {least}, got n={n}")
+def require_sequence(caller: str, arg: str, value) -> tuple:
+    """value as a tuple, with a ValueError naming arg where it is not a
+    sequence (a scalar such as 3)."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{caller} requires {arg} to be a sequence, got {value!r}") from None
+
+
+def require_instance(caller: str, arg: str, value, kind: type) -> None:
+    """ValueError naming arg unless value is an instance of kind."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{caller} requires {arg} of type {kind.__name__}, got {value!r}")
 
 
 def require_real(caller: str, s) -> None:
@@ -103,7 +121,7 @@ def require_real(caller: str, s) -> None:
 
 def require_index(caller: str, n: int, e: int) -> None:
     """The domain of every exponent of f_n(p^e): ints n >= 2, e >= n-1."""
-    require_rank(caller, n, 2)
+    require_at_least(caller, 2, n=n)
     require_integers(caller, e=e)
     if e < n - 1:
         raise ValueError(f"{caller} needs e >= n-1, got e={e}")
@@ -145,7 +163,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def require_prime(p: int) -> None:
-    """ValueError unless p is a prime (an int: 2.0 is refused)."""
+def require_prime(p: int, arg: str = "p") -> None:
+    """ValueError naming arg unless p is a prime (an int: 2.0 is
+    refused)."""
     if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"p must be a prime, got {p!r}")
+        raise ValueError(f"{arg} must be a prime, got {p!r}")

@@ -11,25 +11,14 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator, Sequence
 
-from .limits import _is_int, require_integers, require_rank
-
-
-def _as_tuple(kind: str, value) -> tuple:
-    """value as a tuple, with a ValueError naming it where it is not a
-    sequence (a scalar such as 3)."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise ValueError(f"{kind} must be a sequence of parts, got {value!r}") from None
+from .limits import _is_int, require_at_least, require_sequence
 
 
 def partition(parts: Sequence[int]) -> tuple[int, ...]:
     """parts as a tuple, refused unless a sequence of positive and weakly
     decreasing ints."""
-    parts = _as_tuple("partition", parts)
-    require_integers("partition", **{f"parts[{i}]": x for i, x in enumerate(parts)})
-    if any(x < 1 for x in parts):
-        raise ValueError(f"partition parts must be positive: {parts}")
+    parts = require_sequence("partition", "parts", parts)
+    require_at_least("partition", 1, **{f"parts[{i}]": x for i, x in enumerate(parts)})
     if any(a < b for a, b in zip(parts, parts[1:])):
         raise ValueError(f"partition parts must be weakly decreasing: {parts}")
     return parts
@@ -49,15 +38,10 @@ def partitions_of(
     k: int, max_part: int | None = None, max_length: int | None = None
 ) -> Iterator[tuple[int, ...]]:
     """All partitions of k, with the part-size and length bounds enforced
-    during generation rather than filtered afterwards.  The arguments are
-    checked at the call, not at the first item."""
-    require_integers("partitions_of", k=k)
-    if max_part is not None:
-        require_integers("partitions_of", max_part=max_part)
-    if max_length is not None:
-        require_integers("partitions_of", max_length=max_length)
-    if k < 0:
-        return iter(())
+    during generation rather than filtered afterwards.  k and the bounds
+    are ints >= 0, checked at the call, not at the first item."""
+    bounds = {"max_part": max_part, "max_length": max_length}
+    require_at_least("partitions_of", 0, k=k, **{a: v for a, v in bounds.items() if v is not None})
     cap = k if max_part is None else min(max_part, k)
     room = k if max_length is None else max_length
     return _partitions(k, cap, room, ())
@@ -80,7 +64,7 @@ def composition(alpha: Sequence[int]) -> tuple[int, ...]:
     """alpha as a tuple, refused unless a sequence whose every part is an
     int >= 1 (True is refused): the diagonal exponents (e_1, ..., e_(n-1))
     of an irreducible subring matrix."""
-    parts = _as_tuple("composition", alpha)
+    parts = require_sequence("composition", "parts", alpha)
     if any(not _is_int(x) or x < 1 for x in parts):
         raise ValueError(f"composition parts must be integers >= 1: {parts}")
     return parts
@@ -102,10 +86,11 @@ def bounded_compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int
 def compositions(n: int, e: int) -> Iterator[tuple[int, ...]]:
     """Every composition of e into exactly n-1 positive parts, in
     lexicographic order: the weak compositions of e - (n-1), each part
-    shifted up by one.  Empty stream when e < n-1.  The arguments are
-    checked at the call, not at the first item."""
-    require_rank("compositions", n, 2)
-    require_integers("compositions", e=e)
+    shifted up by one, for ints n >= 2 and e >= 0.  Empty stream when
+    e < n-1.  The arguments are checked at the call, not at the first
+    item."""
+    require_at_least("compositions", 2, n=n)
+    require_at_least("compositions", 0, e=e)
     slack = e - (n - 1)
     return (tuple([x + 1 for x in weak]) for weak in bounded_compositions(slack, n - 1, slack))
 
@@ -113,8 +98,8 @@ def compositions(n: int, e: int) -> Iterator[tuple[int, ...]]:
 def composition_count(n: int, e: int) -> int:
     """binomial(e-1, n-2) compositions of e into n-1 positive parts, 0
     when e < n-1.  Refuses what compositions refuses."""
-    require_rank("composition_count", n, 2)
-    require_integers("composition_count", e=e)
+    require_at_least("composition_count", 2, n=n)
+    require_at_least("composition_count", 0, e=e)
     if e < n - 1:
         return 0
     return comb(e - 1, n - 2)

@@ -13,7 +13,7 @@ import itertools
 from typing import Iterator
 
 from .hnf import HNFMatrix
-from .limits import require_integers, require_prime
+from .limits import require_at_least, require_integers, require_prime, require_sequence
 from .partitions import composition
 from .polyp import PolyP, gaussian_binomial
 
@@ -28,7 +28,7 @@ def area(steps: tuple[str, ...]) -> int:
     than N or E is refused."""
     height = 0
     total = 0
-    for s in steps:
+    for s in require_sequence("area", "steps", steps):
         if s == NORTH:
             height += 1
         elif s == EAST:
@@ -41,20 +41,16 @@ def area(steps: tuple[str, ...]) -> int:
 def iter_paths(u: int, v: int) -> Iterator[tuple[str, ...]]:
     """All north-east paths from the origin to (u, v), ints >= 0.  The
     arguments are checked when the first path is drawn."""
-    require_integers("iter_paths", u=u, v=v)
-    if u < 0 or v < 0:
-        raise ValueError("endpoint coordinates must be nonnegative")
+    require_at_least("iter_paths", 0, u=u, v=v)
     for north in itertools.combinations(range(u + v), v):
         yield tuple(NORTH if i in north else EAST for i in range(u + v))
 
 
 def path_from_composition(alpha, k: int, l: int) -> tuple[str, ...]:
     """Path with step i north when alpha_i = k and east when alpha_i = l.
-    alpha is a composition and k, l are ints."""
-    require_integers("path_from_composition", k=k, l=l)
+    alpha is a composition and k, l are distinct ints >= 1."""
+    _require_part_values("path_from_composition", k, l)
     parts = composition(alpha)
-    if k == l:
-        raise ValueError("the two part values must differ")
     for x in parts:
         if x not in (k, l):
             raise ValueError(f"part {x} is neither {k} nor {l}")
@@ -64,36 +60,30 @@ def path_from_composition(alpha, k: int, l: int) -> tuple[str, ...]:
 def two_value_compositions(n: int, d: int, k: int, l: int) -> Iterator[tuple[int, ...]]:
     """All arrangements of d parts k and (n-1-d) parts l.  The arguments
     are checked when the first composition is drawn."""
-    require_integers("two_value_compositions", n=n, d=d, k=k, l=l)
-    _require_positive_parts("two_value_compositions", k, l)
-    if k == l:
-        raise ValueError("the two part values must differ")
+    require_at_least("two_value_compositions", 1, n=n)
+    require_integers("two_value_compositions", d=d)
+    _require_part_values("two_value_compositions", k, l)
     if not 0 <= d <= n - 1:
         raise ValueError("d must lie in [0, n-1]")
     for pos in itertools.combinations(range(n - 1), d):
         yield tuple(k if i in pos else l for i in range(n - 1))
 
 
-def _require_positive_parts(caller, k, l):
+def _require_part_values(caller, k, l):
     """ValueError unless the part values k and l, diagonal exponents, are
-    both >= 1."""
-    if k < 1 or l < 1:
-        raise ValueError(f"{caller} requires part values k, l >= 1, got k={k}, l={l}")
-
-
-def _family_check(caller, alpha, k, l) -> tuple[int, ...]:
-    """The composition alpha as a tuple, once alpha, k and l are checked
-    to name a two-exponent family."""
-    require_integers(caller, k=k, l=l)
-    _require_positive_parts(caller, k, l)
+    distinct ints >= 1."""
+    require_at_least(caller, 1, k=k, l=l)
     if k == l:
         raise ValueError("the two part values must differ")
+
+
+def _family_check(caller, alpha, k, l) -> tuple[str, ...]:
+    """The path of alpha, once alpha, k and l are checked to name a
+    two-exponent family."""
+    _require_part_values(caller, k, l)
     if l < -(-k // 2):
         raise ValueError(f"need l >= ceil(k/2) = {-(-k // 2)}, got l = {l}")
-    parts = composition(alpha)
-    if any(x not in (k, l) for x in parts):
-        raise ValueError("every part must equal k or l")
-    return parts
+    return path_from_composition(alpha, k, l)
 
 
 def family_matrices(alpha, k: int, l: int, p: int) -> Iterator[HNFMatrix]:
@@ -101,17 +91,17 @@ def family_matrices(alpha, k: int, l: int, p: int) -> Iterator[HNFMatrix]:
     multiples of p^ceil(k/2) in [0, p^k) when (alpha_i, alpha_j) = (k, l)
     with i < j, every other off-diagonal entry is 0, and the last column is
     all ones.  Every yielded matrix is an irreducible subring matrix."""
-    parts = _family_check("family_matrices", alpha, k, l)
+    path = _family_check("family_matrices", alpha, k, l)
     require_prime(p)
     half = -(-k // 2)
-    m = len(parts)
+    m = len(path)
     n = m + 1
     pairs = itertools.combinations(range(m), 2)
-    slots = [(i, j) for i, j in pairs if (parts[i], parts[j]) == (k, l)]
+    slots = [(i, j) for i, j in pairs if (path[i], path[j]) == (NORTH, EAST)]
     values = range(0, p**k, p**half)
     base = [[0] * n for _ in range(n)]
     for i in range(m):
-        base[i][i] = p ** parts[i]
+        base[i][i] = p ** (k if path[i] == NORTH else l)
         base[i][n - 1] = 1
     base[n - 1][n - 1] = 1
     for vals in itertools.product(values, repeat=len(slots)):
@@ -123,16 +113,15 @@ def family_matrices(alpha, k: int, l: int, p: int) -> Iterator[HNFMatrix]:
 
 def family_count(alpha, k: int, l: int) -> PolyP:
     """p^((k - ceil(k/2)) * Area(P_alpha)) as a PolyP monomial."""
-    parts = _family_check("family_count", alpha, k, l)
-    return PolyP.monomial((k - (-(-k // 2))) * area(path_from_composition(parts, k, l)))
+    path = _family_check("family_count", alpha, k, l)
+    return PolyP.monomial((k - (-(-k // 2))) * area(path))
 
 
 def path_area_identity_check(u: int, v: int, q: int) -> bool:
     """True iff sum over paths to (u, v) of q^Area equals [u+v, v]_p at q,
     for ints u, v >= 0 and an int q."""
-    require_integers("path_area_identity_check", u=u, v=v, q=q)
-    if u < 0 or v < 0:
-        raise ValueError("endpoint coordinates must be nonnegative")
+    require_at_least("path_area_identity_check", 0, u=u, v=v)
+    require_integers("path_area_identity_check", q=q)
     if u + v > 16:
         raise ValueError("u + v > 16 is beyond exhaustive path enumeration")
     total = sum(q ** area(P) for P in iter_paths(u, v))

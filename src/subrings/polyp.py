@@ -13,7 +13,7 @@ import functools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .limits import require_integers
+from .limits import require_at_least, require_integers, require_sequence
 
 NEG_INF = float("-inf")
 
@@ -150,9 +150,7 @@ def gaussian_binomial(m: int, r: int) -> PolyP:
     emptied by counting.clear_caches) behind the argument checks: True
     hashes as 1, so a bool would otherwise find the entry of 1.
     """
-    require_integers("gaussian_binomial", m=m, r=r)
-    if m < 0 or r < 0:
-        raise ValueError("gaussian_binomial needs nonnegative arguments")
+    require_at_least("gaussian_binomial", 0, m=m, r=r)
     if r > m:
         raise ValueError(f"gaussian_binomial({m}, {r}): r exceeds m")
     return _gaussian_binomial(m, min(r, m - r))
@@ -205,19 +203,32 @@ def series_expand_rational(
 
     Each denominator factor (c, k) with k >= 1 is a unit in the truncated
     series ring; its reciprocal is the geometric series sum_j c^j x^(jk),
-    folded in by one convolution pass per factor.
+    folded in by one convolution pass per factor.  Every coefficient is a
+    PolyP or an int.
     """
-    require_integers("series_expand_rational", order=order)
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    out = [c if isinstance(c, PolyP) else PolyP(c) for c in list(numerator)[: order + 1]]
+    caller = "series_expand_rational"
+    require_at_least(caller, 0, order=order)
+    numerator = require_sequence(caller, "numerator", numerator)
+    out = [_coefficient(f"numerator[{i}]", c) for i, c in enumerate(numerator)][: order + 1]
     out += [ZERO] * (order + 1 - len(out))
-    for c, k in denominator_factors:
-        require_integers("series_expand_rational", k=k)
-        if k < 1:
-            raise ValueError("denominator factor exponent k must be >= 1")
-        c = c if isinstance(c, PolyP) else PolyP(c)
+    denominator_factors = require_sequence(caller, "denominator_factors", denominator_factors)
+    for i, factor in enumerate(denominator_factors):
+        try:
+            c, k = factor
+        except (TypeError, ValueError):
+            raise ValueError(f"{caller} requires denominator_factors[{i}] to be a pair (c, k), "
+                             f"got {factor!r}") from None
+        require_at_least(caller, 1, k=k)
+        c = _coefficient("c", c)
         # in-place forward pass: out[e] += c * out[e-k] realizes the geometric factor
         for e in range(k, order + 1):
             out[e] = out[e] + c * out[e - k]
     return out
+
+
+def _coefficient(arg: str, c) -> PolyP:
+    """c as a PolyP, refused unless a PolyP or an int (True is refused)."""
+    if not isinstance(c, PolyP):
+        require_integers("series_expand_rational", **{arg: c})
+        c = PolyP(c)
+    return c

@@ -21,18 +21,21 @@ from math import gcd
 from typing import Iterator
 
 from .limits import (
-    ResourceLimitError, _Budget, is_prime, require_index, require_integers, require_prime,
-    require_rank,
+    ResourceLimitError, _Budget, is_prime, require_at_least, require_index, require_prime,
 )
 from .hnf import HNFMatrix, _check_column, _column_closed, _ends_in_identity, hnf_from_generators
 from .partitions import bounded_compositions, conjugate, partition, partitions_of
 from .polyp import ONE, PolyP, gaussian_binomial
 
 
-def _require_exponent(caller: str, t: int) -> None:
-    """ValueError naming t unless the group's exponent t is >= 0."""
-    if t < 0:
-        raise ValueError(f"{caller} requires t >= 0, got t={t}")
+def _require_order(caller: str, n: int, t: int, k: int) -> None:
+    """ValueError naming the argument unless (n, t, k) names the subgroups
+    of order p^k in (Z/p^t Z)^(n-1): ints n >= 1, t >= 0 and
+    0 <= k <= t(n-1)."""
+    require_at_least(caller, 1, n=n)
+    require_at_least(caller, 0, t=t, k=k)
+    if k > t * (n - 1):
+        raise ValueError(f"{caller} requires k <= t(n-1) = {t * (n - 1)}, got k={k}")
 
 
 def stehling_count(lam, nu) -> PolyP:
@@ -58,11 +61,7 @@ def count_subgroups_of_order(n: int, t: int, k: int) -> PolyP:
     """Subgroups of order p^k in (Z/p^t Z)^(n-1), summed over admissible
     types (parts <= t, length <= n-1).  At t = 0 the group is trivial,
     of the empty type, with its one subgroup."""
-    require_rank("count_subgroups_of_order", n, 1)
-    require_integers("count_subgroups_of_order", t=t, k=k)
-    _require_exponent("count_subgroups_of_order", t)
-    if not 0 <= k <= t * (n - 1):
-        raise ValueError(f"order exponent {k} outside [0, {t * (n - 1)}]")
+    _require_order("count_subgroups_of_order", n, t, k)
     lam = (t,) * (n - 1) if t else ()
     total = PolyP()
     for nu in partitions_of(k, max_part=t, max_length=n - 1):
@@ -200,7 +199,7 @@ def _walk_sublattices(p: int, t: int, diag, budget: _Budget, visit, column=None)
 
 
 def iter_sublattices_containing(
-    m: int, p: int, t: int, budget: _Budget | None = None,
+    m: int, p: int, t: int
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
     """HNF bases of sublattices L of Z^m with p^t Z^m <= L, yielding
     (rows, index_exponent), one diagonal at a time.
@@ -209,13 +208,9 @@ def iter_sublattices_containing(
     first item, not at the call: the benchmark's spans
     (perfbench/spans.py) count the lattices it yields only for a
     generator function."""
-    require_integers("iter_sublattices_containing", m=m, t=t)
-    if m < 0:
-        raise ValueError(f"iter_sublattices_containing requires m >= 0, got m={m}")
-    _require_exponent("iter_sublattices_containing", t)
+    require_at_least("iter_sublattices_containing", 0, m=m, t=t)
     require_prime(p)
-    if budget is None:
-        budget = _Budget(f"iter_sublattices_containing(m={m}, p={p}, t={t})", None)
+    budget = _Budget(f"iter_sublattices_containing(m={m}, p={p}, t={t})", None)
     for diag in itertools.product(range(t + 1), repeat=m):
         found = []
         _walk_sublattices(p, t, diag, budget, lambda rows: found.append(tuple(map(tuple, rows))))
@@ -231,13 +226,10 @@ def brute_force_subgroups(
     the bijection with sublattices of Z^(n-1) of index p^(t(n-1)-k)
     containing p^t Z^(n-1).  An overrun's partial count is the number of
     sublattices counted before it."""
-    require_rank("brute_force_subgroups", n, 1)
-    require_integers("brute_force_subgroups", t=t, k=k)
-    _require_exponent("brute_force_subgroups", t)
+    _require_order("brute_force_subgroups", n, t, k)
     require_prime(p)
     budget = _Budget(f"brute_force_subgroups(n={n}, t={t}, k={k}, p={p})", node_budget)
-    # the walk yields exactly the answer's number of lattices; this also
-    # refuses an order exponent k outside [0, t(n-1)]
+    # the walk yields exactly the answer's number of lattices
     size = int(count_subgroups_of_order(n, t, k)(p))
     if size > 10**6:
         raise ResourceLimitError(
@@ -253,11 +245,7 @@ def max_degree_order_count(n: int, t: int, k: int) -> int:
     """Degree in p of count_subgroups_of_order(n, t, k): the conjugate type
     is balanced, with i = t*ceil(k/t) - k parts floor(k/t) and the rest
     ceil(k/t), giving k(n-1) - sum of squared parts."""
-    require_rank("max_degree_order_count", n, 1)
-    require_integers("max_degree_order_count", t=t, k=k)
-    _require_exponent("max_degree_order_count", t)
-    if not 0 <= k <= t * (n - 1):
-        raise ValueError(f"order exponent {k} outside [0, {t * (n - 1)}]")
+    _require_order("max_degree_order_count", n, t, k)
     if k == 0:
         return 0
     b, c = k // t, -(-k // t)
@@ -398,8 +386,8 @@ def _sandwich_hnf_agreement(n: int, m: int, node_budget: int | None = None) -> t
     the generator yields past the walk's end counts as compared and
     disagreeing.  An overrun's partial count is the number of lattices
     compared before it, in the diagonals already finished."""
-    require_rank("_sandwich_hnf_agreement", n, 1)
-    require_integers("_sandwich_hnf_agreement", m=m)
+    require_at_least("_sandwich_hnf_agreement", 1, n=n)
+    require_at_least("_sandwich_hnf_agreement", 2, m=m)
     p, t = _prime_power(m)
     budget = _Budget(f"_sandwich_hnf_agreement(n={n}, m={m})", node_budget)
     items = iter_sublattices_containing(n - 1, p, t)
@@ -441,8 +429,8 @@ def sandwich_subring_audit(n: int, m: int, node_budget: int | None = None) -> Sa
     diagonal exponents, and its last column is checked to be the identity
     (1,...,1), which puts the identity in the span.
     """
-    require_rank("sandwich_subring_audit", n, 1)
-    require_integers("sandwich_subring_audit", m=m)
+    require_at_least("sandwich_subring_audit", 1, n=n)
+    require_at_least("sandwich_subring_audit", 2, m=m)
     p, t = _prime_power(m)
     budget = _Budget(f"sandwich_subring_audit(n={n}, m={m})", node_budget)
     mm = n - 1

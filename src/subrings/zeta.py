@@ -22,7 +22,7 @@ from decimal import (
 from fractions import Fraction
 
 from .bounds import bound_b_exponent, c7
-from .limits import require_integers, require_prime, require_real
+from .limits import require_at_least, require_integers, require_prime, require_real
 from .polyp import ONE, PolyP, series_expand_rational
 from .subgroups import bound_h_exponent
 
@@ -66,11 +66,10 @@ LOCAL_FACTORS: dict[int, LocalFactor] = {
 
 def local_coefficients(n: int, order: int) -> list[PolyP]:
     """f_n(p^e) for e = 0..order as exact polynomials in p (n in {2,3,4})."""
-    require_integers("local_coefficients", n=n, order=order)
+    require_integers("local_coefficients", n=n)
     if n not in LOCAL_FACTORS:
         raise ValueError(f"no closed-form local factor for n = {n}")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    require_at_least("local_coefficients", 0, order=order)
     lf = LOCAL_FACTORS[n]
     return series_expand_rational(lf.numerator, lf.denominator_factors, order)
 
@@ -122,13 +121,12 @@ def partial_sum(
     significant digits in a decimal context of its own: the caller's
     context neither changes the result nor is changed.
     """
-    require_integers("partial_sum", n=n, E=E)
+    require_integers("partial_sum", n=n)
+    require_at_least("partial_sum", 0, E=E)
     if d is not None:
         require_integers("partial_sum", d=d)
     require_prime(p)
     require_real("partial_sum", s)
-    if E < 0:
-        raise ValueError("E must be nonnegative")
     if d is not None and not 0 <= d <= n - 1:
         raise ValueError(f"d must lie in [0, n-1] = [0, {n - 1}], got {d}")
     if d is not None and n <= 4:

@@ -142,7 +142,7 @@ def test_usage_errors_exit_one(capsys):
         (("interp", "--n", "3", "--e", "-2", "--primes", "2,3,5", "--degree-cap", "0",
           "--irreducible"), "e >= 0"),
         (("interp", "--n", "3", "--e", "2", "--primes", "2,3,5", "--degree-cap", "-1"),
-         "degree_cap must be >= 0"),
+         "interpolate_count requires degree_cap >= 0, got degree_cap=-1"),
         (("count", "--n", "3", "--e", "3", "--p", "2", "--node-budget", "-5"),
          "argument --node-budget: not a nonnegative integer: '-5'"),
         (("audit-sandwich", "--n", "0", "--m", "2"), "requires n >= 1"),

@@ -385,6 +385,14 @@ def test_non_prime_rejected(p):
             call()
 
 
+def test_empty_diagonal_counts_one():
+    # the empty diagonal () is in the domain: it counts the one 1 x 1
+    # matrix [1], g_1(p^0) = 1, the recurrence's j = 1 convention
+    for p in (2, 3, 5):
+        assert count_by_diagonal((), p) == scan_by_diagonal((), p) == 1
+        assert count_solutions(extract_conditions(()), p) == 1
+
+
 def test_recurrence_examples():
     assert recurrence_f(2, 3, 2) == 1
     assert recurrence_f(3, 0, 5) == 1
@@ -521,7 +529,9 @@ def test_interpolate_refuses_a_repeated_prime():
 def test_interpolate_rejects_negative_degree_cap():
     # was a degree_exceeds_cap mismatch: no fit has degree below zero
     for irreducible in (False, True):
-        with pytest.raises(ValueError, match="degree_cap"):
+        with pytest.raises(
+            ValueError, match="interpolate_count requires degree_cap >= 0, got degree_cap=-1"
+        ):
             interpolate_count(3, 2, (2, 3, 5), -1, irreducible=irreducible)
 
 

@@ -39,7 +39,8 @@ def test_partition_validation():
     assert partition(()) == ()
     with pytest.raises(ValueError, match="weakly decreasing"):
         partition((1, 2))
-    with pytest.raises(ValueError, match="must be positive"):
+    message = "partition requires parts[1] >= 1, got parts[1]=0"
+    with pytest.raises(ValueError, match=re.escape(message)):
         partition((2, 0))
 
 
@@ -187,6 +188,6 @@ def test_composition_fields():
 def test_scalar_for_parts_is_refused_by_name(call, args, value):
     # each used to raise "'int' object is not iterable"
     kind = "partition" if call in (partition, stehling_count) else "composition"
-    message = f"{kind} must be a sequence of parts, got {value!r}"
+    message = f"{kind} requires parts to be a sequence, got {value!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         call(*args)
