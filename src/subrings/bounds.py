@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .limits import require_at_least, require_index, require_integers, require_real
+from .limits import require_at_least, require_flag, require_index, require_integers, require_real
 from .subgroups import bound_h_exponent
 
 SQRT2 = math.sqrt(2.0)
@@ -30,6 +30,7 @@ def bound_b_exponent(n: int, e: int, with_argmax: bool = False):
     """Matrix-family exponent: max over d in [0, n-1] of
     floor(e/(n-1+d)) * d(n-1-d).  f_n(p^e) >= p^b."""
     require_index("bound_b_exponent", n, e)
+    require_flag("bound_b_exponent", with_argmax=with_argmax)
     best, best_d = 0, 0
     for d in range(0, n):
         v = (e // (n - 1 + d)) * d * (n - 1 - d)
@@ -48,6 +49,7 @@ def bound_c_exponent(n: int, e: int, with_argmax: bool = False):
     C in [0, 1] of the smooth objective, to absolute tolerance 1e-9
     (grid of 10^4 points, then golden-section on the best cell)."""
     require_index("bound_c_exponent", n, e)
+    require_flag("bound_c_exponent", with_argmax=with_argmax)
     grid = 10**4
     best_i, best_v = 0, -math.inf
     for i in range(grid + 1):
@@ -80,6 +82,7 @@ def c7(n: int, with_argmax: bool = False):
     """Divergence abscissa of the local factors from the matrix-family
     route: max over integer d of d(n-1-d)/(n-1+d), as an exact Fraction."""
     require_at_least("c7", 2, n=n)
+    require_flag("c7", with_argmax=with_argmax)
     best, best_d = Fraction(0), 0
     for d in range(0, n):
         v = Fraction(d * (n - 1 - d), n - 1 + d)

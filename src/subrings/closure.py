@@ -20,29 +20,24 @@ count is g_alpha(p): counting.count_by_diagonal is extract_conditions
 followed by count_solutions, and the HNF scan in counting is the oracle
 it is checked against.
 
-The exhaustion has two tiers, chosen from the plan of one system at one
-prime (box widths, periods and per-depth checks): a plan whose scan can
+A system's plan at a prime (box widths, periods and per-depth checks)
+is built in two stages: its skeleton, which does not depend on p (scan
+order, box exponents, each condition's terms grouped by monomial), and
+the skeleton's values at p.  A caller that counts one system at several
+primes, as counting does, builds the skeleton once.
+
+The exhaustion has two tiers, chosen from the plan: a plan whose scan can
 try at most _INTERPRETED_VALUES values is counted by a recursive
 function that reads the plan (_count_plan), and a larger one by Python
-generated for it, which costs a compile but runs each value far faster.
-Both charge the same nodes and give the same counts and overruns.
-
-The generated counter has one nested `for` loop per scanned variable,
-each condition tested in the loop of its last variable by Horner's rule,
-with its coefficients in that variable computed (and reduced mod p^r) as
-soon as the outer variables they use are assigned.  It is cut into
-functions of a few loops each, and the text of a function depends only
-on its shape:
-its loops, which of them have a period step, and the factors of each
-check's nonzero terms.  The widths, periods, repeat counts, moduli and
-reduced coefficients are its literals, bound to its last parameters as
-their defaults when a solve builds the function.  A function is compiled
-once per shape, in a per-process LRU cache of 256 entries, room for
-every shape that a round of interleaved composition families comes back
-to; the node budget is an argument too, so diagonals of the same
-structure, the same diagonal at other primes and every call of a budget
-sweep share one compile.  A node is one value of one scanned variable's
-box, as the full scan would try it, whether or not it is tried.
+generated for it (codegen), which costs a compile but runs each value
+far faster.  Both charge the same nodes and give the same counts and
+overruns.  A generated function is compiled once per shape, in a
+per-process LRU cache of 256 entries, room for every shape that a round
+of interleaved composition families comes back to; the node budget is an
+argument too, so diagonals of the same structure, the same diagonal at
+other primes and every call of a budget sweep share one compile.  A node
+is one value of one scanned variable's box, as the full scan would try
+it, whether or not it is tried.
 
 A term c*x*... of a condition mod p^r reads x only mod p^r / p^v_p(c), so
 each scanned variable has a period, at most its width: values a period
@@ -60,6 +55,7 @@ from dataclasses import dataclass
 from types import CodeType, FunctionType
 from typing import NamedTuple
 
+from .codegen import _counter_source, _functions
 from .limits import ResourceLimitError, _Budget, require_instance, require_prime
 from .partitions import composition
 from .polyp import PolyP
@@ -74,20 +70,12 @@ def var_name(v: Var) -> str:
     return f"a{i}{j}" + "'" * ticks
 
 
-def _accumulate(terms: dict, key, c: int) -> None:
-    """terms[key] += c, dropping the term when it cancels."""
-    s = terms.get(key, 0) + c
-    if s:
-        terms[key] = s
-    else:
-        terms.pop(key, None)
-
-
 # Extracting the benchmark's 266 congruence systems multiplies monomials
-# 10,349 times but forms only 285 distinct products.  Remembering them took
-# extraction from about 0.033 to 0.027 s, and a congruence round from
-# 0.205 to 0.193 s, for 0.11 MiB of peak RSS.  Monomials are tuples, so
-# the cached products are shared safely.
+# 10,349 times but forms only 285 distinct products.  Remembering them
+# takes extraction from 26.4 to 21.1 ms (two-core host, Python 3.11,
+# medians of 21 passes; when first added, from about 33 to 27 ms, and a
+# congruence round from 0.205 to 0.193 s, for 0.11 MiB of peak RSS).
+# Monomials are tuples, so the cached products are shared safely.
 @functools.lru_cache(maxsize=4096)
 def _mono_mul(m1, m2):
     exp = dict(m1)
@@ -187,11 +175,13 @@ def extract_conditions(
     m = len(parts)
 
     ranges: dict[Var, int] = {}
-    # every entry b(i, j) of the matrix is a single term (monomial,
-    # p-exponent) with coefficient 1, or None when it is zero
-    entries: dict[tuple[int, int], tuple | None] = {}
+    # rows[c][d] is the entry b(c+1, d+1) of the matrix, 0-based: a single
+    # term (monomial, p-exponent) with coefficient 1, or None when it is
+    # zero or below the diagonal
+    rows: list[list[tuple | None]] = [[None] * m for _ in range(m)]
     for i in range(1, m + 1):
-        entries[(i, i)] = ((), parts[i - 1])
+        row = rows[i - 1]
+        row[i - 1] = ((), parts[i - 1])
         for j in range(i + 1, m + 1):
             est = parts[i - 1] - 1
             k = subs.pop((i, j), 0)
@@ -200,50 +190,63 @@ def extract_conditions(
             if k < 0 or k > est:
                 raise ValueError(f"substitution p^{k} out of range for slot ({i},{j})")
             if est - k <= 0:
-                entries[(i, j)] = None  # range [0, p^0): forced 0
-                continue
+                continue  # range [0, p^0): forced 0
             var = (i, j, 1 if k else 0)
             ranges[var] = est - k
-            entries[(i, j)] = (((var, 1),), 1 + k)
+            row[j - 1] = (((var, 1),), 1 + k)
     if subs:
         raise ValueError(f"substitutions for unknown slots: {sorted(subs)}")
 
     conditions: list[CongruenceCondition] = []
     seen: set[tuple] = set()
-    for j in range(1, m + 1):
-        for i in range(1, j + 1):
-            # back substitution in the leading i x i block against the
-            # entrywise product of columns i and j: x[c] = (b(c, i) b(c, j)
-            # - sum over d > c of b(c, d) x[d]) / p^(parts[c-1]), each
-            # product by an entry a shift of monomials and p-exponents
-            x: dict[int, dict] = {}
-            for c in range(i, 0, -1):
-                shift = parts[c - 1]
+    mono_mul = _mono_mul
+    for j in range(m):
+        for i in range(j + 1):
+            # back substitution in the leading (i+1) x (i+1) block against
+            # the entrywise product of columns i and j: x[c] = (b(c, i)
+            # b(c, j) - sum over d > c of b(c, d) x[d]) / p^(parts[c]),
+            # each product by an entry a shift of monomials and
+            # p-exponents.  No two terms share a monomial, so none merges:
+            # x[d]'s monomials hold variables of rows >= d only, so every
+            # term of b(c, d) x[d] has the one row-c factor b(c, d), of
+            # degree 1, and b(c, i) b(c, j) has degree 2 in row c when
+            # c < i.  low[c] is x[c]'s lowest p-exponent, taken from each
+            # low[d] shifted by b(c, d)'s
+            x: list[dict] = [{}] * (i + 1)
+            low = [0] * (i + 1)
+            for c in range(i, -1, -1):
+                row = rows[c]
+                shift = parts[c]
                 acc: dict = {}
-                bi, bj = entries[(c, i)], entries[(c, j)]
+                least = 0
+                bi, bj = row[i], row[j]
                 if bi is not None and bj is not None:
-                    acc[(_mono_mul(bi[0], bj[0]), bi[1] + bj[1] - shift)] = 1
+                    least = bi[1] + bj[1] - shift
+                    acc[(mono_mul(bi[0], bj[0]), least)] = 1
                 for d in range(c + 1, i + 1):
-                    term = entries[(c, d)]
-                    if term is None or not x[d]:
+                    term = row[d]
+                    xd = x[d]
+                    if term is None or not xd:
                         continue
                     mono, k = term
                     k -= shift
-                    for (m2, k2), coeff in x[d].items():
-                        _accumulate(acc, (_mono_mul(m2, mono), k2 + k), -coeff)
+                    if not acc or low[d] + k < least:
+                        least = low[d] + k
+                    for (m2, k2), coeff in xd.items():
+                        acc[(mono_mul(m2, mono), k2 + k)] = -coeff
                 x[c] = acc
-            for c in range(1, i + 1):
-                if not x[c]:
+                low[c] = least
+            for c in range(i + 1):
+                if not x[c] or low[c] >= 0:
                     continue
-                r = -min(k for _, k in x[c])
-                if r <= 0:
-                    continue
-                # clear the denominator: multiply by p^r
-                numerator = {(mono, k + r): coeff for (mono, k), coeff in x[c].items()}
-                key = (frozenset(numerator.items()), r)
+                r = -low[c]
+                # x[c] and r give the numerator, and the numerator gives them
+                key = (frozenset(x[c].items()), r)
                 if key in seen:
                     continue
                 seen.add(key)
+                # clear the denominator: multiply by p^r
+                numerator = {(mono, k + r): coeff for (mono, k), coeff in x[c].items()}
                 conditions.append(CongruenceCondition(numerator, r))
     return ClosureSystem(parts, conditions, ranges)
 
@@ -304,7 +307,12 @@ class _Plan(NamedTuple):
 def _count_solutions(system: ClosureSystem, p: int, budget: _Budget) -> int:
     """count_solutions spending from the caller's budget.  On an overrun
     the partial count is the solutions found so far."""
-    plan = _plan(system, p)
+    return _count(_plan(system, p), budget)
+
+
+def _count(plan: _Plan | None, budget: _Budget) -> int:
+    """The solutions of a plan (None: a condition no value solves),
+    spending from budget."""
     if plan is None:
         return 0
     budget.count = 0
@@ -351,16 +359,17 @@ def _run_compiled(plan: _Plan, budget: _Budget, overrun) -> tuple[int, int]:
 
 # The most values a plan's scan may try (_value_bound) for _count_plan to
 # count it; larger plans are compiled.  Per solve of the benchmark's
-# congruence workload (seeds 2 and 3, two-core host, Python 3.11), the
-# interpreted count took 0.09 ms on plans of at most 64 values against
-# 0.76 ms to compile and run the counter (0.11 ms with its code cached),
-# 1.5 ms against 2.8 ms (0.6 ms) on plans of 1,025-4,096 values, and
-# 3.8 ms against 1.9 ms (0.8 ms) on plans of 16,385-65,536.  The median
-# solve there tries 54 values.  Fresh-process rounds of that workload
-# (seeds 2-4, 24 rounds per bound) took 0.90, 0.90, 0.89 and 0.95 times
-# as long as with every plan compiled at bounds 1024, 4096, 16384 and
-# 65536 (medians of the paired ratios): the best value is broad.  At 4096
-# a round compiles 26 shapes instead of 131.
+# congruence workload (287 solves, best of five each, medians per size;
+# two-core host, Python 3.11), the interpreted count took 0.03 ms on
+# plans of at most 64 values against 0.26 ms to compile and run the
+# counter (0.03 ms with its code cached), 0.70 ms against 1.39 ms
+# (0.26 ms) on plans of 1,025-4,096 values, and 1.1 ms against 0.9 ms
+# (0.3 ms) on plans of 16,385-65,536.  The median solve there tries 54
+# values.  Fresh processes that extract and count the whole workload (ten
+# per bound, alternating) took 0.89, 0.82, 0.81 and 0.91 times as long
+# as with every plan compiled at bounds 1024, 4096, 16384 and 65536
+# (medians of the paired ratios): the best value is broad.  At 4096 a
+# round compiles 26 shapes instead of 131.
 _INTERPRETED_VALUES = 4096
 
 
@@ -389,9 +398,12 @@ def _count_plan(plan: _Plan, d: int, xs: list, nodes: int, count: int,
         tried = min(limit - nodes, width)
         nodes += tried
         start = count
-        for x in range(period if tried == width else tried):
-            xs[d] = x
-            count += _passes(checks, xs)
+        if checks:
+            for x in range(period if tried == width else tried):
+                xs[d] = x
+                count += _passes(checks, xs)
+        else:
+            count += period if tried == width else tried
         if tried < width:
             overrun(nodes + 1, count)
         return nodes, count + (count - start) * repeats
@@ -404,7 +416,7 @@ def _count_plan(plan: _Plan, d: int, xs: list, nodes: int, count: int,
         if nodes > limit:
             overrun(nodes, count)
         xs[d] = x
-        if _passes(checks, xs):
+        if not checks or _passes(checks, xs):
             nodes, count = _count_plan(plan, d + 1, xs, nodes, count, limit, overrun)
     return nodes, count
 
@@ -422,104 +434,104 @@ def _passes(checks: tuple, xs: list) -> bool:
     return True
 
 
+class _Skeleton(NamedTuple):
+    """The part of a system's plan that does not depend on the prime.
+    scans holds the exponent of each scanned variable's box, in scan
+    order: p^min(range, largest modulus exponent of its conditions).
+    free_exponent is that of the values no condition reads.  conditions
+    holds each condition as (modulus exponent, last, terms), last being
+    the depth of its last variable (-1 for a condition without one), and
+    each term (factors, pairs) one monomial of its numerator: factors the
+    index of each variable once per degree, pairs the (p-exponent,
+    coefficient) pairs of the monomial's coefficient, a polynomial in p."""
+
+    scans: tuple[int, ...]
+    free_exponent: int
+    conditions: tuple
+
+
 def _plan(system: ClosureSystem, p: int) -> _Plan | None:
     """The scan of system at p, or None when a condition reduces to a
     nonzero constant, which no value solves."""
+    return _at_prime(_skeleton(system), p)
+
+
+def _skeleton(system: ClosureSystem) -> _Skeleton:
+    """The prime-independent part of system's plan, built once for every
+    prime that counts it."""
     rmax: dict[Var, int] = {}
     for cond in system.conditions:
+        r = cond.modulus_exponent
         for mono, _ in cond.numerator:
             for v, _ in mono:
-                rmax[v] = max(rmax.get(v, 0), cond.modulus_exponent)
+                old = rmax.get(v, 0)
+                rmax[v] = r if r > old else old
     order = sorted(rmax, key=lambda v: (v[1], v[0], v[2]))
     idx = {v: i for i, v in enumerate(order)}
+    ranges = system.variable_ranges
+    scans = tuple(min(ranges[v], rmax[v]) for v in order)
 
-    free_exponent = sum(system.variable_ranges.values())
-    box: list[int] = []
-    for v in order:
-        scan = min(system.variable_ranges[v], rmax[v])
-        box.append(p**scan)
-        free_exponent -= scan
-
-    # each condition at this prime: its modulus and its terms, with the
-    # coefficients reduced mod that modulus, filed under its last variable.
-    # A term c*x*... mod p^r reads x only mod p^r / p^v_p(c), so values of
-    # x that far apart pass the same tests: x's period is the largest such
-    # step over the terms containing it, 1 if none does, capped at its box
-    periods = [1] * len(order)
-    checks: list[list[tuple[int, tuple]]] = [[] for _ in order]
+    conditions = []
     for cond in system.conditions:
-        mod = p**cond.modulus_exponent
-        coeffs: dict[tuple, int] = {}
+        by_mono: dict[tuple, list] = {}
         for (mono, k), c in cond.numerator.items():
-            coeffs[mono] = coeffs.get(mono, 0) + c * p**k
+            if mono in by_mono:
+                by_mono[mono].append((k, c))
+            else:
+                by_mono[mono] = [(k, c)]
         terms = []
         last = -1
-        for mono, coeff in coeffs.items():
-            factors = tuple(idx[v] for v, d in mono for _ in range(d))
-            last = max((last, *factors))
+        for mono, pairs in by_mono.items():
+            factors = []
+            for v, d in mono:
+                i = idx[v]
+                if i > last:
+                    last = i
+                if d == 1:
+                    factors.append(i)
+                else:
+                    factors += [i] * d
+            terms.append((tuple(factors), tuple(pairs)))
+        conditions.append((cond.modulus_exponent, last, tuple(terms)))
+    return _Skeleton(scans, sum(ranges.values()) - sum(scans), tuple(conditions))
+
+
+def _at_prime(skeleton: _Skeleton, p: int) -> _Plan | None:
+    """skeleton's plan at p, or None when a condition reduces to a
+    nonzero constant, which no value solves.
+
+    Each condition gets its modulus and its terms, with the coefficients
+    reduced mod that modulus, filed under its last variable.  A term
+    c*x*... mod p^r reads x only mod p^r / p^v_p(c), so values of x that
+    far apart pass the same tests: x's period is the largest such step
+    over the terms containing it, 1 if none does, capped at its box."""
+    box = tuple(p**scan for scan in skeleton.scans)
+    periods = [1] * len(box)
+    checks: list[list[tuple[int, tuple]]] = [[] for _ in box]
+    for r, last, cond_terms in skeleton.conditions:
+        mod = p**r
+        terms = []
+        for factors, pairs in cond_terms:
+            coeff = 0
+            for k, c in pairs:
+                coeff += c * p**k
             coeff %= mod
             if coeff:
                 terms.append((coeff, factors))
+                step = mod // math.gcd(coeff, mod)
                 for vi in factors:
-                    periods[vi] = max(periods[vi], mod // math.gcd(coeff, mod))
+                    if periods[vi] < step:
+                        periods[vi] = step
         if last >= 0:
             checks[last].append((mod, tuple(terms)))
         elif terms:
             return None
     return _Plan(
-        tuple(box),
-        tuple(min(q, width) for q, width in zip(periods, box)),
+        box,
+        tuple(q if q < width else width for q, width in zip(periods, box)),
         tuple(map(tuple, checks)),
-        p**free_exponent,
+        p**skeleton.free_exponent,
     )
-
-
-# Each generated function is compiled on its own, and the parser's memory
-# grows with the text it reads, so one function holds at most this many
-# loops, condition tests and period steps (one per loop whose period is
-# below its width) and calls the next for the deeper loops; one loop with
-# more tests than that makes a function of its own.  On the benchmark's
-# congruence workload splitting took 0.3 MiB off the peak RSS, at no
-# measurable cost in time.  With the literals as parameters, the largest
-# compile there allocates about 215 KiB (tracemalloc), and 8 does not
-# lower it.  10 also keeps the nesting far below CPython's limit of 20
-# statically nested blocks.
-_FUNCTION_SIZE = 10
-
-
-def _functions(plan: _Plan) -> list[tuple[tuple, tuple[int, ...]]]:
-    """The plan cut into the functions of its counter, each as (shape,
-    literals): the shape decides the function's text, and the literals
-    are the values that the text names L0, L1, ...
-
-    A shape is (start, last, depths): the function runs the loops over
-    x<start>, x<start+1>, ..., and last says whether its loops are the
-    innermost.  depths holds, for each of its loops, whether the period is
-    below the width, and the conditions tested there, each as the factors
-    of its nonzero reduced terms.  The literals are, loop by loop: the
-    width; the period and repeat count where the period is below the
-    width; then for each condition its modulus and its coefficients.
-    _counter_source names them in the same order.
-    """
-    functions = []
-    start, size, depths, literals = 0, 0, [], []
-    for d, (width, period, checks) in enumerate(zip(plan.box, plan.periods, plan.checks)):
-        stepped = period < width
-        cost = 1 + len(checks) + stepped
-        if depths and size + cost > _FUNCTION_SIZE:
-            functions.append(((start, False, tuple(depths)), tuple(literals)))
-            start, size, depths, literals = d, 0, [], []
-        size += cost
-        literals.append(width)
-        if stepped:
-            literals += (period, width // period - 1)
-        for mod, terms in checks:
-            literals.append(mod)
-            literals += (coeff for coeff, _ in terms)
-        shaped = tuple(tuple(factors for _, factors in terms) for _, terms in checks)
-        depths.append((stepped, shaped))
-    functions.append(((start, True, tuple(depths)), tuple(literals)))
-    return functions
 
 
 # How many compiled functions one process keeps, least recently used
@@ -546,151 +558,3 @@ def _compiled_function(shape: tuple) -> CodeType:
     one shape share one compile."""
     module = compile(_counter_source(shape), "<counter>", "exec")
     return next(c for c in module.co_consts if isinstance(c, CodeType))
-
-
-def _counter_source(shape: tuple) -> str:
-    """Source of one function of the nested-loop counter.
-
-    count<s>(x0, ..., x<s-1>, nodes, count, limit, L0, L1, ...) runs the
-    loops over x<s>, x<s+1>, ... and returns the updated (nodes, count),
-    calling overrun once nodes would pass limit; count0 is the whole
-    count, and a function that is not the last calls the next for the
-    deeper loops.  L0, L1, ... are the literals: they take their values
-    as defaults, which the callers leave in place.  A condition whose
-    last variable is x<d> is tested in the loop over x<d> by Horner's rule
-    in x<d>; its coefficients of x<d>^k are computed as soon as the outer
-    variables they use are assigned.  Every value tried costs one node.
-    The text holds only the integer 1 and fixed names.
-
-    Values of x<d> a period q apart have the same tests and subtrees.
-    Where q is below the width w, the loop runs 0..q-1 as usual.  At
-    x<d> == q, if the nodes that period spent, times w/q - 1, fit in what
-    the budget has left, it charges them and adds as many times the
-    period's count at once; otherwise it goes on one value at a time.
-    Either way the nodes, count and any overrun are those of the full scan.
-    """
-    start, last, depths = shape
-    stop = start + len(depths)
-    # the literals' names, taken in the order _functions lists them
-    params: list[str] = []
-
-    def literal() -> str:
-        params.append(f"L{len(params)}")
-        return params[-1]
-
-    width, period, repeats = {}, {}, {}
-    tests: dict[int, list[str]] = {}
-    # (depth whose loop body computes it, assignment)
-    hoists: list[tuple[int, str]] = []
-    for d, (stepped, checks) in enumerate(depths, start):
-        width[d] = literal()
-        if stepped:
-            period[d], repeats[d] = literal(), literal()
-        tests[d] = []
-        for terms in checks:
-            mod = literal()
-            by_power: dict[int, list] = {}
-            for factors in terms:
-                coeff = literal()
-                rest = [vi for vi in factors if vi != d]
-                by_power.setdefault(len(factors) - len(rest), []).append((coeff, rest))
-            coeffs: list[str | None] = []
-            for k in range(max(by_power, default=-1) + 1):
-                parts = by_power.get(k, [])
-                const = " + ".join(c for c, rest in parts if not rest)
-                body = ["*".join([c, *(f"x{vi}" for vi in rest)]) for c, rest in parts if rest]
-                if not body:
-                    coeffs.append(const or None)
-                    continue
-                if const:
-                    body.append(const)
-                name = f"c{len(hoists)}"
-                place = max(vi for _, rest in parts for vi in rest)
-                hoists.append((place, f"{name} = ({' + '.join(body)}) % {mod}"))
-                coeffs.append(name)
-            horner = _horner(coeffs, f"x{d}")
-            if horner is not None:
-                tests[d].append(f"({horner}) % {mod}")
-
-    outer = [f"x{i}" for i in range(start)]
-    lines = [f"def count{start}({', '.join(outer + ['nodes', 'count', 'limit'] + params)}):"]
-    pad = "    "
-    # an assignment whose variables are all outer ones comes first
-    lines += [pad + line for place, line in hoists if place < start]
-    for d in range(start, stop - last):
-        lines += _loop(d, width[d], period.get(d), repeats.get(d), tests[d], pad)
-        pad += "    "
-        lines += [pad + line for place, line in hoists if place == d]
-    if not last:
-        inner = ", ".join([f"x{i}" for i in range(stop)] + ["nodes", "count", "limit"])
-        lines.append(f"{pad}nodes, count = count{stop}({inner})")
-    else:
-        # the last loop nests nothing, so it spends one node per value
-        # tried: it tries as many as the budget has left, and if that is
-        # short of its width the next value is the overrun.  When the
-        # whole width fits, one period is tried and its count multiplied.
-        d = stop - 1
-        lines.append(f"{pad}width = limit - nodes")
-        lines.append(f"{pad}if width > {width[d]}:")
-        lines.append(f"{pad}    width = {width[d]}")
-        lines.append(f"{pad}nodes += width")
-        values = "width"
-        if d in period:
-            lines.append(f"{pad}k{d} = count")
-            values = f"width if width < {width[d]} else {period[d]}"
-        lines.append(f"{pad}for x{d} in range({values}):")
-        lines += _tests(d, tests[d], pad + "    ")
-        lines.append(f"{pad}    count += 1")
-        lines.append(f"{pad}if width < {width[d]}:")
-        lines.append(f"{pad}    overrun(nodes + 1, count)")
-        if d in period:
-            lines.append(f"{pad}count += (count - k{d}) * {repeats[d]}")
-    lines.append("    return nodes, count")
-    return "".join(f"{line}\n" for line in lines)
-
-
-def _loop(d: int, width: str, period: str | None, repeats: str | None,
-          tests: list[str], pad: str) -> list[str]:
-    """The loop over x<d>, each value tried one node checked against the
-    limit, and the tests inside it.  With a period below the width, the
-    first period's nodes and count, taken from n<d> and k<d>, are repeated
-    at once when they fit in the budget."""
-    inner = pad + "    "
-    lines = []
-    if period is not None:
-        lines.append(f"{pad}n{d}, k{d} = nodes, count")
-    lines.append(f"{pad}for x{d} in range({width}):")
-    if period is not None:
-        lines += [
-            f"{inner}if x{d} == {period} and (nodes - n{d}) * {repeats} <= limit - nodes:",
-            f"{inner}    nodes, count = nodes + (nodes - n{d}) * {repeats},"
-            f" count + (count - k{d}) * {repeats}",
-            f"{inner}    break",
-        ]
-    lines.append(f"{inner}nodes += 1")
-    lines.append(f"{inner}if nodes > limit:")
-    lines.append(f"{inner}    overrun(nodes, count)")
-    return lines + _tests(d, tests, inner)
-
-
-def _tests(d: int, tests: list[str], pad: str) -> list[str]:
-    """The tests of x<d>'s conditions, each skipping the value it fails."""
-    lines = []
-    for test in tests:
-        lines.append(f"{pad}if {test}:")
-        lines.append(f"{pad}    continue")
-    return lines
-
-
-def _horner(coeffs: list[str | None], x: str) -> str | None:
-    """coeffs[0] + x*(coeffs[1] + x*(...)), skipping the zero (None)
-    coefficients; None when all are zero."""
-    expr = None
-    for c in reversed(coeffs):
-        if expr is not None:
-            expr = f"{x}*({expr})"
-            if c is not None:
-                expr = f"{c} + {expr}"
-        else:
-            expr = c
-    return expr

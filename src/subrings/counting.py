@@ -36,14 +36,23 @@ from math import comb
 from typing import Sequence
 
 from .closure import (
-    ClosureSystem,
+    _at_prime,
     _compiled_function,
-    _count_solutions,
+    _count,
     _mono_mul,
+    _skeleton,
+    _Skeleton,
     extract_conditions,
 )
 from .hnf import _column_closed, solve_upper_triangular
-from .limits import ResourceLimitError, _Budget, require_at_least, require_prime, require_sequence
+from .limits import (
+    ResourceLimitError,
+    _Budget,
+    require_at_least,
+    require_flag,
+    require_prime,
+    require_sequence,
+)
 from .partitions import bounded_compositions, composition, compositions
 from .polyp import PolyP, _gaussian_binomial, lagrange_coefficients
 
@@ -137,6 +146,7 @@ def scan_by_diagonal(
     matrix [1] of g_1(p^0), the recurrence's j = 1 term."""
     parts = composition(alpha)
     require_prime(p)
+    require_flag("scan_by_diagonal", pruned=pruned)
     budget = _Budget(f"scan_by_diagonal(alpha={parts}, p={p})", node_budget)
     if not parts:
         return 1
@@ -152,6 +162,7 @@ def scan_subrings(
     require_at_least("scan_subrings", 1, n=n)
     require_at_least("scan_subrings", 0, e=e)
     require_prime(p)
+    require_flag("scan_subrings", pruned=pruned)
     budget = _Budget(f"scan_subrings(n={n}, e={e}, p={p})", node_budget)
     if n == 1:
         return 1 if e == 0 else 0
@@ -179,24 +190,24 @@ def clear_caches() -> None:
 class _Call:
     """The node budget and tables of one public call.  f and g keep the
     counts the recurrence reuses (each g_alpha(p) is solved once, for its
-    g entry), and systems each diagonal's closure congruences, which do
-    not depend on p, so a call at several primes extracts each once.
-    Nothing outlives the call, so what it counts and spends depends only
-    on its arguments."""
+    g entry), and skeletons the prime-independent part of each diagonal's
+    closure solve (its congruences and their scan), so a call at several
+    primes extracts and plans each once.  Nothing outlives the call, so
+    what it counts and spends depends only on its arguments."""
 
-    __slots__ = ("budget", "f", "g", "systems")
+    __slots__ = ("budget", "f", "g", "skeletons")
 
     def __init__(self, context: str, node_budget: int | None):
         self.budget = _Budget(context, node_budget)
         self.f: dict[tuple[int, int, int], int] = {}
         self.g: dict[tuple[int, int, int], int] = {}
-        self.systems: dict[tuple[int, ...], ClosureSystem] = {}
+        self.skeletons: dict[tuple[int, ...], _Skeleton] = {}
 
 
 def _g_alpha(parts: tuple[int, ...], p: int, call: _Call) -> int:
-    if parts not in call.systems:
-        call.systems[parts] = extract_conditions(parts)
-    return _count_solutions(call.systems[parts], p, call.budget)
+    if parts not in call.skeletons:
+        call.skeletons[parts] = _skeleton(extract_conditions(parts))
+    return _count(_at_prime(call.skeletons[parts], p), call.budget)
 
 
 def _g_n(n: int, e: int, p: int, call: _Call) -> int:
@@ -313,6 +324,7 @@ def interpolate_count(
         raise ValueError(
             f"need at least degree_cap + 2 = {degree_cap + 2} primes, got {len(primes)}"
         )
+    require_flag("interpolate_count", irreducible=irreducible)
     require_at_least("interpolate_count", 2 if irreducible else 1, n=n)
     require_at_least("interpolate_count", 0, e=e)
     # one budget and one set of tables for every prime: the counts are

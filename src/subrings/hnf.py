@@ -26,9 +26,12 @@ class HNFMatrix:
 
     def __post_init__(self):
         n = self.n
-        if len(self.diag_exponents) != n or len(self.rows) != n:
+        if type(n) is not int:
+            require_integers("HNFMatrix", n=n)
+        if (_length("diag_exponents", self.diag_exponents) != n
+                or _length("rows", self.rows) != n):
             raise ValueError("dimension mismatch")
-        if any(len(row) != n for row in self.rows):
+        if any(length != n for length in _row_lengths(self.rows)):
             raise ValueError("rows must have length n")
         require_prime(self.prime)
         for c, e in enumerate(self.diag_exponents):
@@ -37,10 +40,14 @@ class HNFMatrix:
     @classmethod
     def from_rows(cls, prime: int, rows: Sequence[Sequence[int]]) -> "HNFMatrix":
         require_prime(prime)
-        n = len(rows)
+        n = _length("rows", rows)
+        if any(length != n for length in _row_lengths(rows)):
+            raise ValueError("rows must have length n")
         exps = []
         for i in range(n):
             d = rows[i][i]
+            if type(d) is not int and not _is_int(d):
+                raise ValueError(f"diagonal entry ({i},{i}) must be an int, got {d!r}")
             if d < 1:  # 0 would never leave the loop below
                 raise ValueError(f"diagonal entry {d} must be >= 1")
             e = 0
@@ -55,6 +62,25 @@ class HNFMatrix:
     @property
     def det(self) -> int:
         return self.prime ** sum(self.diag_exponents)
+
+
+def _length(arg: str, value) -> int:
+    """len(value), with a ValueError naming arg where value is a scalar."""
+    try:
+        return len(value)
+    except TypeError:
+        raise ValueError(f"HNFMatrix requires {arg} to be a sequence, got {value!r}") from None
+
+
+def _row_lengths(rows) -> list[int]:
+    """The length of each row, with a ValueError naming the first row
+    that is a scalar."""
+    try:
+        return [len(row) for row in rows]
+    except TypeError:
+        for i, row in enumerate(rows):
+            _length(f"rows[{i}]", row)
+        raise
 
 
 def _check_column(rows, c: int, p: int, e) -> None:

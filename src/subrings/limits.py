@@ -94,6 +94,15 @@ def require_at_least(caller: str, least: float, **values) -> None:
             raise ValueError(f"{caller} requires {arg} >= {least}, got {arg}={value}")
 
 
+def require_flag(caller: str, **values) -> None:
+    """ValueError naming the first of the keyword arguments that is not a
+    bool: a flag picks a branch, so 0, 'no' and None are refused rather
+    than taken for their truth."""
+    for arg, value in values.items():
+        if type(value) is not bool:
+            raise ValueError(f"{caller} requires {arg} to be a bool, got {value!r}")
+
+
 def require_sequence(caller: str, arg: str, value) -> tuple:
     """value as a tuple, with a ValueError naming arg where it is not a
     sequence (a scalar such as 3)."""

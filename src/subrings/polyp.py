@@ -13,7 +13,7 @@ import functools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .limits import require_at_least, require_integers, require_sequence
+from .limits import _is_int, require_at_least, require_integers, require_sequence
 
 NEG_INF = float("-inf")
 
@@ -28,9 +28,20 @@ class PolyP:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: int | Iterable[int] = ()):
-        if isinstance(coeffs, int):
-            coeffs = (coeffs,)
-        c = list(coeffs)
+        # the arithmetic below builds lists of ints, so a list and each
+        # int are tested first
+        if type(coeffs) is list:
+            c = list(coeffs)
+        elif type(coeffs) is int or _is_int(coeffs):
+            c = [coeffs]
+        elif isinstance(coeffs, str):
+            raise ValueError(f"PolyP requires coeffs to be an int or a sequence of ints, "
+                             f"got {coeffs!r}")
+        else:
+            c = list(require_sequence("PolyP", "coeffs", coeffs))
+        for v in c:
+            if type(v) is not int and not _is_int(v):
+                raise ValueError(f"PolyP requires integer coeffs, got {v!r} in {coeffs!r}")
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)

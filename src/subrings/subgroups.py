@@ -21,7 +21,8 @@ from math import gcd
 from typing import Iterator
 
 from .limits import (
-    ResourceLimitError, _Budget, is_prime, require_at_least, require_index, require_prime,
+    ResourceLimitError, _Budget, is_prime, require_at_least, require_flag, require_index,
+    require_prime,
 )
 from .hnf import HNFMatrix, _check_column, _column_closed, _ends_in_identity, hnf_from_generators
 from .partitions import bounded_compositions, conjugate, partition, partitions_of
@@ -259,6 +260,7 @@ def bound_h_exponent(n: int, e: int, with_argmax: bool = False):
     degree for order exponent k = e - t(n-1).  Never negative: the trivial
     bound f >= 1 is reported as 0."""
     require_index("bound_h_exponent", n, e)
+    require_flag("bound_h_exponent", with_argmax=with_argmax)
     lo = -(-e // (2 * (n - 1)))
     hi = e // (n - 1)
     best, best_t = 0, None

@@ -121,7 +121,7 @@ def partial_sum(
     significant digits in a decimal context of its own: the caller's
     context neither changes the result nor is changed.
     """
-    require_integers("partial_sum", n=n)
+    require_at_least("partial_sum", 2, n=n)
     require_at_least("partial_sum", 0, E=E)
     if d is not None:
         require_integers("partial_sum", d=d)

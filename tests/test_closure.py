@@ -99,6 +99,33 @@ def test_condition_texts_pinned():
     )
 
 
+def congruence_workload_systems() -> list[ClosureSystem]:
+    """The 266 systems of the benchmark's congruence workload: every
+    diagonal of g_5(p^7), g_8(p^10), g_6(p^9), g_7(p^9) and g_6(p^8), and
+    the substituted (3, 2, 1, 1)."""
+    systems = [extract_conditions(alpha)
+               for n, e in ((5, 7), (8, 10), (6, 9), (7, 9), (6, 8))
+               for alpha in compositions(n, e)]
+    return systems + [extract_conditions((3, 2, 1, 1), {(1, 2): 1})]
+
+
+def test_numerator_items_pinned():
+    """Each condition's numerator items, in insertion order, and its
+    modulus exponent, over the congruence workload's systems, by digest:
+    the order in which the plan meets the terms, which the texts above
+    sort away.  Pinned before extraction tracked each row's lowest
+    p-exponent instead of taking a min per row."""
+    systems = congruence_workload_systems()
+    assert len(systems) == 266
+    digest = hashlib.sha256()
+    for system in systems:
+        conditions = [(list(c.numerator.items()), c.modulus_exponent) for c in system.conditions]
+        digest.update(repr((system.alpha, conditions)).encode())
+    assert digest.hexdigest() == (
+        "677ded01cfff4fde1c0eed027d20c578bd8f15b0a4b1b2c7a4972b2f15ed5840"
+    )
+
+
 def test_multi_term_coefficient_text():
     """No extracted condition has a coefficient of two or more powers of p,
     so the pinned texts above never meet one.  These texts were taken from
@@ -526,6 +553,69 @@ def test_periodic_last_loop_against_evaluation():
     assert count_solutions(system, p) == solutions
 
 
+def reference_plan(system: ClosureSystem, p: int):
+    """The plan as closure._plan built it in one pass, before it was split
+    into a prime-independent skeleton and its values at p; kept as
+    written then."""
+    rmax = {}
+    for cond in system.conditions:
+        for mono, _ in cond.numerator:
+            for v, _ in mono:
+                rmax[v] = max(rmax.get(v, 0), cond.modulus_exponent)
+    order = sorted(rmax, key=lambda v: (v[1], v[0], v[2]))
+    idx = {v: i for i, v in enumerate(order)}
+
+    free_exponent = sum(system.variable_ranges.values())
+    box = []
+    for v in order:
+        scan = min(system.variable_ranges[v], rmax[v])
+        box.append(p**scan)
+        free_exponent -= scan
+
+    periods = [1] * len(order)
+    checks = [[] for _ in order]
+    for cond in system.conditions:
+        mod = p**cond.modulus_exponent
+        coeffs = {}
+        for (mono, k), c in cond.numerator.items():
+            coeffs[mono] = coeffs.get(mono, 0) + c * p**k
+        terms = []
+        last = -1
+        for mono, coeff in coeffs.items():
+            factors = tuple(idx[v] for v, d in mono for _ in range(d))
+            last = max((last, *factors))
+            coeff %= mod
+            if coeff:
+                terms.append((coeff, factors))
+                for vi in factors:
+                    periods[vi] = max(periods[vi], mod // math.gcd(coeff, mod))
+        if last >= 0:
+            checks[last].append((mod, tuple(terms)))
+        elif terms:
+            return None
+    return closure._Plan(
+        tuple(box),
+        tuple(min(q, width) for q, width in zip(periods, box)),
+        tuple(map(tuple, checks)),
+        p**free_exponent,
+    )
+
+
+def test_skeleton_at_prime_is_the_one_pass_plan():
+    """Every diagonal with n <= 6, e <= 8, and the substituted (3, 2, 1,
+    1), at p = 2, 3, 5 and 7: one skeleton per system, planned at each
+    prime, gives the one-pass plan, term order included."""
+    systems = [extract_conditions(alpha)
+               for n in range(2, 7) for e in range(n - 1, 9) for alpha in compositions(n, e)]
+    systems.append(extract_conditions((3, 2, 1, 1), {(1, 2): 1}))
+    for system in systems:
+        skeleton = closure._skeleton(system)
+        for p in (2, 3, 5, 7):
+            plan = closure._at_prime(skeleton, p)
+            expected = reference_plan(system, p)
+            assert plan == expected and repr(plan) == repr(expected), (system.alpha, p)
+
+
 def tier_outcome(values, system, p, budget):
     """metered_outcome with the plans that try at most `values` values
     interpreted and the rest compiled."""
@@ -662,3 +752,13 @@ def test_literal_scan_agrees_with_both_tiers(case, data):
         expected = (count, total) if budget is None else literal_scan(system, p, budget)[0]
         for tier in (COMPILED, INTERPRETED):
             assert tier_outcome(tier, system, p, budget) == expected, (tier, budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closure_systems())
+def test_skeleton_at_prime_is_the_one_pass_plan_on_built_systems(case):
+    """Hand-built systems reach what extraction never makes: a monomial
+    with two p-exponents, a coefficient that vanishes at p, a constant
+    condition."""
+    system, p = case
+    assert closure._plan(system, p) == reference_plan(system, p)

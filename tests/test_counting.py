@@ -444,6 +444,28 @@ def test_interpolate_budget_covers_every_prime():
     assert out.counts == (67, 157, 481, 1037)
 
 
+def test_interpolate_builds_each_skeleton_once(monkeypatch):
+    """g_4(p^5) at four primes extracts and plans the prime-independent
+    part of each of its six diagonals once, and plans it at each prime."""
+    built, planned = [], []
+    skeleton, at_prime = counting._skeleton, counting._at_prime
+
+    def recording_skeleton(system):
+        built.append(system.alpha)
+        return skeleton(system)
+
+    def recording_at_prime(sk, p):
+        planned.append(p)
+        return at_prime(sk, p)
+
+    monkeypatch.setattr(counting, "_skeleton", recording_skeleton)
+    monkeypatch.setattr(counting, "_at_prime", recording_at_prime)
+    primes = (2, 3, 5, 7)
+    assert interpolate_count(4, 5, primes, 2, irreducible=True) == PolyP([1, 1, 7])
+    assert sorted(built) == sorted(compositions(4, 5))
+    assert sorted(planned) == sorted(primes * len(built))
+
+
 def test_interpolate_needs_enough_primes():
     with pytest.raises(ValueError):
         interpolate_count(4, 5, (2, 3, 5), 2, irreducible=True)

@@ -54,8 +54,8 @@ BAD = {
     "matrix": SCALARS + ("2",),
     "system": SCALARS + ("2",),
     "substitutions": SCALARS + ("2",),
-    # a truth value: whatever is given is taken for its truth
-    "flag": (),
+    # a bool: a flag picks a branch, so nothing else is taken for its truth
+    "flag": (0, 1, 0.0, NAN, "no", None, (), [0], Fraction(1, 2)),
 }
 
 # how a refusal names an argument of these kinds, as a regular
@@ -211,7 +211,7 @@ EXEMPT = {
     "InterpolationMismatch": "a result record that interpolate_count builds",
     "LocalFactor": "a constant table entry of the n <= 4 closed forms",
     "PartialSum": "a result record that partial_sum builds",
-    "PolyP": "a value class of exact polynomial arithmetic",
+    "PolyP": "a value class whose constructor checks its coefficients (tests/test_polyp.py)",
     "ResourceLimitError": "an exception class",
     "SandwichAudit": "a result record that sandwich_subring_audit builds",
     "Table1Row": "a result record that table1 builds",
@@ -237,8 +237,7 @@ def _bad_values(name, arg, kind):
 
 @pytest.mark.parametrize(
     "name, arg",
-    [(name, arg) for name, (_, kinds) in sorted(DOMAINS.items()) for arg in kinds
-     if kinds[arg] != "flag"],
+    [(name, arg) for name, (_, kinds) in sorted(DOMAINS.items()) for arg in kinds],
 )
 def test_bad_value_is_refused_by_name(name, arg):
     good, kinds = DOMAINS[name]

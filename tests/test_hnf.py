@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,27 @@ def test_validation():
     A = mat(2, [[4, 1], [0, 1]])
     assert A.diag_exponents == (2, 0)
     assert A.det == 4
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # the first two raised "TypeError: object of type 'int' has no len()"
+        (lambda: HNFMatrix(2, 2, 3, 4), "HNFMatrix requires diag_exponents to be a sequence, got 3"),
+        (lambda: HNFMatrix.from_rows(2, 3), "HNFMatrix requires rows to be a sequence, got 3"),
+        (lambda: HNFMatrix(2, 2, (1, 0), 4), "HNFMatrix requires rows to be a sequence, got 4"),
+        (lambda: HNFMatrix(2, 2, (1, 0), ((2, 1), 5)),
+         "HNFMatrix requires rows[1] to be a sequence, got 5"),
+        (lambda: HNFMatrix.from_rows(2, [2, 1]), "HNFMatrix requires rows[0] to be a sequence, got 2"),
+        (lambda: HNFMatrix.from_rows(2, [[2], [0, 1]]), "rows must have length n"),
+        (lambda: HNFMatrix.from_rows(2, [["2"]]), "diagonal entry (0,0) must be an int, got '2'"),
+        (lambda: HNFMatrix(2.0, 2, (1, 0), ((2, 1), (0, 1))),
+         "HNFMatrix requires an integer n, got 2.0"),
+    ],
+)
+def test_malformed_matrix_is_refused_by_name(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_identity_in_span():

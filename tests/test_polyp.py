@@ -70,6 +70,24 @@ def test_non_integer_arguments_refused(call, args, message):
         call(*args)
 
 
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        # '12' built PolyP(['1', '2']), and 1.5 raised a TypeError
+        ("12", "PolyP requires coeffs to be an int or a sequence of ints, got '12'"),
+        (1.5, "PolyP requires coeffs to be a sequence, got 1.5"),
+        (True, "PolyP requires coeffs to be a sequence, got True"),
+        (None, "PolyP requires coeffs to be a sequence, got None"),
+        ([1, True], "PolyP requires integer coeffs, got True in [1, True]"),
+        ((2, 1.0), "PolyP requires integer coeffs, got 1.0 in (2, 1.0)"),
+        ([Fraction(1, 2)], "PolyP requires integer coeffs, got Fraction(1, 2)"),
+    ],
+)
+def test_polyp_refuses_non_integer_coefficients(coeffs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PolyP(coeffs)
+
+
 def test_gaussian_binomial_memo_keeps_its_checks():
     # the memo sits behind the checks: True == 1 and hash(True) == hash(1),
     # so a cached [1 1] must not answer (True, 1), nor [2 1] answer (2, -1)

@@ -1,5 +1,6 @@
 import decimal
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -82,6 +83,14 @@ def test_partial_sum_exact_mode():
 def test_partial_sum_rejects_non_prime(p):
     with pytest.raises(ValueError, match="prime"):
         partial_sum(3, p, 2, 5)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_partial_sum_refuses_rank_below_two(n):
+    # n <= 1 was refused by local_coefficients, as "no closed-form local
+    # factor for n = 1"
+    with pytest.raises(ValueError, match=re.escape(f"partial_sum requires n >= 2, got n={n}")):
+        partial_sum(n, 2, 1.5, 3)
 
 
 def test_partial_sum_rejects_minorant_parameter_outside_range():
