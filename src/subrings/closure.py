@@ -287,7 +287,7 @@ def count_solutions(
     require_instance("count_solutions", "system", system, ClosureSystem)
     require_prime(p)
     budget = _Budget(f"count_solutions(alpha={system.alpha}, p={p})", node_budget)
-    return _count_solutions(system, p, budget)
+    return _count(_plan(system, p), budget)
 
 
 class _Plan(NamedTuple):
@@ -304,15 +304,10 @@ class _Plan(NamedTuple):
     free_factor: int
 
 
-def _count_solutions(system: ClosureSystem, p: int, budget: _Budget) -> int:
-    """count_solutions spending from the caller's budget.  On an overrun
-    the partial count is the solutions found so far."""
-    return _count(_plan(system, p), budget)
-
-
 def _count(plan: _Plan | None, budget: _Budget) -> int:
     """The solutions of a plan (None: a condition no value solves),
-    spending from budget."""
+    spending from budget.  On an overrun the partial count is the
+    solutions found so far."""
     if plan is None:
         return 0
     budget.count = 0

@@ -79,12 +79,12 @@ class PolyP:
         out = list(a)
         for i, v in enumerate(b):
             out[i] += v
-        return PolyP(out)
+        return _normalized(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyP":
-        return PolyP([-v for v in self.coeffs])
+        return _normalized([-v for v in self.coeffs])
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -93,7 +93,10 @@ class PolyP:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other) -> "PolyP":
         other = _coerce(other)
@@ -101,13 +104,13 @@ class PolyP:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return PolyP()
+            return ZERO
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return PolyP(out)
+        return _normalized(out)
 
     __rmul__ = __mul__
 
@@ -142,11 +145,23 @@ class PolyP:
 
 
 def _coerce(value) -> PolyP:
+    """value as a PolyP, or NotImplemented for anything but a PolyP or an
+    int (a bool too: PolyP refuses it, and == must not raise)."""
     if isinstance(value, PolyP):
         return value
-    if isinstance(value, int):
+    if _is_int(value):
         return PolyP(value)
     return NotImplemented
+
+
+def _normalized(c: list) -> PolyP:
+    """The PolyP of a fresh list of ints built by the arithmetic above,
+    taken without PolyP's checks or a copy."""
+    while c and c[-1] == 0:
+        c.pop()
+    poly = object.__new__(PolyP)
+    poly.coeffs = tuple(c)
+    return poly
 
 
 ZERO = PolyP()

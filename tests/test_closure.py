@@ -446,7 +446,7 @@ def metered_outcome(system, p, budget):
     partial count)."""
     meter = _Budget("", budget)
     try:
-        count = closure._count_solutions(system, p, meter)
+        count = closure._count(closure._plan(system, p), meter)
     except ResourceLimitError as err:
         return "overrun", err.nodes, err.partial_count
     return count, meter.nodes

@@ -88,6 +88,39 @@ def test_polyp_refuses_non_integer_coefficients(coeffs, message):
         PolyP(coeffs)
 
 
+def test_polyp_compares_unequal_to_a_bool_and_refuses_it_as_an_operand():
+    # PolyP refuses a bool, so == answers False (as for any other type)
+    # instead of raising, and arithmetic with one is unsupported
+    one = PolyP([1])
+    assert (one == True) is False  # noqa: E712
+    assert one != False  # noqa: E712
+    assert True not in [one]
+    assert [one, True].index(True) == 1
+    assert one == 1 and 1 == one
+    for operation in (lambda: one + True, lambda: one * False,
+                      lambda: True - one, lambda: one - True, lambda: "1" - one):
+        with pytest.raises(TypeError):
+            operation()
+
+
+@given(st.lists(st.integers(-5, 5), max_size=5), st.lists(st.integers(-5, 5), max_size=5))
+def test_arithmetic_results_are_normalized(a, b):
+    # sums, differences, products and negations are built without
+    # PolyP's checks; each must still equal the checked construction
+    pa, pb = PolyP(a), PolyP(b)
+    width = max(len(a), len(b))
+    sums = [x + y for x, y in zip(a + [0] * width, b + [0] * width)]
+    products = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            products[i + j] += x * y
+    for result, expected in ((pa + pb, sums), (pa * pb, products), (-pa, [-x for x in a]),
+                             (pa - pa, []), (3 - pa, [3 - a[0] if a else 3] + [-x for x in a[1:]])):
+        assert type(result) is PolyP
+        assert result.coeffs == PolyP(expected).coeffs
+        assert not result.coeffs or result.coeffs[-1] != 0
+
+
 def test_gaussian_binomial_memo_keeps_its_checks():
     # the memo sits behind the checks: True == 1 and hash(True) == hash(1),
     # so a cached [1 1] must not answer (True, 1), nor [2 1] answer (2, -1)
