@@ -26,37 +26,42 @@ order, box exponents, each condition's terms grouped by monomial), and
 the skeleton's values at p.  A caller that counts one system at several
 primes, as counting does, builds the skeleton once.
 
-The exhaustion has two tiers, chosen from the plan: a plan whose scan can
-try at most _INTERPRETED_VALUES values is counted by a recursive
-function that reads the plan (_count_plan), and a larger one by Python
-generated for it (codegen), which costs a compile but runs each value
-far faster.  Both charge the same nodes and give the same counts and
-overruns.  A generated function is compiled once per shape, in a
-per-process LRU cache of 256 entries, room for every shape that a round
-of interleaved composition families comes back to; the node budget is an
-argument too, so diagonals of the same structure, the same diagonal at
-other primes and every call of a budget sweep share one compile.  A node
-is one value of one scanned variable's box, as the full scan would try
-it, whether or not it is tried.
+The exhaustion has two tiers, chosen from the plan.  A plan whose scan
+tries at most _INTERPRETED_VALUES values is counted by a recursive
+function that reads the plan (_count_plan) and takes no budget: it
+returns the full scan's node total with the count, and the total is
+spent at once when it fits what the budget has left.  A larger plan, and
+a small one whose total does not fit, is counted by Python generated for
+it (codegen), which costs a compile but runs each value far faster.  The
+generated counter is the one engine that follows the scan value by value
+under the budget, so every overrun, its nodes and its partial count, is
+the generated counter's.  A generated function is compiled once per
+shape, in a per-process LRU cache of 256 entries, room for every shape
+that a round of interleaved composition families comes back to; the
+node budget is an argument too, so diagonals of the same structure, the
+same diagonal at other primes and every call of a budget sweep share one
+compile.  A node is one value of one scanned variable's box, as the
+full scan would try it, whether or not it is tried.
 
 A term c*x*... of a condition mod p^r reads x only mod p^r / p^v_p(c), so
 each scanned variable has a period, at most its width: values a period
 apart have the same tests and the same subtrees below.  Counts are never
 cached, across solves or within one: every node is charged; each period
 runs once, and its nodes and count are repeated in bulk for the rest of
-the width whenever that fits the budget.
+the width, by the generated counter whenever that fits the budget.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from types import CodeType, FunctionType
 from typing import NamedTuple
 
 from .codegen import _counter_source, _functions
-from .limits import ResourceLimitError, _Budget, require_instance, require_prime
+from .limits import ResourceLimitError, _Budget, _is_int, require_instance, require_prime
 from .partitions import composition
 from .polyp import PolyP
 
@@ -89,8 +94,6 @@ def _poly_text(terms: dict) -> str:
     sorted by variable name, integer coefficients written as polynomials
     in p (every p-exponent is >= 0), signs folded into the joining
     operators."""
-    if not terms:
-        return "0"
     # each monomial's coefficient {k: c}, a polynomial in p
     coeffs: dict = {}
     for (mono, k), c in terms.items():
@@ -103,29 +106,22 @@ def _poly_text(terms: dict) -> str:
         )
         rendered.append((mono_txt, coeff))
     rendered.sort(key=lambda t: t[0])
-    pieces = []
+    out = ""
     for mono_txt, coeff in rendered:
-        negative = False
-        if len(coeff) == 1:
-            ((k, c),) = coeff.items()
-            if c < 0:
-                negative = True
-                coeff = {k: -c}
+        negative = len(coeff) == 1 and min(coeff.values()) < 0
+        if negative:
+            coeff = {k: -c for k, c in coeff.items()}
         body = str(PolyP([coeff.get(k, 0) for k in range(max(coeff) + 1)]))
         if " " in body:
             body = f"({body})"
-        if not mono_txt:
-            term = body
-        elif body == "1":
-            term = mono_txt
-        else:
-            term = f"{body}*{mono_txt}"
-        pieces.append((negative, term))
-    neg, term = pieces[0]
-    out = ("-" if neg else "") + term
-    for neg, term in pieces[1:]:
-        out += (" - " if neg else " + ") + term
-    return out
+        if mono_txt:
+            body = mono_txt if body == "1" else f"{body}*{mono_txt}"
+        if out:
+            out += " - " if negative else " + "
+        elif negative:
+            out = "-"
+        out += body
+    return out or "0"
 
 
 @dataclass(frozen=True)
@@ -263,31 +259,86 @@ def count_solutions(
     condition involves, contributes a free multiplicative factor.
     Conditions are tested as soon as their last variable is assigned.
 
-    A scan that can try at most _INTERPRETED_VALUES values (the sum over
+    A scan that tries at most _INTERPRETED_VALUES values (the sum over
     the scanned variables of the product of the periods up to it) is run
-    by a recursive function over the plan of this system and p.  A larger
-    one is a nested-loop counter generated for them: a condition's
-    coefficients in its last variable are computed outside that
-    variable's loop, so the innermost loops only evaluate one polynomial
-    in one variable per condition.  Each function of the counter is
-    compiled once per shape (its loops, their period steps and the
-    factors of each check's terms) in a bounded cache, and run with the
-    widths, periods, moduli and coefficients of this system and p.
+    by a recursive function over the plan of this system and p, without
+    a budget: it gives the full scan's node total, which is spent at once
+    when it fits in node_budget.  A larger scan, and a small one whose
+    total does not fit, is run by a nested-loop counter generated for
+    them: a condition's coefficients in its last variable are computed
+    outside that variable's loop, so the innermost loops only evaluate
+    one polynomial in one variable per condition.  Each function of the
+    counter is compiled once per shape (its loops, their period steps
+    and the factors of each check's terms) in a bounded cache, and run
+    with the widths, periods, moduli and coefficients of this system and
+    p.  It follows the scan value by value up to the budget, so an
+    overrun's nodes and partial count are always the generated
+    counter's.
 
     Both tiers charge every node, and run each period once: where a
     variable is read only mod a power of p below its width, the first
     period is scanned and the rest of the width charged and counted in
-    bulk, so the count, the nodes and any overrun are those of the full
-    scan.
+    bulk (by the generated counter only while that fits the budget), so
+    the count, the nodes and any overrun are those of the full scan.
     node_budget bounds the nodes: the values of every scanned variable's
     box that the full scan would try, including those charged in bulk.
     The empty diagonal's system, with no variable and no condition,
     counts 1, as count_by_diagonal(()) does.
+
+    A hand-built system is refused with a ValueError naming the field
+    that does not read as documented: a variable that is not (row, col,
+    ticks) ints or has no range; a range, p-exponent or modulus exponent
+    that is not an int >= 0; a coefficient that is not an int; a degree
+    that is not an int >= 1; a numerator that is not a dict; conditions
+    that are not a sequence of CongruenceConditions.  A modulus exponent
+    of 0 is a condition that always holds.
     """
-    require_instance("count_solutions", "system", system, ClosureSystem)
+    _require_system(system)
     require_prime(p)
     budget = _Budget(f"count_solutions(alpha={system.alpha}, p={p})", node_budget)
     return _count(_plan(system, p), budget)
+
+
+def _require_system(system) -> None:
+    """ValueError naming the first field of system that the solve cannot
+    read.  Extraction's systems pass, so counting does not check them.
+    Exact ints take a fast path: a round of the benchmark's congruence
+    workload checks 1,533 ranges, 1,815 conditions and 4,830 terms."""
+    require_instance("count_solutions", "system", system, ClosureSystem)
+    ranges, conditions = system.variable_ranges, system.conditions
+    _require("variable_ranges", ranges, isinstance(ranges, dict) and all(
+        type(v) is tuple and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is int
+        and (type(r) is int or _is_int(r)) and r >= 0 for v, r in ranges.items()))
+    _require("conditions", conditions, isinstance(conditions, Sequence) and all(
+        isinstance(cond, CongruenceCondition) for cond in conditions))
+    for cond in conditions:
+        r = cond.modulus_exponent
+        _require("modulus_exponent", r, (type(r) is int or _is_int(r)) and r >= 0)
+        _require("numerator", cond.numerator, _is_numerator(cond.numerator, ranges))
+
+
+def _is_numerator(numerator, ranges: dict) -> bool:
+    """Whether numerator maps each (monomial, k) to an int, each k being an
+    int >= 0 and each monomial pairing variables of ranges with int
+    degrees >= 1."""
+    if not isinstance(numerator, dict):
+        return False
+    try:
+        for (mono, k), c in numerator.items():
+            if not (type(k) is type(c) is int or _is_int(k) and _is_int(c)) or k < 0:
+                return False
+            for v, d in mono:
+                if v not in ranges or not (type(d) is int or _is_int(d)) or d < 1:
+                    return False
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _require(field: str, value, ok: bool) -> None:
+    """ValueError naming system.field, whose value is value, unless ok."""
+    if not ok:
+        raise ValueError(f"count_solutions requires a well-formed system.{field}, got {value!r}")
 
 
 class _Plan(NamedTuple):
@@ -306,33 +357,23 @@ class _Plan(NamedTuple):
 
 def _count(plan: _Plan | None, budget: _Budget) -> int:
     """The solutions of a plan (None: a condition no value solves),
-    spending from budget.  On an overrun the partial count is the
-    solutions found so far."""
+    spending from budget.  A small plan is counted without the budget and
+    its node total spent at once if it fits; otherwise, as for a large
+    plan, the generated counter runs it, and finds any overrun, whose
+    partial count is the solutions found so far."""
     if plan is None:
         return 0
-    budget.count = 0
     if not plan.box:
-        budget.count = 1
         return plan.free_factor
+    if _value_bound(plan) <= _INTERPRETED_VALUES:
+        nodes, count = _count_plan(plan, 0, [0] * len(plan.box))
+        if nodes <= budget.limit - budget.nodes:
+            budget.nodes += nodes
+            return count * plan.free_factor
 
     def overrun(nodes: int, count: int):
-        raise ResourceLimitError(budget.context, nodes, budget.limit, count)
+        raise ResourceLimitError(budget.context, nodes, budget.limit, count * plan.free_factor)
 
-    try:
-        if _value_bound(plan) <= _INTERPRETED_VALUES:
-            xs = [0] * len(plan.box)
-            budget.nodes, budget.count = _count_plan(
-                plan, 0, xs, budget.nodes, 0, budget.limit, overrun)
-        else:
-            budget.nodes, budget.count = _run_compiled(plan, budget, overrun)
-    except ResourceLimitError as err:
-        budget.nodes, budget.count = err.nodes, err.partial_count
-        raise err.with_partial(err.partial_count * plan.free_factor) from None
-    return budget.count * plan.free_factor
-
-
-def _run_compiled(plan: _Plan, budget: _Budget, overrun) -> tuple[int, int]:
-    """(nodes, count) of plan's generated counter, run from budget.nodes."""
     # a fresh namespace per solve: overrun raises for this budget, and the
     # count<s> functions call each other through it.  Each is built from
     # its shape's compiled code with this solve's literals as the defaults
@@ -347,30 +388,34 @@ def _run_compiled(plan: _Plan, budget: _Budget, overrun) -> tuple[int, int]:
         for shape, literals in _functions(plan):
             namespace[f"count{shape[0]}"] = FunctionType(
                 _compiled_function(shape), namespace, None, literals)
-        return namespace["count0"](budget.nodes, 0, budget.limit)
+        budget.nodes, count = namespace["count0"](budget.nodes, 0, budget.limit)
     finally:
         namespace.clear()
+    return count * plan.free_factor
 
 
 # The most values a plan's scan may try (_value_bound) for _count_plan to
 # count it; larger plans are compiled.  Per solve of the benchmark's
-# congruence workload (287 solves, best of five each, medians per size;
-# two-core host, Python 3.11), the interpreted count took 0.03 ms on
-# plans of at most 64 values against 0.26 ms to compile and run the
-# counter (0.03 ms with its code cached), 0.70 ms against 1.39 ms
-# (0.26 ms) on plans of 1,025-4,096 values, and 1.1 ms against 0.9 ms
-# (0.3 ms) on plans of 16,385-65,536.  The median solve there tries 54
-# values.  Fresh processes that extract and count the whole workload (ten
-# per bound, alternating) took 0.89, 0.82, 0.81 and 0.91 times as long
-# as with every plan compiled at bounds 1024, 4096, 16384 and 65536
-# (medians of the paired ratios): the best value is broad.  At 4096 a
-# round compiles 26 shapes instead of 131.
+# congruence workload (256 solves that scan a variable, best of five
+# each, medians per size; two-core host, Python 3.11), the budget-free
+# interpreted count took 0.012-0.015 ms on plans of at most 64 values
+# against 0.27-0.43 ms to compile and run the counter (0.011-0.016 ms
+# with its code cached), 0.59-0.77 ms against 1.07-1.53 ms (0.15-0.27 ms)
+# on plans of 1,025-4,096 values, and 1.0-1.4 ms against 0.8-1.2 ms
+# (0.25-0.43 ms) on plans of 16,385-65,536.  The median solve there has a
+# bound of 124 values.  Fresh processes that extract and count the whole
+# workload (ten per bound, alternating) took 0.87, 0.83, 0.78 and 0.85
+# times as long as with every plan compiled at bounds 1024, 4096, 16384
+# and 65536 (medians of the paired ratios, which spread from 0.5 to 1.3):
+# the best value is broad.  At 4096 an unbudgeted round compiles 26
+# shapes instead of 131.
 _INTERPRETED_VALUES = 4096
 
 
 def _value_bound(plan: _Plan) -> int:
-    """The most values a scan of plan tries while its period batches fit
-    the budget: sum over d of periods[0] * ... * periods[d]."""
+    """The most values _count_plan tries on plan, as does the generated
+    counter while its period batches fit the budget: sum over d of
+    periods[0] * ... * periods[d]."""
     total, prefixes = 0, 1
     for period in plan.periods:
         prefixes *= period
@@ -378,42 +423,27 @@ def _value_bound(plan: _Plan) -> int:
     return total
 
 
-def _count_plan(plan: _Plan, d: int, xs: list, nodes: int, count: int,
-                limit: int, overrun) -> tuple[int, int]:
+def _count_plan(plan: _Plan, d: int, xs: list) -> tuple[int, int]:
     """The loops over x<d>, x<d+1>, ... of plan, interpreted, with x0 ..
-    x<d-1> in xs: the updated (nodes, count), under the node rules of the
-    generated counter (_counter_source).  A value of a loop that is not
-    the last costs one node before its tests; at x<d> == period the
-    period's nodes and count are repeated for the rest of the width when
-    they fit in the budget.  The last loop charges the values the budget
-    allows at once and tries one period when its whole width fits."""
+    x<d-1> in xs: the (nodes, count) of the full scan below them.  Each
+    loop charges its whole width, and the values past its first period
+    repeat that period's subtrees, so one period is scanned and its
+    subtrees' nodes and count taken width // period times."""
     width, period, checks = plan.box[d], plan.periods[d], plan.checks[d]
-    repeats = width // period - 1
+    repeats = width // period
+    nodes = count = 0
     if d == len(plan.box) - 1:
-        tried = min(limit - nodes, width)
-        nodes += tried
-        start = count
-        if checks:
-            for x in range(period if tried == width else tried):
-                xs[d] = x
-                count += _passes(checks, xs)
-        else:
-            count += period if tried == width else tried
-        if tried < width:
-            overrun(nodes + 1, count)
-        return nodes, count + (count - start) * repeats
-    start_nodes, start = nodes, count
-    for x in range(width):
-        if x == period and (nodes - start_nodes) * repeats <= limit - nodes:
-            return (nodes + (nodes - start_nodes) * repeats,
-                    count + (count - start) * repeats)
-        nodes += 1
-        if nodes > limit:
-            overrun(nodes, count)
+        for x in range(period):
+            xs[d] = x
+            count += _passes(checks, xs)
+        return width, count * repeats
+    for x in range(period):
         xs[d] = x
         if not checks or _passes(checks, xs):
-            nodes, count = _count_plan(plan, d + 1, xs, nodes, count, limit, overrun)
-    return nodes, count
+            below, found = _count_plan(plan, d + 1, xs)
+            nodes += below
+            count += found
+    return width + nodes * repeats, count * repeats
 
 
 def _passes(checks: tuple, xs: list) -> bool:
@@ -539,10 +569,14 @@ def _at_prime(skeleton: _Skeleton, p: int) -> _Plan | None:
 # (6,9), (7,9), (8,10), (7,8), (5,9), (4,10) and (6,7) at p = 2, 3, 5, 7
 # and 11 number 159.  With 256 entries a round compiles each of its 131
 # shapes once, where 48 entries evicted shapes that came back and
-# compiled 196-216.  With the small plans interpreted, the round runs 38
-# functions of 26 shapes.  An entry holds about 1.75 KiB of
-# code and 1.25 KiB of shape key (tracemalloc), so a full cache about
-# 0.75 MiB; the round's peak RSS rose by about 0.12 MiB (0.6 %).
+# compiled 196-216.  With the small plans interpreted, only the plans
+# above _INTERPRETED_VALUES reach the cache, and a small plan only when
+# its node total overruns the budget, which ends the call: a fresh
+# congruence round (seed 9, rounds 1-5) runs 38 functions of 26 shapes,
+# and a scan round 8-51 functions of 8-34 shapes.  An entry holds about
+# 1.75 KiB of code and 1.25 KiB of shape key (tracemalloc), so a full
+# cache about 0.75 MiB; the round's peak RSS rose by about 0.12 MiB
+# (0.6 %).
 _FUNCTION_CACHE_SIZE = 256
 
 

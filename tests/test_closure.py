@@ -323,9 +323,10 @@ def test_twenty_one_scanned_variables():
     assert count_by_diagonal((2, 2, 2, 1, 2, 1, 1, 1), 2) == 263552
 
 
-def record_compiles(monkeypatch) -> list:
+def record_compiles(monkeypatch, bound=COMPILED) -> list:
     """Empty the counter cache and record every compile closure makes,
-    with every plan sent to the compiled tier."""
+    with the plans that try at most bound values interpreted (by default
+    none)."""
     compiled = []
 
     def counted(*args):
@@ -333,7 +334,7 @@ def record_compiles(monkeypatch) -> list:
         return compile(*args)
 
     monkeypatch.setattr(closure, "compile", counted, raising=False)
-    monkeypatch.setattr(closure, "_INTERPRETED_VALUES", COMPILED)
+    monkeypatch.setattr(closure, "_INTERPRETED_VALUES", bound)
     closure._compiled_function.cache_clear()
     return compiled
 
@@ -626,10 +627,13 @@ def tier_outcome(values, system, p, budget):
 
 def test_tiers_agree():
     """Every diagonal with n <= 5, e <= 7 at p = 2, 3, 5 and 7, and the
-    substituted (3, 2, 1, 1): the interpreted and the compiled counter give
-    the same count and nodes, or the same overrun, at budgets 0, 1, T - 1,
-    T, two random ones and none, T being the node total.  The default bound
-    sends some of these plans to each tier."""
+    substituted (3, 2, 1, 1): with every plan interpreted and with every
+    plan compiled, the solve gives the same count and nodes, or the same
+    overrun, at budgets 0, 1, T - 1, T, two random ones and none, T being
+    the node total.  An interpreted plan whose node total overruns the
+    budget is handed to the generated counter, so from both settings an
+    overrun is the generated counter's.  The default bound sends some of
+    these plans to each tier."""
     rng = random.Random(0)
     systems = [extract_conditions(alpha)
                for n in range(2, 6) for e in range(n - 1, 8) for alpha in compositions(n, e)]
@@ -648,6 +652,53 @@ def test_tiers_agree():
                     assert tier_outcome(INTERPRETED, system, p, budget) == expected, (
                         system.alpha, p, budget)
     assert interpreted == {True, False}
+
+
+def test_interpreted_plan_within_budget_compiles_nothing(monkeypatch):
+    """(3, 2, 1, 1) at p = 3 is interpreted: its scan tries at most 1,089
+    values, its node total T is 1,737 and it has 459 solutions.  Under a
+    budget of T the interpreted count is spent at once and nothing is
+    compiled.  Under T - 1 the plan is handed to the generated counter,
+    its two functions compiled once, which overruns at node T as with
+    every plan compiled."""
+    system, p, total = extract_conditions((3, 2, 1, 1)), 3, 1737
+    plan = closure._plan(system, p)
+    assert (closure._value_bound(plan), len(closure._functions(plan))) == (1089, 2)
+    compiled = record_compiles(monkeypatch, closure._INTERPRETED_VALUES)
+    assert metered_outcome(system, p, total) == (459, total)
+    assert compiled == []
+    overrun = metered_outcome(system, p, total - 1)
+    assert metered_outcome(system, p, total - 1) == overrun
+    assert len(compiled) == 2
+    assert overrun[:2] == ("overrun", total) and overrun[2] <= 459
+    assert overrun == tier_outcome(COMPILED, system, p, total - 1)
+
+
+def test_count_plan_is_the_literal_scan():
+    """Unbudgeted, _count_plan gives the node total and the count of the
+    scan that literal_scan runs value by value, on test_tiers_agree's
+    diagonals and primes (the 220 plans that scan a variable)."""
+    systems = [extract_conditions(alpha)
+               for n in range(2, 6) for e in range(n - 1, 8) for alpha in compositions(n, e)]
+    systems.append(extract_conditions((3, 2, 1, 1), {(1, 2): 1}))
+    plans = 0
+    for system in systems:
+        for p in (2, 3, 5, 7):
+            plan = closure._plan(system, p)
+            if plan is None or not plan.box:
+                continue
+            plans += 1
+            nodes, count = closure._count_plan(plan, 0, [0] * len(plan.box))
+            expected, _ = literal_scan(system, p)
+            assert (count * plan.free_factor, nodes) == expected, (system.alpha, p)
+    assert plans == 220
+
+
+def test_modulus_exponent_zero_always_holds():
+    # a condition mod p^0 reads no variable's value: every value solves it
+    x = (1, 2, 0)
+    system = ClosureSystem((2, 1), [CongruenceCondition({(((x, 1),), 0): 1}, 0)], {x: 2})
+    assert count_solutions(system, 3) == 9
 
 
 class LiteralOverrun(Exception):

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 import subrings
-from subrings import HNFMatrix, extract_conditions
+from subrings import ClosureSystem, CongruenceCondition, HNFMatrix, extract_conditions
 
 from test_api import PUBLIC_NAMES
 
@@ -29,6 +29,38 @@ NOT_INTS = (True, 1.5, NAN, "2", None, Fraction(3, 2))
 BAD_INTS = NOT_INTS + (-1,)
 # a scalar where a sequence belongs
 SCALARS = (True, -1, 1.5, NAN, None, Fraction(3, 2))
+
+# hand-built systems that the solve cannot read, each of which raised a
+# bare KeyError or TypeError: a variable with no range, a negative or
+# float range, a negative p-exponent, a float coefficient or degree, a
+# negative modulus exponent, a numerator that is not a dict, conditions
+# that are not a sequence of conditions, a variable that is not (row,
+# col, ticks)
+_X = (1, 2, 0)
+
+
+def _system(ranges=None, conditions=None, numerator=None, modulus_exponent=1):
+    numerator = {(((_X, 1),), 0): 1} if numerator is None else numerator
+    if conditions is None:
+        conditions = [CongruenceCondition(numerator, modulus_exponent)]
+    return ClosureSystem((2, 1), conditions, {_X: 1} if ranges is None else ranges)
+
+
+BAD_SYSTEMS = (
+    _system(ranges={}),
+    _system(ranges={_X: -1}),
+    _system(ranges={_X: 1.5}),
+    _system(numerator={(((_X, 1),), -1): 1}),
+    _system(numerator={(((_X, 1),), 0): 1.5}),
+    _system(numerator={(((_X, 1.0),), 0): 1}),
+    _system(numerator={(((_X, 1),), 0, 0): 1}),
+    _system(modulus_exponent=-1),
+    _system(numerator=[((((_X, 1),), 0), 1)]),
+    _system(conditions=3),
+    _system(conditions=["x"]),
+    _system(ranges=[1]),
+    ClosureSystem((2, 1), [CongruenceCondition({((((1, 2), 1),), 0): 1}, 1)], {(1, 2): 1}),
+)
 
 BAD = {
     "rank": BAD_INTS,
@@ -52,7 +84,7 @@ BAD = {
     "factors": SCALARS + tuple(((1, 1), x) for x in SCALARS)
     + tuple(((x, 1),) for x in NOT_INTS) + tuple(((1, x),) for x in BAD_INTS + (0,)),
     "matrix": SCALARS + ("2",),
-    "system": SCALARS + ("2",),
+    "system": SCALARS + ("2",) + BAD_SYSTEMS,
     "substitutions": SCALARS + ("2",),
     # a bool: a flag picks a branch, so nothing else is taken for its truth
     "flag": (0, 1, 0.0, NAN, "no", None, (), [0], Fraction(1, 2)),
