@@ -251,6 +251,8 @@ def _cmd_closure(args, budget):
                 i, j, k = (int(x) for x in triple.split("."))
             except ValueError:
                 raise ValueError(f"malformed substitution {triple!r}")
+            if (i, j) in substitutions:
+                raise ValueError(f"slot ({i},{j}) substituted more than once")
             substitutions[(i, j)] = k
     system = extract_conditions(alpha, substitutions or None)
     solved = count_solutions(system, args.p, budget)

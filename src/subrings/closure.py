@@ -26,42 +26,40 @@ order, box exponents, each condition's terms grouped by monomial), and
 the skeleton's values at p.  A caller that counts one system at several
 primes, as counting does, builds the skeleton once.
 
-The exhaustion has two tiers, chosen from the plan.  A plan whose scan
-tries at most _INTERPRETED_VALUES values is counted by a recursive
-function that reads the plan (_count_plan) and takes no budget: it
-returns the full scan's node total with the count, and the total is
-spent at once when it fits what the budget has left.  A larger plan, and
-a small one whose total does not fit, is counted by Python generated for
-it (codegen), which costs a compile but runs each value far faster.  The
-generated counter is the one engine that follows the scan value by value
-under the budget, so every overrun, its nodes and its partial count, is
-the generated counter's.  A generated function is compiled once per
-shape, in a per-process LRU cache of 256 entries, room for every shape
-that a round of interleaved composition families comes back to; the
-node budget is an argument too, so diagonals of the same structure, the
-same diagonal at other primes and every call of a budget sweep share one
-compile.  A node is one value of one scanned variable's box, as the
-full scan would try it, whether or not it is tried.
+The exhaustion counts survivors: for each depth, the values of one
+period per loop that pass every check down to that depth.  Values a
+period apart pass alike, so the full scan's node total and count follow
+from those survivors by one formula (_totals).  Two tiers count them,
+chosen from the plan: a plan whose loops try at most
+_INTERPRETED_VALUES values, one period each, is counted by a recursive
+function that reads the plan (_count_plan), and a larger plan by Python
+generated for it (codegen), which costs a compile but runs each value
+far faster.  A generated function is compiled once per shape, in a
+per-process LRU cache of 256 entries, so diagonals of the same
+structure and the same diagonal at other primes share one compile.
+Neither tier sees the node budget: _scan spends it, counting whole the
+loops whose values fit what is left, and walking the others in scan
+order, so every overrun, its nodes and its partial count, is _scan's.  A
+node is one value of one scanned variable's box, as the full scan would
+try it, whether or not it is tried.
 
 A term c*x*... of a condition mod p^r reads x only mod p^r / p^v_p(c), so
 each scanned variable has a period, at most its width: values a period
 apart have the same tests and the same subtrees below.  Counts are never
-cached, across solves or within one: every node is charged; each period
-runs once, and its nodes and count are repeated in bulk for the rest of
-the width, by the generated counter whenever that fits the budget.
+cached, across solves or within one, and every node is charged.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from types import CodeType, FunctionType
 from typing import NamedTuple
 
-from .codegen import _counter_source, _functions
-from .limits import ResourceLimitError, _Budget, _is_int, require_instance, require_prime
+from .codegen import _count_compiled
+from .limits import (
+    ResourceLimitError, _Budget, _is_int, _require_system, require_instance, require_prime,
+)
 from .partitions import composition
 from .polyp import PolyP
 
@@ -158,16 +156,20 @@ def extract_conditions(
 ) -> ClosureSystem:
     """Symbolic back substitution for every pair 1 <= i <= j <= n-1.
 
-    substitutions maps an entry slot (i, j) to k, rescaling that variable
-    to p^k times a fresh variable (only sound when the raw conditions force
-    the corresponding divisibility, which is how the hand-simplified
-    forms arise).  A slot whose range is forced to 0 accepts only k = 0.
+    substitutions maps an entry slot (i, j), a pair of ints, to k,
+    rescaling that variable to p^k times a fresh variable (only sound when
+    the raw conditions force the corresponding divisibility, which is how
+    the hand-simplified forms arise).  A slot whose range is forced to 0
+    accepts only k = 0.
     Conditions with denominator exponent 0 are omitted.
     """
     parts = composition(alpha)
     if substitutions is not None:
         require_instance("extract_conditions", "substitutions", substitutions, dict)
     subs = dict(substitutions or {})
+    for key in subs:
+        if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_int, key))):
+            raise ValueError(f"substitutions keys must be slots (i, j) of two ints, got {key!r}")
     m = len(parts)
 
     ranges: dict[Var, int] = {}
@@ -259,29 +261,29 @@ def count_solutions(
     condition involves, contributes a free multiplicative factor.
     Conditions are tested as soon as their last variable is assigned.
 
-    A scan that tries at most _INTERPRETED_VALUES values (the sum over
-    the scanned variables of the product of the periods up to it) is run
-    by a recursive function over the plan of this system and p, without
-    a budget: it gives the full scan's node total, which is spent at once
-    when it fits in node_budget.  A larger scan, and a small one whose
-    total does not fit, is run by a nested-loop counter generated for
-    them: a condition's coefficients in its last variable are computed
-    outside that variable's loop, so the innermost loops only evaluate
-    one polynomial in one variable per condition.  Each function of the
-    counter is compiled once per shape (its loops, their period steps
-    and the factors of each check's terms) in a bounded cache, and run
-    with the widths, periods, moduli and coefficients of this system and
-    p.  It follows the scan value by value up to the budget, so an
-    overrun's nodes and partial count are always the generated
-    counter's.
+    A variable read only mod a power of p below its width has a period:
+    values a period apart pass the same tests, so one period of each loop
+    is scanned, and the values of it that pass every check down to each
+    depth, the survivors, give the full scan's count and nodes.  A scan
+    whose loops try at most _INTERPRETED_VALUES values, one period
+    each (the sum over the scanned variables of the product of the
+    periods up to it), is run by a recursive function over the plan of
+    this system and p.  A larger scan is run by a nested-loop counter
+    generated for it: a condition's coefficients in its last variable
+    are computed outside that variable's loop, so the innermost loops
+    only evaluate one polynomial in one variable per condition.  Each
+    function of the counter is compiled once per shape (its loops and
+    the factors of each check's terms) in a bounded cache, and run with
+    the periods, moduli and coefficients of this system and p.
 
-    Both tiers charge every node, and run each period once: where a
-    variable is read only mod a power of p below its width, the first
-    period is scanned and the rest of the width charged and counted in
-    bulk (by the generated counter only while that fits the budget), so
-    the count, the nodes and any overrun are those of the full scan.
     node_budget bounds the nodes: the values of every scanned variable's
-    box that the full scan would try, including those charged in bulk.
+    box that the full scan would try, those past the first period
+    included.  Neither tier takes the budget.  A scan whose loops try at
+    most as many values as there are nodes left, one period each, and
+    whose node total fits them, is counted whole and its total spent at
+    once; otherwise it is walked in scan order, each loop taking whole
+    periods while they fit, to the node that overruns, and the overrun
+    reports the solutions found before it.
     The empty diagonal's system, with no variable and no condition,
     counts 1, as count_by_diagonal(()) does.
 
@@ -293,52 +295,11 @@ def count_solutions(
     that are not a sequence of CongruenceConditions.  A modulus exponent
     of 0 is a condition that always holds.
     """
-    _require_system(system)
+    require_instance("count_solutions", "system", system, ClosureSystem)
+    _require_system(system, CongruenceCondition)
     require_prime(p)
     budget = _Budget(f"count_solutions(alpha={system.alpha}, p={p})", node_budget)
     return _count(_plan(system, p), budget)
-
-
-def _require_system(system) -> None:
-    """ValueError naming the first field of system that the solve cannot
-    read.  Extraction's systems pass, so counting does not check them.
-    Exact ints take a fast path: a round of the benchmark's congruence
-    workload checks 1,533 ranges, 1,815 conditions and 4,830 terms."""
-    require_instance("count_solutions", "system", system, ClosureSystem)
-    ranges, conditions = system.variable_ranges, system.conditions
-    _require("variable_ranges", ranges, isinstance(ranges, dict) and all(
-        type(v) is tuple and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is int
-        and (type(r) is int or _is_int(r)) and r >= 0 for v, r in ranges.items()))
-    _require("conditions", conditions, isinstance(conditions, Sequence) and all(
-        isinstance(cond, CongruenceCondition) for cond in conditions))
-    for cond in conditions:
-        r = cond.modulus_exponent
-        _require("modulus_exponent", r, (type(r) is int or _is_int(r)) and r >= 0)
-        _require("numerator", cond.numerator, _is_numerator(cond.numerator, ranges))
-
-
-def _is_numerator(numerator, ranges: dict) -> bool:
-    """Whether numerator maps each (monomial, k) to an int, each k being an
-    int >= 0 and each monomial pairing variables of ranges with int
-    degrees >= 1."""
-    if not isinstance(numerator, dict):
-        return False
-    try:
-        for (mono, k), c in numerator.items():
-            if not (type(k) is type(c) is int or _is_int(k) and _is_int(c)) or k < 0:
-                return False
-            for v, d in mono:
-                if v not in ranges or not (type(d) is int or _is_int(d)) or d < 1:
-                    return False
-    except (TypeError, ValueError):
-        return False
-    return True
-
-
-def _require(field: str, value, ok: bool) -> None:
-    """ValueError naming system.field, whose value is value, unless ok."""
-    if not ok:
-        raise ValueError(f"count_solutions requires a well-formed system.{field}, got {value!r}")
 
 
 class _Plan(NamedTuple):
@@ -357,41 +318,80 @@ class _Plan(NamedTuple):
 
 def _count(plan: _Plan | None, budget: _Budget) -> int:
     """The solutions of a plan (None: a condition no value solves),
-    spending from budget.  A small plan is counted without the budget and
-    its node total spent at once if it fits; otherwise, as for a large
-    plan, the generated counter runs it, and finds any overrun, whose
-    partial count is the solutions found so far."""
+    spending from budget; past its limit, the overrun that _scan finds,
+    whose partial count is the solutions found before it."""
     if plan is None:
         return 0
-    if not plan.box:
-        return plan.free_factor
-    if _value_bound(plan) <= _INTERPRETED_VALUES:
-        nodes, count = _count_plan(plan, 0, [0] * len(plan.box))
-        if nodes <= budget.limit - budget.nodes:
-            budget.nodes += nodes
-            return count * plan.free_factor
-
-    def overrun(nodes: int, count: int):
-        raise ResourceLimitError(budget.context, nodes, budget.limit, count * plan.free_factor)
-
-    # a fresh namespace per solve: overrun raises for this budget, and the
-    # count<s> functions call each other through it.  Each is built from
-    # its shape's compiled code with this solve's literals as the defaults
-    # of its last parameters.  (Patched into copies of the compiled
-    # constants instead, they would spare each call of a deeper function
-    # copying them, but those copies raised the congruence workload's peak
-    # RSS by 0.13 MiB.)  The functions' globals are the namespace itself,
-    # a reference cycle that the finally clause breaks, so a solve leaves
-    # nothing for the cycle collector.
-    namespace = {"__builtins__": {}, "range": range, "overrun": overrun}
-    try:
-        for shape, literals in _functions(plan):
-            namespace[f"count{shape[0]}"] = FunctionType(
-                _compiled_function(shape), namespace, None, literals)
-        budget.nodes, count = namespace["count0"](budget.nodes, 0, budget.limit)
-    finally:
-        namespace.clear()
+    room = budget.limit - budget.nodes
+    nodes, count = _scan(plan, 0, [0] * len(plan.box), room)
+    if nodes > room:
+        raise ResourceLimitError(
+            budget.context, budget.nodes + nodes, budget.limit, count * plan.free_factor)
+    budget.nodes += nodes
     return count * plan.free_factor
+
+
+def _scan(plan: _Plan, d: int, xs: list, room: int) -> tuple[int, int]:
+    """The (nodes, count) of the scan of the loops over x<d>, x<d+1>, ...
+    below x0 .. x<d-1> in xs (with no loops left, (0, 1)), or, where more
+    than room nodes are needed, (room + 1, the count found before the
+    node that overruns).
+
+    Loops that try at most room values, one period each, are counted
+    without the budget, and taken whole if their nodes fit.  Otherwise one
+    period of x<d> is walked in scan order, as many whole periods taken
+    as fit, and the period that crosses the limit walked again up to it."""
+    if d == len(plan.box):
+        return 0, 1
+    bound = _value_bound(plan, d)
+    if bound <= room:
+        survivors = [0] * len(plan.box)
+        tier = _count_plan if bound <= _INTERPRETED_VALUES else _count_compiled
+        tier(plan, d, xs, survivors)
+        nodes, count = _totals(plan, d, survivors)
+        if nodes <= room:
+            return nodes, count
+    nodes, count = _walk(plan, d, xs, room)
+    if nodes > room:
+        return nodes, count
+    repeats = plan.box[d] // plan.periods[d]
+    taken = min(repeats, room // nodes)
+    if taken < repeats:
+        below, found = _walk(plan, d, xs, room - nodes * taken)
+        return nodes * taken + below, count * taken + found
+    return nodes * repeats, count * repeats
+
+
+def _walk(plan: _Plan, d: int, xs: list, room: int) -> tuple[int, int]:
+    """_scan over one period of x<d>: each value one node, and each that
+    passes x<d>'s checks the subtree below it."""
+    checks = plan.checks[d]
+    nodes = count = 0
+    for x in range(plan.periods[d]):
+        if nodes >= room:
+            return room + 1, count
+        nodes += 1
+        xs[d] = x
+        if not checks or _passes(checks, xs):
+            below, found = _scan(plan, d + 1, xs, room - nodes)
+            nodes += below
+            count += found
+    return nodes, count
+
+
+def _totals(plan: _Plan, d: int, survivors: list) -> tuple[int, int]:
+    """The full scan's (nodes, count) below x0 .. x<d-1> from survivors[i],
+    the values of one period of each x<i> (i >= d) that pass every check
+    down to depth i.  Values a period apart pass alike, so the scan's
+    prefixes that pass depth i are survivors[i] times the repeats
+    width // period of depths d .. i, and each that passes depth i - 1
+    tries depth i's whole width."""
+    nodes, prefixes, repeats = 0, 1, 1
+    for i in range(d, len(plan.box)):
+        nodes += prefixes * plan.box[i]
+        repeats *= plan.box[i] // plan.periods[i]
+        prefixes = survivors[i] * repeats
+    return nodes, prefixes
 
 
 # The most values a plan's scan may try (_value_bound) for _count_plan to
@@ -412,38 +412,33 @@ def _count(plan: _Plan | None, budget: _Budget) -> int:
 _INTERPRETED_VALUES = 4096
 
 
-def _value_bound(plan: _Plan) -> int:
-    """The most values _count_plan tries on plan, as does the generated
-    counter while its period batches fit the budget: sum over d of
-    periods[0] * ... * periods[d]."""
+def _value_bound(plan: _Plan, d: int = 0) -> int:
+    """The most values a count of the loops from depth d on tries, one
+    period each: sum over i >= d of periods[d] * ... * periods[i]."""
     total, prefixes = 0, 1
-    for period in plan.periods:
+    for period in plan.periods[d:]:
         prefixes *= period
         total += prefixes
     return total
 
 
-def _count_plan(plan: _Plan, d: int, xs: list) -> tuple[int, int]:
+def _count_plan(plan: _Plan, d: int, xs: list, survivors: list) -> None:
     """The loops over x<d>, x<d+1>, ... of plan, interpreted, with x0 ..
-    x<d-1> in xs: the (nodes, count) of the full scan below them.  Each
-    loop charges its whole width, and the values past its first period
-    repeat that period's subtrees, so one period is scanned and its
-    subtrees' nodes and count taken width // period times."""
-    width, period, checks = plan.box[d], plan.periods[d], plan.checks[d]
-    repeats = width // period
-    nodes = count = 0
+    x<d-1> in xs, each over one period: adds to survivors[i] the values
+    of x<i> that pass every check down to depth i."""
+    checks = plan.checks[d]
     if d == len(plan.box) - 1:
-        for x in range(period):
+        count = 0
+        for x in range(plan.periods[d]):
             xs[d] = x
             count += _passes(checks, xs)
-        return width, count * repeats
-    for x in range(period):
+        survivors[d] += count
+        return
+    for x in range(plan.periods[d]):
         xs[d] = x
         if not checks or _passes(checks, xs):
-            below, found = _count_plan(plan, d + 1, xs)
-            nodes += below
-            count += found
-    return width + nodes * repeats, count * repeats
+            survivors[d] += 1
+            _count_plan(plan, d + 1, xs, survivors)
 
 
 def _passes(checks: tuple, xs: list) -> bool:
@@ -557,33 +552,3 @@ def _at_prime(skeleton: _Skeleton, p: int) -> _Plan | None:
         tuple(map(tuple, checks)),
         p**skeleton.free_exponent,
     )
-
-
-# How many compiled functions one process keeps, least recently used
-# dropped first.  A function depends only on its shape, which recurs across
-# diagonals of the same structure, across primes and across the calls of a
-# budget sweep.  The size holds a whole working set: with every plan
-# compiled, a round of the benchmark's congruence workload (seeds 1-5,
-# 287 solves) runs 503 functions of 131 distinct shapes, interleaving
-# five composition families, and the shapes of g over (5,7), (6,8),
-# (6,9), (7,9), (8,10), (7,8), (5,9), (4,10) and (6,7) at p = 2, 3, 5, 7
-# and 11 number 159.  With 256 entries a round compiles each of its 131
-# shapes once, where 48 entries evicted shapes that came back and
-# compiled 196-216.  With the small plans interpreted, only the plans
-# above _INTERPRETED_VALUES reach the cache, and a small plan only when
-# its node total overruns the budget, which ends the call: a fresh
-# congruence round (seed 9, rounds 1-5) runs 38 functions of 26 shapes,
-# and a scan round 8-51 functions of 8-34 shapes.  An entry holds about
-# 1.75 KiB of code and 1.25 KiB of shape key (tracemalloc), so a full
-# cache about 0.75 MiB; the round's peak RSS rose by about 0.12 MiB
-# (0.6 %).
-_FUNCTION_CACHE_SIZE = 256
-
-
-@functools.lru_cache(maxsize=_FUNCTION_CACHE_SIZE)
-def _compiled_function(shape: tuple) -> CodeType:
-    """The code of count<start> for this shape.  Neither the literals nor
-    the budget are in the text, so every prime and every budget that give
-    one shape share one compile."""
-    module = compile(_counter_source(shape), "<counter>", "exec")
-    return next(c for c in module.co_consts if isinstance(c, CodeType))

@@ -37,13 +37,13 @@ from typing import Sequence
 
 from .closure import (
     _at_prime,
-    _compiled_function,
     _count,
     _mono_mul,
     _skeleton,
     _Skeleton,
     extract_conditions,
 )
+from .codegen import _compiled_function
 from .hnf import _column_closed, solve_upper_triangular
 from .limits import (
     ResourceLimitError,

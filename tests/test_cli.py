@@ -90,6 +90,14 @@ def test_closure_with_substitution(capsys):
     assert len(payload["conditions"]) == 3
 
 
+def test_closure_refuses_a_repeated_slot(capsys):
+    code, out, err = run(
+        capsys, "closure", "--alpha", "2,2,1", "--p", "3", "--substitute", "1.2.1,1.2.0"
+    )
+    assert code == 1 and out == ""
+    assert "slot (1,2)" in err
+
+
 def test_audit_sandwich(capsys):
     code, out, _ = run(capsys, "audit-sandwich", "--n", "3", "--m", "2")
     assert code == 0

@@ -12,14 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from subrings import closure
-from subrings.closure import (
-    ClosureSystem,
-    CongruenceCondition,
-    _counter_source,
-    count_solutions,
-    extract_conditions,
-)
+from subrings import closure, codegen
+from subrings.closure import ClosureSystem, CongruenceCondition, count_solutions, extract_conditions
+from subrings.codegen import _counter_source
 from subrings.counting import ResourceLimitError, count_by_diagonal, scan_by_diagonal
 from subrings.hnf import HNFMatrix, is_closed
 from subrings.limits import _Budget
@@ -324,7 +319,7 @@ def test_twenty_one_scanned_variables():
 
 
 def record_compiles(monkeypatch, bound=COMPILED) -> list:
-    """Empty the counter cache and record every compile closure makes,
+    """Empty the counter cache and record every compile codegen makes,
     with the plans that try at most bound values interpreted (by default
     none)."""
     compiled = []
@@ -333,9 +328,9 @@ def record_compiles(monkeypatch, bound=COMPILED) -> list:
         compiled.append(args)
         return compile(*args)
 
-    monkeypatch.setattr(closure, "compile", counted, raising=False)
+    monkeypatch.setattr(codegen, "compile", counted, raising=False)
     monkeypatch.setattr(closure, "_INTERPRETED_VALUES", bound)
-    closure._compiled_function.cache_clear()
+    codegen._compiled_function.cache_clear()
     return compiled
 
 
@@ -359,7 +354,7 @@ def test_counter_is_shared_across_primes(monkeypatch):
 
 def test_compiles_are_the_distinct_shapes(monkeypatch):
     """Over every diagonal of g_5(p^7) at p = 5 and 7, each distinct
-    function shape is compiled once: 40 functions, 18 shapes."""
+    function shape is compiled once: 36 functions, 16 shapes."""
     compiled = record_compiles(monkeypatch)
     shapes, functions = set(), 0
     for alpha in compositions(5, 7):
@@ -368,25 +363,25 @@ def test_compiles_are_the_distinct_shapes(monkeypatch):
             assert count_solutions(system, p) == scan_by_diagonal(alpha, p)
             plan = closure._plan(system, p)
             if plan is not None and plan.box:
-                made = closure._functions(plan)
+                made = codegen._functions(plan)
                 functions += len(made)
                 shapes.update(shape for shape, _ in made)
-    assert (functions, len(shapes)) == (40, 18)
+    assert (functions, len(shapes)) == (36, 16)
     assert len(compiled) == len(shapes)
 
 
 def test_cache_holds_a_round_of_shapes(monkeypatch):
-    """Every diagonal of g_6(p^9) at p = 2 and 3 compiles its 77 distinct
+    """Every diagonal of g_6(p^9) at p = 2 and 3 compiles its 74 distinct
     shapes once, and a second pass over them compiles nothing: the cache
     keeps shapes that come back after many others."""
     compiled = record_compiles(monkeypatch)
     systems = [extract_conditions(alpha) for alpha in compositions(6, 9)]
     first = [count_solutions(system, p) for system in systems for p in (2, 3)]
     plans = [closure._plan(system, p) for system in systems for p in (2, 3)]
-    shapes = {shape for plan in plans if plan and plan.box for shape, _ in closure._functions(plan)}
-    assert len(compiled) == len(shapes) == 77
+    shapes = {shape for plan in plans if plan and plan.box for shape, _ in codegen._functions(plan)}
+    assert len(compiled) == len(shapes) == 74
     assert [count_solutions(system, p) for system in systems for p in (2, 3)] == first
-    assert len(compiled) == 77
+    assert len(compiled) == 74
 
 
 def outcome(system, p, budget):
@@ -397,18 +392,26 @@ def outcome(system, p, budget):
 
 
 def test_budget_sweep_compiles_once(monkeypatch):
-    """Every budget runs the one compiled counter, and reports what a
-    freshly compiled counter reports."""
+    """(2, 2, 1) at p = 5 scans three variables, and its loops try at most
+    35 values.  Below that budget the scan is walked, and the loops below
+    a walked value are counted by a counter cut from their depth; so a
+    sweep over every budget compiles the one shape of each start depth
+    once, and reports at each budget what freshly compiled counters
+    report."""
     system, p, nodes = extract_conditions((2, 2, 1)), 5, 155
+    plan = closure._plan(system, p)
+    assert closure._value_bound(plan) == 35
     compiled = record_compiles(monkeypatch)
     warm = [outcome(system, p, budget) for budget in range(nodes + 1)]
-    assert len(compiled) == 1
+    shapes = {shape for d in range(len(plan.box)) for shape, _ in codegen._functions(plan, d)}
+    assert len(compiled) == len(shapes) == 3
     assert warm[-1] == count_solutions(system, p) == 65
     assert all(warm[b] == (b + 1, b, warm[b][2]) for b in range(nodes))
     for budget in range(nodes + 1):
-        closure._compiled_function.cache_clear()
+        codegen._compiled_function.cache_clear()
+        before = len(compiled)
         assert outcome(system, p, budget) == warm[budget]
-    assert len(compiled) == nodes + 2
+        assert len(compiled) - before <= len(shapes)
 
 
 def test_counter_source_holds_only_literals_and_fixed_names(monkeypatch):
@@ -418,20 +421,19 @@ def test_counter_source_holds_only_literals_and_fixed_names(monkeypatch):
         sources.append(_counter_source(shape))
         return sources[-1]
 
-    monkeypatch.setattr(closure, "_counter_source", recording)
+    monkeypatch.setattr(codegen, "_counter_source", recording)
     # (3, 2, 1, 1) at p = 3 tries at most 1,089 values, which the
     # interpreted tier would count without generating any source
     monkeypatch.setattr(closure, "_INTERPRETED_VALUES", COMPILED)
-    closure._compiled_function.cache_clear()
+    codegen._compiled_function.cache_clear()
     count_solutions(extract_conditions((3, 2, 1, 1)), 3)
     from_diagonal = len(sources)
     count_solutions(chain_system(25), 2)
     assert 0 < from_diagonal < len(sources)
     assert len(sources) > 2
-    allowed = re.compile(
-        r"(x|c|count)\d*|[nkL]\d+|nodes|limit|width|overrun|range"
-        r"|def|for|in|if|else|and|continue|break|return"
-    )
+    # no node count, limit, width, overrun or early exit: the counter
+    # only tallies the values that pass, in k<d>, into S
+    allowed = re.compile(r"(x|c|count|k|L)\d+|S|range|def|for|in|if|continue")
     for source in sources:
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             if tok.type == tokenize.NAME:
@@ -657,41 +659,51 @@ def test_tiers_agree():
 def test_interpreted_plan_within_budget_compiles_nothing(monkeypatch):
     """(3, 2, 1, 1) at p = 3 is interpreted: its scan tries at most 1,089
     values, its node total T is 1,737 and it has 459 solutions.  Under a
-    budget of T the interpreted count is spent at once and nothing is
-    compiled.  Under T - 1 the plan is handed to the generated counter,
-    its two functions compiled once, which overruns at node T as with
-    every plan compiled."""
+    budget of T the count is spent at once, and under T - 1 the walk to
+    the overrun at node T counts the loops below each walked value
+    interpreted too, so nothing is compiled; the overrun is the one found
+    with every plan compiled."""
     system, p, total = extract_conditions((3, 2, 1, 1)), 3, 1737
-    plan = closure._plan(system, p)
-    assert (closure._value_bound(plan), len(closure._functions(plan))) == (1089, 2)
+    assert closure._value_bound(closure._plan(system, p)) == 1089
     compiled = record_compiles(monkeypatch, closure._INTERPRETED_VALUES)
     assert metered_outcome(system, p, total) == (459, total)
-    assert compiled == []
     overrun = metered_outcome(system, p, total - 1)
     assert metered_outcome(system, p, total - 1) == overrun
-    assert len(compiled) == 2
+    assert compiled == []
     assert overrun[:2] == ("overrun", total) and overrun[2] <= 459
     assert overrun == tier_outcome(COMPILED, system, p, total - 1)
 
 
-def test_count_plan_is_the_literal_scan():
-    """Unbudgeted, _count_plan gives the node total and the count of the
-    scan that literal_scan runs value by value, on test_tiers_agree's
-    diagonals and primes (the 220 plans that scan a variable)."""
-    systems = [extract_conditions(alpha)
-               for n in range(2, 6) for e in range(n - 1, 8) for alpha in compositions(n, e)]
-    systems.append(extract_conditions((3, 2, 1, 1), {(1, 2): 1}))
+def test_tier_survivors_are_the_literal_scan():
+    """Each tier's survivors of one period per loop, times the repeats
+    width // period of the loops down to depth d, are literal_scan's S_d,
+    and _totals makes them the scan's node total and count.  On
+    test_tiers_agree's diagonals and primes (the 220 plans that scan a
+    variable), the hand-built system whose last loop runs a period below
+    its width, and a chain of 25 variables, more loops than one generated
+    function holds."""
+    systems = [(extract_conditions(alpha), p)
+               for n in range(2, 6) for e in range(n - 1, 8) for alpha in compositions(n, e)
+               for p in (2, 3, 5, 7)]
+    systems += [(extract_conditions((3, 2, 1, 1), {(1, 2): 1}), p) for p in (2, 3, 5, 7)]
+    extra = [(periodic_last_system(), 5), (chain_system(25), 2), (chain_system(25), 3)]
     plans = 0
-    for system in systems:
-        for p in (2, 3, 5, 7):
-            plan = closure._plan(system, p)
-            if plan is None or not plan.box:
-                continue
-            plans += 1
-            nodes, count = closure._count_plan(plan, 0, [0] * len(plan.box))
-            expected, _ = literal_scan(system, p)
-            assert (count * plan.free_factor, nodes) == expected, (system.alpha, p)
-    assert plans == 220
+    for system, p in systems + extra:
+        plan = closure._plan(system, p)
+        if plan is None or not plan.box:
+            continue
+        plans += 1
+        (count, nodes), expected = literal_scan(system, p)
+        for tier in (closure._count_plan, codegen._count_compiled):
+            survivors = [0] * len(plan.box)
+            tier(plan, 0, [0] * len(plan.box), survivors)
+            scaled, repeats = [1], 1
+            for s, width, period in zip(survivors, plan.box, plan.periods):
+                repeats *= width // period
+                scaled.append(s * repeats)
+            assert scaled == expected, (system.alpha, p, tier)
+            assert closure._totals(plan, 0, survivors) == (nodes, count // plan.free_factor)
+    assert plans == 220 + len(extra)
 
 
 def test_modulus_exponent_zero_always_holds():

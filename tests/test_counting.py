@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subrings import closure, counting, limits
+from subrings import closure, codegen, counting, limits
 from subrings.closure import count_solutions, extract_conditions
 from subrings.counting import (
     InterpolationMismatch,
@@ -317,16 +317,16 @@ def test_clear_caches_recompiles(monkeypatch):
     # every plan compiled: the interpreted tier would compile nothing here
     monkeypatch.setattr(closure, "_INTERPRETED_VALUES", 0)
     exact = count_irreducible(4, 5, 3)
-    misses = closure._compiled_function.cache_info().misses
+    misses = codegen._compiled_function.cache_info().misses
     assert count_irreducible(4, 5, 3) == exact
     # a second identical call solves again but compiles nothing new
-    assert closure._compiled_function.cache_info().misses == misses
+    assert codegen._compiled_function.cache_info().misses == misses
     clear_caches()
-    assert closure._compiled_function.cache_info().currsize == 0
+    assert codegen._compiled_function.cache_info().currsize == 0
     assert closure._mono_mul.cache_info().currsize == 0
     assert _gaussian_binomial.cache_info().currsize == 0
     assert count_irreducible(4, 5, 3) == exact
-    assert closure._compiled_function.cache_info().misses > 0
+    assert codegen._compiled_function.cache_info().misses > 0
 
 
 def test_partial_count_is_a_lower_bound():

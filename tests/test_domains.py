@@ -85,7 +85,9 @@ BAD = {
     + tuple(((x, 1),) for x in NOT_INTS) + tuple(((1, x),) for x in BAD_INTS + (0,)),
     "matrix": SCALARS + ("2",),
     "system": SCALARS + ("2",) + BAD_SYSTEMS,
-    "substitutions": SCALARS + ("2",),
+    # a slot key that is not a pair of ints, though (1.0, 2.0) and
+    # (True, 2) hash as the slot (1, 2)
+    "substitutions": SCALARS + ("2", {(1.0, 2.0): 0}, {(True, 2): 0}, {"x": 1, 5: 2}),
     # a bool: a flag picks a branch, so nothing else is taken for its truth
     "flag": (0, 1, 0.0, NAN, "no", None, (), [0], Fraction(1, 2)),
 }
